@@ -19,8 +19,15 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from . import __version__, _kernels, tomography
-from .linalg import QuantumState, coherent, fidelity, ket_density, negativity
+from . import __version__, tomography
+from .linalg import (
+    NumericalError,
+    QuantumState,
+    coherent,
+    fidelity,
+    ket_density,
+    negativity,
+)
 from .model import (
     SystemParams,
     default_params,
@@ -262,15 +269,13 @@ def _write_state(path: Path, state: QuantumState | None) -> None:
     _write_csv(path, ["row", "col", "real", "imag"], rows)
 
 
-def _write_manifest(outdir: Path, command: str, cfg: dict, seed, threads) -> None:
+def _write_manifest(outdir: Path, command: str, cfg: dict, seed) -> None:
     _write_json(
         outdir / "manifest.json",
         {
             "subcommand": command,
             "config": cfg,
             "seed": seed,
-            "threads": threads,
-            "backend": _kernels.BACKEND,
             "version": __version__,
         },
     )
@@ -280,7 +285,7 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, seed, threads) -> Non
 # subcommands
 
 
-def cmd_spectrum(cfg: dict, outdir: Path, seed, threads) -> None:
+def cmd_spectrum(cfg: dict, outdir: Path, seed) -> None:
     params = _build_params(cfg)
     span = cfg["spectrum"]["span_hz"]
     points = cfg["spectrum"]["points"]
@@ -305,7 +310,7 @@ def cmd_spectrum(cfg: dict, outdir: Path, seed, threads) -> None:
     )
 
 
-def cmd_efficiency(cfg: dict, outdir: Path, seed, threads) -> None:
+def cmd_efficiency(cfg: dict, outdir: Path, seed) -> None:
     eff = cfg["efficiency"]
     if eff["preset"] == "ideal":
         params = ideal_params()
@@ -325,6 +330,8 @@ def cmd_efficiency(cfg: dict, outdir: Path, seed, threads) -> None:
             cfg["schedule"]["alpha_sq_grid"],
             fit_window=eff["fit_window"],
         )
+    except NumericalError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"invalid efficiency grid: {exc}") from None
     _write_csv(
@@ -347,7 +354,7 @@ def cmd_efficiency(cfg: dict, outdir: Path, seed, threads) -> None:
     )
 
 
-def cmd_protocol(cfg: dict, outdir: Path, seed, threads) -> None:
+def cmd_protocol(cfg: dict, outdir: Path, seed) -> None:
     params = _build_params(cfg)
     schedule = _build_schedule(cfg)
     n_ph = cfg["protocol"]["n_ph"]
@@ -402,7 +409,7 @@ def cmd_protocol(cfg: dict, outdir: Path, seed, threads) -> None:
             )
 
 
-def cmd_tomo_selftest(cfg: dict, outdir: Path, seed, threads) -> None:
+def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
     if seed is None:
         raise ConfigError("a seed is required for reproducible sampling")
     t = cfg["tomography"]
@@ -471,7 +478,7 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed, threads) -> None:
     )
 
 
-def cmd_sweep(cfg: dict, outdir: Path, seed, threads) -> None:
+def cmd_sweep(cfg: dict, outdir: Path, seed) -> None:
     params = _build_params(cfg)
     points = sweep(params, cfg["sweep"]["axis"], cfg["sweep"]["values"])
     _write_csv(
@@ -514,9 +521,6 @@ def _parse_args(argv):
         sp.add_argument("--config", help="YAML run configuration")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, help="override the sampling seed")
-        sp.add_argument(
-            "--threads", type=int, help="compiled-backend thread count"
-        )
         sp.set_defaults(handler=handler)
     return parser.parse_args(argv)
 
@@ -526,22 +530,16 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         seed = args.seed if args.seed is not None else cfg["tomography"]["seed"]
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ConfigError("--threads must be positive")
-            try:
-                import numba
-
-                numba.set_num_threads(args.threads)
-            except ImportError:
-                pass
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_manifest(outdir, args.command, cfg, seed, args.threads)
-        args.handler(cfg, outdir, seed, args.threads)
+        _write_manifest(outdir, args.command, cfg, seed)
+        args.handler(cfg, outdir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -13,20 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import minimize_scalar
 
-from . import _kernels
 from .linalg import QuantumState, dag, destroy
-from .model import (
-    SIGMA_MINUS,
-    SIGMA_PLUS,
-    LindbladModel,
-    SystemParams,
-    TemporalMode,
-)
+from .model import LindbladModel, SystemParams, TemporalMode
 
 # qubit basis ordering (|g>, |e>)
 GATE_Y90 = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
@@ -166,10 +160,14 @@ def gate_matrix(which: str) -> np.ndarray:
 
 def apply_gate(state: QuantumState, which: str) -> QuantumState:
     """Conjugate the qubit (first subsystem) by a +/-90 degree y rotation."""
-    u2 = gate_matrix(which)
-    rest = int(np.prod(state.dims[1:])) if len(state.dims) > 1 else 1
-    u = np.kron(u2, np.eye(rest, dtype=complex))
-    return QuantumState(u @ state.rho @ dag(u), state.dims)
+    d = state.dim
+    return QuantumState(_apply_gate(state.rho, which, d).reshape(d, d), state.dims)
+
+
+def _apply_gate(x: np.ndarray, which: str, d: int) -> np.ndarray:
+    """Rotate the qubit of every d x d block of x; returns them flattened."""
+    u = np.kron(gate_matrix(which), np.eye(d // 2, dtype=complex))
+    return (u @ x.reshape(-1, d, d) @ dag(u)).reshape(-1)
 
 
 def default_timestep(params: SystemParams, mode: TemporalMode) -> float:
@@ -213,17 +211,14 @@ def _drive_samples(
         return np.asarray(drive(times), dtype=complex)
     if schedule.alpha_in == 0 or params.kappa_ex == 0:
         return np.zeros(times.shape, dtype=complex)
-    amp = schedule.mode.amplitude(-times)
-    off = schedule.mode.carrier_offset
-    if off != 0.0:
-        amp = amp * np.exp(-1j * off * times)
+    amp = _mode_u(schedule.mode, times)
     return -1j * math.sqrt(params.kappa_ex) * schedule.alpha_in * amp
 
 
-def _mode_u(output_mode: TemporalMode, times: np.ndarray) -> np.ndarray:
-    """Projection-mode waveform u(t) = f_out(-t) in the propagation frame."""
-    amp = output_mode.amplitude(-times)
-    off = output_mode.carrier_offset
+def _mode_u(mode: TemporalMode, times: np.ndarray) -> np.ndarray:
+    """Mode waveform f(-t) in the propagation frame (input or projection)."""
+    amp = mode.amplitude(-times)
+    off = mode.carrier_offset
     if off != 0.0:
         amp = amp * np.exp(-1j * off * times)
     return amp
@@ -237,21 +232,154 @@ def _segments(schedule: PulseSchedule, t_start: float) -> list:
     ]
 
 
-def _model_arrays(model: LindbladModel):
+# ---------------------------------------------------------------------------
+# sparse-superoperator propagation
+#
+# Matrices are propagated as row-major vectors, vec(A X B) = (A kron B^T)
+# vec(X), under generators L(t) = L0 + sum_k f_k(t) L_k whose pieces are
+# short sums of sparse Kronecker products.
+
+
+def _spre(op) -> sparse.csr_matrix:
+    """X -> op X."""
+    return sparse.kron(op, sparse.identity(op.shape[0], dtype=complex), format="csr")
+
+
+def _spost(op) -> sparse.csr_matrix:
+    """X -> X op."""
+    return sparse.kron(sparse.identity(op.shape[0], dtype=complex), op.T, format="csr")
+
+
+def _sprepost(left, right) -> sparse.csr_matrix:
+    """X -> left X right."""
+    return sparse.kron(left, right.T, format="csr")
+
+
+def _lindblad_superop(h, c_ops) -> sparse.csr_matrix:
+    """X -> -i (K X - X K^dag) + sum_c C X C^dag, K = H - (i/2) sum_c C^dag C."""
+    c_ops = [sparse.csr_matrix(c) for c in c_ops]
+    k_nh = sparse.csr_matrix(h, dtype=complex)
+    for c in c_ops:
+        k_nh = k_nh - 0.5j * (c.conj().T @ c)
+    out = -1j * (_spre(k_nh) - _spost(k_nh.conj().T))
+    for c in c_ops:
+        out = out + _sprepost(c, c.conj().T)
+    return out.tocsr()
+
+
+class Generator:
+    """L(t) = L0 + sum_k f_k(t) L_k acting on vectorised n x n matrices.
+
+    L0 and the pieces L_k are stacked into one CSR matrix, so a single
+    sparse product yields every L_k x and a short dense product weights
+    them.
+    """
+
+    def __init__(self, l0: sparse.csr_matrix, pieces) -> None:
+        self.n_pieces = len(pieces)
+        self.blocks = sparse.vstack([l0, *pieces], format="csr")
+
+    def apply(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """L x for weights (1, f_1, ..., f_K)."""
+        return weights @ (self.blocks @ x).reshape(self.n_pieces + 1, -1)
+
+
+class Propagation(NamedTuple):
+    state: np.ndarray
+    snapshots: list
+    max_trace_defect: float
+    max_watched: tuple
+
+
+def propagate(
+    generator: Generator,
+    x0: np.ndarray,
+    coeffs: np.ndarray,
+    dt: float,
+    nsub: np.ndarray,
+    trace_idx: np.ndarray,
+    watch: tuple = (),
+    store_every: int = 0,
+) -> Propagation:
+    """Fixed-step RK4 of x' = L(t) x over len(nsub) steps of size dt.
+
+    coeffs has one column per piece.  Step i takes nsub[i] equal substeps
+    and reads rows o_i .. o_i + 2 nsub[i], its half-substep grid, with
+    o_i = 2 (nsub[0] + ... + nsub[i-1]): consecutive steps share their
+    boundary row, and with one substep per step the rows are the half-step
+    grid.  After every step the monitors are updated: |trace - 1| of the
+    entries trace_idx of x, and the summed real part of x over each index
+    array in watch.  With store_every > 0, x is also stored after every
+    store_every-th step.
+    """
+    x = np.array(x0, dtype=complex)
+    rows = np.hstack([np.ones((len(coeffs), 1)), coeffs])
+    snapshots = []
+    max_tr = 0.0
+    max_watched = [0.0] * len(watch)
+    o = 0
+    for i, ns in enumerate(np.asarray(nsub).tolist()):
+        h = dt / ns
+        for s in range(ns):
+            j = o + 2 * s
+            k1 = generator.apply(x, rows[j])
+            k2 = generator.apply(x + (h / 2) * k1, rows[j + 1])
+            k3 = generator.apply(x + (h / 2) * k2, rows[j + 1])
+            k4 = generator.apply(x + h * k3, rows[j + 2])
+            x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        o += 2 * ns
+        tr = x[trace_idx].sum()
+        max_tr = max(max_tr, abs(tr.real - 1.0) + abs(tr.imag))
+        for w, idx in enumerate(watch):
+            max_watched[w] = max(max_watched[w], float(x[idx].real.sum()))
+        if store_every and (i + 1) % store_every == 0:
+            snapshots.append(x.copy())
+    return Propagation(x, snapshots, max_tr, tuple(max_watched))
+
+
+def lindblad_generator(h, c_ops, a, ladder: bool = False) -> Generator:
+    """Generator of the driven master equation, with the drive as pieces.
+
+    The drive term -i[i eps a^dag - i conj(eps) a, X] gives the pieces eps
+    and conj(eps).  With ladder set, the state is the 9-node regression
+    ladder (node 3m + n at offset (3m + n) n^2): node 3m + n is sourced by
+    w a X_{3m+n-1} and conj(w) X_{3(m-1)+n} a^dag, adding the pieces w and
+    conj(w) to a block-lower-triangular generator.
+    """
+    a = sparse.csr_matrix(a, dtype=complex)
+    ad = a.conj().T
+    l0 = _lindblad_superop(h, c_ops)
+    drive = (_spre(ad) - _spost(ad), _spost(a) - _spre(a))
+    if not ladder:
+        return Generator(l0, drive)
+    nodes = sparse.identity(9, dtype=complex, format="csr")
+    k = np.arange(9)
+    right = k[k % 3 != 0]
+    src_w = sparse.csr_matrix((np.ones(6), (right, right - 1)), shape=(9, 9))
+    src_wb = sparse.csr_matrix((np.ones(6), (k[3:], k[3:] - 3)), shape=(9, 9))
+    return Generator(
+        sparse.kron(nodes, l0, format="csr"),
+        tuple(sparse.kron(nodes, piece, format="csr") for piece in drive)
+        + (
+            sparse.kron(src_w, _spre(a), format="csr"),
+            sparse.kron(src_wb, _spost(ad), format="csr"),
+        ),
+    )
+
+
+def _model_generator(model: LindbladModel, ladder: bool = False):
+    """The model's generator, the trace positions of node 0 and those of its
+    top cavity level."""
     d = model.dim
-    if model.collapse:
-        c_arr = np.ascontiguousarray(np.array(model.collapse, dtype=complex))
-    else:
-        c_arr = np.zeros((0, d, d), dtype=complex)
-    sum_cc = np.zeros((d, d), dtype=complex)
-    for i in range(c_arr.shape[0]):
-        sum_cc += dag(c_arr[i]) @ c_arr[i]
-    h_nh = np.ascontiguousarray(model.H - 0.5j * sum_cc)
-    a_op = np.ascontiguousarray(model.a.astype(complex))
-    adag_op = np.ascontiguousarray(dag(model.a))
     n_c = model.n_max + 1
-    top_idx = np.array([n_c - 1, 2 * n_c - 1], dtype=np.int64)
-    return d, c_arr, h_nh, a_op, adag_op, top_idx
+    diag = np.arange(d) * (d + 1)
+    gen = lindblad_generator(model.H, model.collapse, model.a, ladder)
+    return gen, diag, diag[[n_c - 1, 2 * n_c - 1]]
+
+
+def _conj_pairs(*samples: np.ndarray) -> np.ndarray:
+    """Coefficient rows (s_1, conj(s_1), s_2, conj(s_2), ...) per sample."""
+    return np.stack([f(s) for s in samples for f in (np.asarray, np.conjugate)], axis=1)
 
 
 def _check_monitors(max_tr: float, max_top: float, top_limit: float, label: str) -> None:
@@ -287,13 +415,14 @@ def evolve(
     p = model.params
     if dt is None:
         dt = default_timestep(p, schedule.mode)
-    d, c_arr, h_nh, a_op, adag_op, top_idx = _model_arrays(model)
+    d = model.dim
+    gen, diag, top = _model_generator(model)
     state = initial if initial is not None else model.ground_state()
     _require(state.rho.shape[0] == d, "initial state dimension mismatch")
-    stack = np.ascontiguousarray(state.rho[None, :, :].astype(complex))
+    x = state.rho.astype(complex).reshape(-1)
     t_start = _start_time(schedule)
     times_out = [t_start]
-    rhos_out = [stack[0].copy()]
+    rhos_out = [x.copy()]
     max_tr = 0.0
     max_top = 0.0
     for t0, t1, gate in _segments(schedule, t_start):
@@ -301,30 +430,27 @@ def evolve(
         if span > 1e-15:
             nsteps = _segment_steps(span, dt)
             dt_seg = span / nsteps
-            tt = _half_grid(t0, nsteps, dt_seg)
-            eps = _drive_samples(p, schedule, tt, drive)
-            w = np.zeros(tt.shape, dtype=complex)
-            stack, traj, m_tr, m_top = _kernels.lindblad_rk4(
-                stack, h_nh, c_arr, a_op, adag_op, eps, w, False,
-                dt_seg, nsteps, store_every, top_idx,
+            eps = _drive_samples(p, schedule, _half_grid(t0, nsteps, dt_seg), drive)
+            run = propagate(
+                gen, x, _conj_pairs(eps), dt_seg, np.ones(nsteps, dtype=np.int64),
+                diag, (top,), store_every,
             )
-            max_tr = max(max_tr, m_tr)
-            max_top = max(max_top, m_top)
-            for k in range(1, traj.shape[0]):
+            x = run.state
+            max_tr = max(max_tr, run.max_trace_defect)
+            max_top = max(max_top, run.max_watched[0])
+            for k, snap in enumerate(run.snapshots, start=1):
                 times_out.append(t0 + dt_seg * store_every * k)
-                rhos_out.append(traj[k])
+                rhos_out.append(snap)
             if nsteps % store_every:
                 times_out.append(t1)
-                rhos_out.append(stack[0].copy())
+                rhos_out.append(x.copy())
         if gate is not None and schedule.ramsey_gates:
-            u2 = gate_matrix(gate)
-            u = np.kron(u2, np.eye(d // 2, dtype=complex))
-            stack = np.ascontiguousarray(u @ stack @ dag(u))
+            x = _apply_gate(x, gate, d)
             times_out.append(t1)
-            rhos_out.append(stack[0].copy())
+            rhos_out.append(x.copy())
     _check_monitors(max_tr, max_top, TOP_LEVEL_MAX, "evolve")
     return Trajectory(
-        np.array(times_out), np.array(rhos_out), model.dims, max_tr, max_top
+        np.array(times_out), np.array(rhos_out).reshape(-1, d, d), model.dims, max_tr, max_top
     )
 
 
@@ -349,7 +475,8 @@ def correlator(
     p = model.params
     if dt is None:
         dt = default_timestep(p, schedule.mode)
-    d, c_arr, h_nh, a_op, adag_op, top_idx = _model_arrays(model)
+    d = model.dim
+    gen, diag, _ = _model_generator(model)
     state = initial if initial is not None else model.ground_state()
     rho = state.rho.astype(complex)
 
@@ -365,8 +492,8 @@ def correlator(
     t_start = _start_time(schedule)
     events = []
     if schedule.ramsey_gates:
-        events.append((schedule.t_i, 0, "gate", gate_matrix("y90")))
-        events.append((schedule.t_g, 0, "gate", gate_matrix("ym90")))
+        events.append((schedule.t_i, 0, "gate", "y90"))
+        events.append((schedule.t_g, 0, "gate", "ym90"))
     for k, (t, op, side) in enumerate(ins):
         events.append((t, 1, side, np.asarray(op, dtype=complex)))
     events.sort(key=lambda ev: (ev[0], ev[1]))
@@ -377,22 +504,19 @@ def correlator(
             return rho
         nsteps = _segment_steps(span, dt)
         dt_seg = span / nsteps
-        tt = _half_grid(t0, nsteps, dt_seg)
-        eps = _drive_samples(p, schedule, tt, drive)
-        w = np.zeros(tt.shape, dtype=complex)
-        stack, _, _, _ = _kernels.lindblad_rk4(
-            np.ascontiguousarray(rho[None, :, :]), h_nh, c_arr, a_op, adag_op,
-            eps, w, False, dt_seg, nsteps, nsteps, top_idx,
+        eps = _drive_samples(p, schedule, _half_grid(t0, nsteps, dt_seg), drive)
+        run = propagate(
+            gen, rho.reshape(-1), _conj_pairs(eps), dt_seg,
+            np.ones(nsteps, dtype=np.int64), diag,
         )
-        return stack[0]
+        return run.state.reshape(d, d)
 
     t_cur = t_start
     for t_ev, _, kind, op in events:
         rho = run_to(rho, t_cur, t_ev)
         t_cur = t_ev
         if kind == "gate":
-            u = np.kron(op, np.eye(d // 2, dtype=complex))
-            rho = u @ rho @ dag(u)
+            rho = _apply_gate(rho, op, d).reshape(d, d)
         elif kind == "left":
             rho = op @ rho
         else:
@@ -458,10 +582,7 @@ def linear_reference(
     sel = t_full >= schedule.t_i - 1e-15
     uu = _mode_u(output_mode, t_full[sel])
     a_ref = complex(np.trapezoid(np.conjugate(uu) * psi_out[sel], t_full[sel]))
-    fin =schedule.mode.amplitude(-t_full[sel])
-    off = schedule.mode.carrier_offset
-    if off != 0.0:
-        fin = fin * np.exp(-1j * off * t_full[sel])
+    fin = _mode_u(schedule.mode, t_full[sel])
     o_f = complex(np.trapezoid(np.conjugate(uu) * fin, t_full[sel]))
     phase = float(np.angle(a_ref)) if abs(a_ref) > 1e-300 else 0.0
     return {
@@ -490,10 +611,8 @@ def optimize_delay(
     t1 = float(mode.t[-1]) + 5.0 / params.kappa_ex
     sched = PulseSchedule(t0, (t0 + t1) / 2, t1, mode, alpha_in=1.0, ramsey_gates=False)
     t_full, alpha = _linear_alpha(params, sched, t0, t1, dt)
-    beta = mode.amplitude(-t_full)
+    beta = _mode_u(mode, t_full)
     off = mode.carrier_offset
-    if off != 0.0:
-        beta = beta * np.exp(-1j * off * t_full)
     psi_out = beta - 1j * math.sqrt(params.kappa_ex) * alpha
 
     def negative_capture(tau: float) -> float:
@@ -531,10 +650,7 @@ def _window_overlap(schedule: PulseSchedule, output_mode: TemporalMode, dt: floa
     n = 4 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
     tt = np.linspace(schedule.t_i, schedule.t_f, n)
     uu = _mode_u(output_mode, tt)
-    fin = schedule.mode.amplitude(-tt)
-    off = schedule.mode.carrier_offset
-    if off != 0.0:
-        fin = fin * np.exp(-1j * off * tt)
+    fin = _mode_u(schedule.mode, tt)
     return complex(np.trapezoid(np.conjugate(uu) * fin, tt))
 
 
@@ -565,7 +681,6 @@ def output_mode_moments(
     output_mode: Optional[TemporalMode] = None,
     delay: Optional[float] = None,
     qubit_op: Optional[str] = None,
-    max_order: int = 2,
     dt: Optional[float] = None,
     initial: Optional[QuantumState] = None,
 ) -> Union[MomentSet, dict]:
@@ -577,16 +692,15 @@ def output_mode_moments(
     "ge", "eg", "ee"), returns that operator's moment dictionary; otherwise
     the full MomentSet.
     """
-    _require(0 <= max_order <= 2, "max_order must be 0, 1, or 2")
     p = model.params
     if dt is None:
         dt = default_timestep(p, schedule.mode)
     output_mode, tau = _resolve_output_mode(p, schedule, output_mode, delay)
-    d, c_arr, h_nh, a_op, adag_op, top_idx = _model_arrays(model)
+    d = model.dim
+    gen, diag, top = _model_generator(model, ladder=True)
     state = initial if initial is not None else model.ground_state()
-    stack = np.zeros((9, d, d), dtype=complex)
-    stack[0] = state.rho
-    stack = np.ascontiguousarray(stack)
+    x = np.zeros(9 * d * d, dtype=complex)
+    x[: d * d] = state.rho.reshape(-1)
     t_start = _start_time(schedule)
     sqrt_kex = math.sqrt(p.kappa_ex) if p.kappa_ex > 0 else 0.0
     max_tr = 0.0
@@ -602,15 +716,15 @@ def output_mode_moments(
                 w = np.zeros(tt.shape, dtype=complex)
             else:
                 w = -1j * sqrt_kex * np.conjugate(_mode_u(output_mode, tt))
-            stack, _, m_tr, m_top = _kernels.lindblad_rk4(
-                stack, h_nh, c_arr, a_op, adag_op, eps, w, True,
-                dt_seg, nsteps, nsteps, top_idx,
+            run = propagate(
+                gen, x, _conj_pairs(eps, w), dt_seg, np.ones(nsteps, dtype=np.int64),
+                diag, (top,),
             )
-            max_tr = max(max_tr, m_tr)
-            max_top = max(max_top, m_top)
+            x = run.state
+            max_tr = max(max_tr, run.max_trace_defect)
+            max_top = max(max_top, run.max_watched[0])
         if gate is not None and schedule.ramsey_gates:
-            u = np.kron(gate_matrix(gate), np.eye(d // 2, dtype=complex))
-            stack = np.ascontiguousarray(u @ stack @ dag(u))
+            x = _apply_gate(x, gate, d)
     _check_monitors(max_tr, max_top, TOP_LEVEL_MAX, "output_mode_moments")
 
     n_c = model.n_max + 1
@@ -621,6 +735,7 @@ def output_mode_moments(
         for pp in range(2)
         for qq in range(2)
     }
+    stack = x.reshape(9, d, d)
     mb = np.zeros((2, 2, 3, 3), dtype=complex)
     for m in range(3):
         for n in range(3):
@@ -646,6 +761,52 @@ def output_mode_moments(
 # capture-mode oracle
 
 
+def capture_generator(model: LindbladModel, db: int):
+    """Generator of the system cascaded into a capture mode b of db levels.
+
+    With the input amplitude beta(t) and the capture coupling g(t), the
+    effective Hamiltonian is
+    K + sqrt(kex) (beta a^dag + conj(beta) a) + i g conj(beta) b
+    - i conj(g) beta b^dag - sqrt(kex) conj(g) b^dag a - (i/2) |g|^2 b^dag b
+    (K the constant non-Hermitian part) and the output collapse operator is
+    -i sqrt(kex) a + g b.  Expanding both gives one piece per coefficient:
+    beta, conj(beta), g conj(beta), conj(g) beta, conj(g), g and |g|^2.
+    """
+    p = model.params
+
+    def extend(op):
+        return sparse.kron(sparse.csr_matrix(op), sparse.identity(db), format="csr")
+
+    a = extend(model.a)
+    b = sparse.kron(sparse.identity(model.dim), sparse.csr_matrix(destroy(db)), format="csr")
+    ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
+    # the model's collapse channels, with only the internal part of the
+    # cavity loss: the external part feeds the capture mode
+    c_list = [math.sqrt(p.kappa_in) * a] if p.kappa_in > 0 else []
+    for op, rate in (
+        (model.sigma_ge, p.gamma_1),
+        (model.sigma_eg, p.gamma_2),
+        (model.sigma_ee, 2.0 * max(p.gamma_phi, 0.0)),
+    ):
+        if rate > 0:
+            c_list.append(math.sqrt(rate) * extend(op))
+    sqrt_kex = math.sqrt(p.kappa_ex)
+    c0 = -1j * sqrt_kex * a
+    pieces = (
+        -1j * sqrt_kex * (_spre(ad) - _spost(ad)),
+        -1j * sqrt_kex * (_spre(a) - _spost(a)),
+        _spre(b) - _spost(b),
+        _spost(bd) - _spre(bd),
+        1j * sqrt_kex * (_spre(bd @ a) - _sprepost(a, bd)),
+        1j * sqrt_kex * (_sprepost(b, ad) - _spost(ad @ b)),
+        _sprepost(b, bd) - 0.5 * (_spre(bd @ b) + _spost(bd @ b)),
+    )
+    return Generator(
+        _lindblad_superop(extend(model.H), c_list + [c0]),
+        tuple(piece.tocsr() for piece in pieces),
+    )
+
+
 def capture_mode_oracle(
     model: LindbladModel,
     schedule: PulseSchedule,
@@ -653,13 +814,11 @@ def capture_mode_oracle(
     output_mode: Optional[TemporalMode] = None,
     delay: Optional[float] = None,
     qubit_op: Optional[str] = None,
-    max_order: int = 2,
     dt: Optional[float] = None,
     dim_b: int = 7,
     eps_floor: float = 1e-6,
     initial: Optional[QuantumState] = None,
-    return_state: bool = False,
-) -> Union[MomentSet, dict, tuple]:
+) -> Union[MomentSet, dict]:
     """Independent route to the output-mode moments via an absorbing mode.
 
     Augments the system with an auxiliary resonator whose time-dependent
@@ -668,7 +827,6 @@ def capture_mode_oracle(
     from the joint state.  The coupling denominator is floored at
     eps_floor of the windowed mode energy to regularize the leading tail.
     """
-    _require(0 <= max_order <= 2, "max_order must be 0, 1, or 2")
     _require(dim_b >= 4, "capture mode needs at least 4 levels")
     p = model.params
     _require(p.kappa_ex > 0, "capture oracle needs an external port")
@@ -678,37 +836,7 @@ def capture_mode_oracle(
     n_c = model.n_max + 1
     db = dim_b
     d = 2 * n_c * db
-    eye_q = np.eye(2, dtype=complex)
-    eye_c = np.eye(n_c, dtype=complex)
-    eye_b = np.eye(db, dtype=complex)
-    a_full = np.kron(np.kron(eye_q, destroy(n_c)), eye_b)
-    b_full = np.kron(np.kron(eye_q, eye_c), destroy(db))
-    adag_full = dag(a_full)
-    bdag_full = dag(b_full)
-    h_ext = np.kron(model.H, eye_b)
-    c_list = []
-    if p.kappa_in > 0:
-        c_list.append(math.sqrt(p.kappa_in) * a_full)
-    g1, g2, gphi = p.gamma_1, p.gamma_2, max(p.gamma_phi, 0.0)
-    if g1 > 0:
-        c_list.append(math.sqrt(g1) * np.kron(np.kron(SIGMA_MINUS, eye_c), eye_b))
-    if g2 > 0:
-        c_list.append(math.sqrt(g2) * np.kron(np.kron(SIGMA_PLUS, eye_c), eye_b))
-    if gphi > 0:
-        see = np.diag([0.0, 1.0]).astype(complex)
-        c_list.append(math.sqrt(2 * gphi) * np.kron(np.kron(see, eye_c), eye_b))
-    if c_list:
-        c_const = np.ascontiguousarray(np.array(c_list, dtype=complex))
-    else:
-        c_const = np.zeros((0, d, d), dtype=complex)
-    sum_cc = np.zeros((d, d), dtype=complex)
-    for i in range(c_const.shape[0]):
-        sum_cc += dag(c_const[i]) @ c_const[i]
-    sqrt_kex = math.sqrt(p.kappa_ex)
-    k_const = np.ascontiguousarray(
-        h_ext - 0.5j * (sum_cc + p.kappa_ex * (adag_full @ a_full))
-    )
-    c0 = np.ascontiguousarray(-1j * sqrt_kex * a_full)
+    gen = capture_generator(model, db)
 
     if initial is not None:
         _require(initial.rho.shape[0] == 2 * n_c, "initial state dimension mismatch")
@@ -716,7 +844,7 @@ def capture_mode_oracle(
     else:
         rho = np.zeros((d, d), dtype=complex)
         rho[0, 0] = 1.0
-    rho = np.ascontiguousarray(rho.astype(complex))
+    x = rho.astype(complex).reshape(-1)
 
     # fine-grid mode energy and coupling magnitude inside the window
     t_start = _start_time(schedule)
@@ -731,12 +859,14 @@ def capture_mode_oracle(
     _require(energy > 0, "projection mode carries no energy inside the window")
     f_fine = eps_floor * energy + cum
     g2_fine = inten / f_fine
+    del u_fine, inten, cum  # the fine grid is large; keep only what the stages read
 
     def f_interp(times):
         return np.interp(times, t_fine, f_fine)
 
     def stage_arrays(t0, nsteps, dt_seg, in_window):
-        nsub = np.empty(nsteps, dtype=np.int64)
+        """Substep counts and the coefficient rows of every substep grid."""
+        nsub = np.ones(nsteps, dtype=np.int64)
         if in_window:
             edges = t0 + np.arange(nsteps + 1) * dt_seg
             for k in range(nsteps):
@@ -744,38 +874,26 @@ def capture_mode_oracle(
                 hi = np.searchsorted(t_fine, edges[k + 1] + 1e-15)
                 gmax = float(g2_fine[lo:hi].max()) if hi > lo else 0.0
                 nsub[k] = min(256, max(1, int(math.ceil(dt_seg * gmax / 2.0))))
-        else:
-            nsub[:] = 1
-        offsets = np.zeros(nsteps, dtype=np.int64)
-        acc = 0
-        for k in range(nsteps):
-            offsets[k] = acc
-            acc += 2 * int(nsub[k]) + 1
-        gt = np.zeros(acc, dtype=complex)
-        beta = np.zeros(acc, dtype=complex)
-        for k in range(nsteps):
-            ns = int(nsub[k])
-            ts = t0 + k * dt_seg + np.arange(2 * ns + 1) * (dt_seg / (2 * ns))
-            o = int(offsets[k])
-            if schedule.alpha_in != 0:
-                bamp = schedule.mode.amplitude(-ts)
-                off = schedule.mode.carrier_offset
-                if off != 0.0:
-                    bamp = bamp * np.exp(-1j * off * ts)
-                beta[o:o + 2 * ns + 1] = schedule.alpha_in * bamp
-            if in_window:
-                us = _mode_u(output_mode, ts)
-                gt[o:o + 2 * ns + 1] = -us / np.sqrt(f_interp(ts))
-        return gt, beta, offsets, nsub
+        ts = np.concatenate([
+            t0 + k * dt_seg + np.arange(2 * ns) * (dt_seg / (2 * ns))
+            for k, ns in enumerate(nsub.tolist())
+        ] + [[t0 + nsteps * dt_seg]])
+        beta = np.zeros(ts.shape, dtype=complex)
+        gt = np.zeros(ts.shape, dtype=complex)
+        if schedule.alpha_in != 0:
+            beta = schedule.alpha_in * _mode_u(schedule.mode, ts)
+        if in_window:
+            gt = -_mode_u(output_mode, ts) / np.sqrt(f_interp(ts))
+        gb = np.conjugate(gt)
+        coeffs = np.stack([
+            beta, np.conjugate(beta), gt * np.conjugate(beta), gb * beta,
+            gb, gt, gt.real**2 + gt.imag**2,
+        ], axis=1)
+        return coeffs, nsub
 
-    cav_idx = np.array(
-        [(q * n_c + (n_c - 1)) * db + m for q in range(2) for m in range(db)],
-        dtype=np.int64,
-    )
-    b_idx = np.array(
-        [(q * n_c + n) * db + (db - 1) for q in range(2) for n in range(n_c)],
-        dtype=np.int64,
-    )
+    diag = np.arange(d) * (d + 1)
+    cav_idx = diag[[(q * n_c + (n_c - 1)) * db + m for q in range(2) for m in range(db)]]
+    b_idx = diag[[(q * n_c + n) * db + (db - 1) for q in range(2) for n in range(n_c)]]
     max_tr = 0.0
     max_cav = 0.0
     max_b = 0.0
@@ -785,20 +903,14 @@ def capture_mode_oracle(
             nsteps = _segment_steps(span, dt)
             dt_seg = span / nsteps
             in_window = t1 > schedule.t_i + 1e-15
-            gt, beta, offsets, nsub = stage_arrays(t0, nsteps, dt_seg, in_window)
-            rho, m_tr, m_cav, m_b = _kernels.capture_rk4(
-                rho, k_const, c_const, a_full, adag_full, b_full, bdag_full,
-                np.ascontiguousarray(bdag_full @ a_full),
-                np.ascontiguousarray(bdag_full @ b_full),
-                c0, sqrt_kex, gt, beta, offsets, nsub, dt_seg, cav_idx, b_idx,
-            )
-            rho = np.ascontiguousarray(rho)
-            max_tr = max(max_tr, m_tr)
-            max_cav = max(max_cav, m_cav)
-            max_b = max(max_b, m_b)
+            coeffs, nsub = stage_arrays(t0, nsteps, dt_seg, in_window)
+            run = propagate(gen, x, coeffs, dt_seg, nsub, diag, (cav_idx, b_idx))
+            x = run.state
+            max_tr = max(max_tr, run.max_trace_defect)
+            max_cav = max(max_cav, run.max_watched[0])
+            max_b = max(max_b, run.max_watched[1])
         if gate is not None and schedule.ramsey_gates:
-            u = np.kron(gate_matrix(gate), np.eye(n_c * db, dtype=complex))
-            rho = np.ascontiguousarray(u @ rho @ dag(u))
+            x = _apply_gate(x, gate, d)
     _check_monitors(max_tr, max_cav, TOP_LEVEL_MAX, "capture_mode_oracle")
     if max_b > CAPTURE_TOP_MAX:
         raise RuntimeError(
@@ -806,26 +918,17 @@ def capture_mode_oracle(
             f"exceeds {CAPTURE_TOP_MAX:.0e}; raise dim_b"
         )
 
+    # <sigma_pq b^dag^m b^n> from the qubit-capture state (cavity traced out)
     f_final = eps_floor * energy + energy
     scale = math.sqrt(f_final)
-    sig = {
-        (pp, qq): np.kron(
-            np.kron(np.outer(eye_q[:, pp], eye_q[qq, :]), eye_c), eye_b
-        )
-        for pp in range(2)
-        for qq in range(2)
-    }
-    bpow = [np.eye(d, dtype=complex), b_full, b_full @ b_full]
-    bdpow = [np.eye(d, dtype=complex), bdag_full, bdag_full @ bdag_full]
+    rho_qb = np.einsum("qnjpni->qjpi", x.reshape(2, n_c, db, 2, n_c, db))
+    b_op = destroy(db)
+    bpow = [np.eye(db, dtype=complex), b_op, b_op @ b_op]
     moments = np.zeros((2, 2, 3, 3), dtype=complex)
     for m in range(3):
         for n in range(3):
-            op = bdpow[m] @ bpow[n]
-            for pp in range(2):
-                for qq in range(2):
-                    moments[pp, qq, m, n] = (
-                        np.trace(sig[(pp, qq)] @ op @ rho) * scale ** (m + n)
-                    )
+            op = dag(bpow[m]) @ bpow[n]
+            moments[:, :, m, n] = np.einsum("ij,qjpi->pq", op, rho_qb) * scale ** (m + n)
     o_f = _window_overlap(schedule, output_mode, dt)
     c = schedule.alpha_in * o_f
     if schedule.alpha_in != 0:
@@ -833,8 +936,6 @@ def capture_mode_oracle(
     else:
         phase = 0.0
     ms = MomentSet(moments, c, o_f, phase, tau)
-    if return_state:
-        return ms, QuantumState(rho, (2, n_c, db))
     if qubit_op is not None:
         return ms.as_dict(qubit_op)
     return ms

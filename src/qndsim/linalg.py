@@ -21,6 +21,10 @@ TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 
 
+class NumericalError(ValueError):
+    """A computed state broke down numerically beyond what repair allows."""
+
+
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product with a dimension guard."""
     a = np.asarray(a, dtype=complex)
@@ -89,7 +93,8 @@ class QuantumState:
 
     Validates hermiticity, unit trace, and positivity on construction.
     Eigenvalues in [EIGENVALUE_FLOOR, 0) are clipped to zero (with a
-    renormalization and a warning); anything more negative raises.
+    renormalization and a warning); anything more negative raises
+    NumericalError.
     """
 
     __slots__ = ("rho", "dims")
@@ -115,7 +120,7 @@ class QuantumState:
         evals, evecs = np.linalg.eigh(rho)
         min_eval = float(evals[0])
         if min_eval < EIGENVALUE_FLOOR:
-            raise ValueError(f"negative eigenvalue {min_eval:.3e} below repair floor")
+            raise NumericalError(f"negative eigenvalue {min_eval:.3e} below repair floor")
         if min_eval < 0:
             if min_eval < -1e-14:  # below that it is bare round-off; clip silently
                 warnings.warn(
@@ -153,14 +158,14 @@ def clip_and_renormalize(
     matrices carrying a known small truncation bias (e.g. states rebuilt from
     a finite set of operator moments), whose negativity defect can exceed the
     strict QuantumState repair floor.  A defect above ``warn_above`` warns;
-    above ``error_above`` raises.
+    above ``error_above`` raises NumericalError.
     """
     rho = np.asarray(rho, dtype=complex)
     rho = (rho + rho.conj().T) / 2
     evals, evecs = np.linalg.eigh(rho)
     defect = max(0.0, -float(evals[0]))
     if defect > error_above:
-        raise ValueError(f"eigenvalue defect {defect:.3e} exceeds {error_above:.1e}")
+        raise NumericalError(f"eigenvalue defect {defect:.3e} exceeds {error_above:.1e}")
     if defect > warn_above:
         warnings.warn(
             f"projecting out eigenvalue defect {defect:.3e}",
@@ -172,7 +177,7 @@ def clip_and_renormalize(
     out = (out + out.conj().T) / 2
     tr = float(np.real(np.trace(out)))
     if tr <= 0:
-        raise ValueError("non-positive trace after clipping")
+        raise NumericalError("non-positive trace after clipping")
     return out / tr
 
 

@@ -13,7 +13,7 @@ composite operators are qubit (x) cavity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -300,9 +300,6 @@ class LindbladModel:
         rho = np.zeros((self.dim, self.dim), dtype=complex)
         rho[0, 0] = 1.0
         return QuantumState(rho, self.dims)
-
-    def qubit_embed(self, op2: np.ndarray) -> np.ndarray:
-        return np.kron(op2, np.eye(self.n_max + 1, dtype=complex))
 
 
 def build_model(p: SystemParams, n_max: int = 7) -> LindbladModel:

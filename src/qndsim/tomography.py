@@ -15,12 +15,12 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import eval_genlaguerre, gammaln
 
-from . import _kernels
 from .linalg import QuantumState
 
 DEFAULT_BINS = 201
@@ -329,9 +329,42 @@ def sample_composite(
     )
 
 
+def mle_iterations(povm, freqs, rho0, n_settings, max_iter, tol, floor):
+    """Iterate rho -> R rho R with R = (1/n_settings) sum_s (f_s/p_s) Pi_s.
+
+    Returns (rho, log-likelihood per recorded iteration, iterations done).
+    Stops early when the log-likelihood gain drops below tol.
+    """
+    rho = rho0.astype(np.complex128).copy()
+    d = rho.shape[0]
+    s_count = povm.shape[0]
+    pmat = povm.reshape(s_count, d * d)
+    logliks = np.empty(max_iter, dtype=np.float64)
+    mask = freqs > 0
+    prev = -np.inf
+    it = 0
+    for it in range(max_iter):
+        p = np.real(pmat @ rho.T.ravel())
+        pc = np.maximum(p, floor)
+        ll = float(np.dot(freqs[mask], np.log(pc[mask])))
+        logliks[it] = ll
+        if it > 0 and ll - prev < tol:
+            it += 1
+            break
+        prev = ll
+        wvec = (freqs / pc / n_settings).astype(np.float64)
+        r_op = (wvec @ pmat).reshape(d, d)
+        rho = r_op @ rho @ r_op
+        rho = (rho + rho.conj().T) / 2
+        rho = rho / np.real(np.trace(rho))
+    else:
+        it += 1
+    return rho, logliks[:it], it
+
+
 def _run_mle(povm_stack, freqs, n_settings, dim, iterations):
     rho0 = np.eye(dim, dtype=complex) / dim
-    rho, logliks, _ = _kernels.mle_iterations(
+    rho, logliks, n_iter = mle_iterations(
         np.ascontiguousarray(povm_stack),
         np.ascontiguousarray(freqs, dtype=np.float64),
         rho0,
@@ -340,6 +373,14 @@ def _run_mle(povm_stack, freqs, n_settings, dim, iterations):
         LIKELIHOOD_TOL,
         PROB_FLOOR,
     )
+    last_gain = float(logliks[-1] - logliks[-2]) if logliks.size > 1 else math.inf
+    if not last_gain < LIKELIHOOD_TOL:
+        warnings.warn(
+            f"MLE stopped at the {n_iter}-iteration cap before converging "
+            f"(last log-likelihood gain {last_gain:.3e}, tolerance {LIKELIHOOD_TOL:.0e})",
+            RuntimeWarning,
+            stacklevel=3,
+        )
     if logliks.size > 1:
         gains = np.diff(logliks)
         slack = 1e-9 * np.maximum(1.0, np.abs(logliks[:-1]))

@@ -1,17 +1,20 @@
-"""Oracle tests for the propagation kernels.
+"""Oracle tests for the sparse-superoperator RK4 propagator.
 
-The fixed-step RK4 kernels are checked against dense matrix-exponential
-propagation of the vectorized generator (row-major convention:
-vec(A U B) = (A kron B^T) vec(U)), and the numba and numpy backends are
-checked against each other.
+Every generator is checked against the Lindblad formula written densely
+here, and `propagate` against dense matrix-exponential propagation of the
+vectorized generator (row-major convention: vec(A U B) = (A kron B^T)
+vec(U)), including the 9-node regression ladder and the capture mode with
+substeps.  The MLE fixed-point iteration is checked on exact data.
 """
 
 import numpy as np
 import numpy.testing as npt
-import pytest
+from scipy.linalg import expm
 
-from qndsim import _kernels
+from qndsim import dynamics
 from qndsim.linalg import dag, destroy
+from qndsim.model import SystemParams, build_model
+from qndsim.tomography import mle_iterations
 
 
 def random_density(rng, d):
@@ -25,6 +28,25 @@ def random_hermitian(rng, d, scale=1.0):
     return scale * (m + dag(m)) / 2
 
 
+def random_matrix(rng, d, scale=1.0):
+    return scale * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+
+
+def lindblad_rhs(h_nh, c_list, x):
+    """-i (H X - X H^dag) + sum C X C^dag with H non-Hermitian."""
+    out = -1j * (h_nh @ x - x @ dag(h_nh))
+    for c in c_list:
+        out = out + c @ x @ dag(c)
+    return out
+
+
+def driven_h_nh(h0, c_list, a_op, eps):
+    h_nh = h0 + 1j * eps * dag(a_op) - 1j * np.conjugate(eps) * a_op
+    for c in c_list:
+        h_nh = h_nh - 0.5j * dag(c) @ c
+    return h_nh
+
+
 def liouvillian(h_nh, c_list, d):
     """Vectorized generator of rho' = -i(H rho - rho H^dag) + sum C rho C^dag."""
     eye = np.eye(d)
@@ -35,70 +57,148 @@ def liouvillian(h_nh, c_list, d):
 
 
 def expm_prop(sup, rho0, t):
-    from scipy.linalg import expm
-
     d = rho0.shape[0]
     return (expm(sup * t) @ rho0.reshape(-1)).reshape(d, d)
+
+
+def ones(nsteps):
+    return np.ones(nsteps, dtype=np.int64)
+
+
+def capture_model():
+    """Small qubit-cavity model (n_max = 3) with every collapse channel."""
+    params = SystemParams(
+        omega_c=0.0, omega_q=0.0, chi=0.9, kappa_ex=2.0, kappa_in=0.3,
+        T1=4.0, T2_star=3.0, p_th=0.05,
+    )
+    return build_model(params, n_max=3)
+
+
+def capture_operators(model, db):
+    eye_b = np.eye(db)
+    a = np.kron(model.a, eye_b)
+    b = np.kron(np.eye(model.dim), destroy(db))
+    p = model.params
+    c_list = [np.sqrt(p.kappa_in) * a]
+    for op, rate in (
+        (model.sigma_ge, p.gamma_1),
+        (model.sigma_eg, p.gamma_2),
+        (model.sigma_ee, 2 * max(p.gamma_phi, 0.0)),
+    ):
+        if rate > 0:
+            c_list.append(np.sqrt(rate) * np.kron(op, eye_b))
+    return a, b, np.kron(model.H, eye_b), c_list
+
+
+def capture_rhs(model, db, x, g, beta):
+    """The cascaded capture-mode master equation written out densely."""
+    a, b, h_ext, c_list = capture_operators(model, db)
+    sk = np.sqrt(model.params.kappa_ex)
+    gc, bc = np.conjugate(g), np.conjugate(beta)
+    h_nh = (
+        h_ext
+        + sk * (beta * dag(a) + bc * a)
+        + 1j * g * bc * b
+        - 1j * gc * beta * dag(b)
+        - sk * gc * dag(b) @ a
+        - 0.5j * abs(g) ** 2 * dag(b) @ b
+        - 0.5j * model.params.kappa_ex * dag(a) @ a
+    )
+    for c in c_list:
+        h_nh = h_nh - 0.5j * dag(c) @ c
+    ct = -1j * sk * a + g * b
+    return lindblad_rhs(h_nh, c_list + [ct], x)
+
+
+def capture_coeffs(g, beta):
+    gc, bc = np.conjugate(g), np.conjugate(beta)
+    return np.array([beta, bc, g * bc, gc * beta, gc, g, abs(g) ** 2])
+
+
+class TestGenerators:
+    def test_generators_match_dense_lindblad_formula(self):
+        rng = np.random.default_rng(5)
+        d = 5
+        h0 = random_hermitian(rng, d)
+        a_op = random_matrix(rng, d, 0.5)
+        c_list = [random_matrix(rng, d, 0.3) for _ in range(2)]
+        eps, w = 0.3 - 0.7j, -0.4 + 0.2j
+        nodes = [random_matrix(rng, d) for _ in range(9)]
+
+        gen = dynamics.lindblad_generator(h0, c_list, a_op)
+        got = gen.apply(nodes[0].reshape(-1), np.array([1.0, eps, np.conjugate(eps)]))
+        h_nh = driven_h_nh(h0, c_list, a_op, eps)
+        expected = lindblad_rhs(h_nh, c_list, nodes[0])
+        npt.assert_allclose(got.reshape(d, d), expected, atol=1e-12)
+
+        ladder = dynamics.lindblad_generator(h0, c_list, a_op, ladder=True)
+        weights = np.array([1.0, eps, np.conjugate(eps), w, np.conjugate(w)])
+        got = ladder.apply(np.concatenate([x.reshape(-1) for x in nodes]), weights)
+        got = got.reshape(9, d, d)
+        for k in range(9):
+            m, n = divmod(k, 3)
+            expected = lindblad_rhs(h_nh, c_list, nodes[k])
+            if n:
+                expected = expected + w * a_op @ nodes[k - 1]
+            if m:
+                expected = expected + np.conjugate(w) * nodes[k - 3] @ dag(a_op)
+            npt.assert_allclose(got[k], expected, atol=1e-12, err_msg=f"node {k}")
+
+        model = capture_model()
+        db = 3
+        dc = model.dim * db
+        gen = dynamics.capture_generator(model, db)
+        x = random_matrix(rng, dc)
+        g, beta = 0.8 - 0.5j, 0.25 + 0.15j
+        got = gen.apply(x.reshape(-1), np.concatenate([[1.0], capture_coeffs(g, beta)]))
+        expected = capture_rhs(model, db, x, g, beta)
+        npt.assert_allclose(got.reshape(dc, dc), expected, atol=1e-11)
 
 
 class TestLindbladRK4:
     def _problem(self, rng, d=6, nc=2):
         h0 = random_hermitian(rng, d)
-        a_op = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / 2
-        c_ops = np.empty((nc, d, d), dtype=complex)
-        for i in range(nc):
-            c_ops[i] = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / 3
-        sum_cc = np.zeros((d, d), dtype=complex)
-        for i in range(nc):
-            sum_cc += dag(c_ops[i]) @ c_ops[i]
-        h_nh = h0 - 0.5j * sum_cc
-        return h0, a_op, c_ops, h_nh
+        a_op = random_matrix(rng, d, 0.5)
+        c_list = [random_matrix(rng, d, 1 / 3) for _ in range(nc)]
+        return h0, a_op, c_list
 
     def test_constant_drive_matches_expm(self):
         rng = np.random.default_rng(7)
         d = 6
-        h0, a_op, c_ops, h_nh = self._problem(rng, d)
-        adag_op = np.ascontiguousarray(dag(a_op))
+        h0, a_op, c_list = self._problem(rng, d)
         rho0 = random_density(rng, d)
         eps0 = 0.3 - 0.2j
         tspan = 2.0
         nsteps = 400
-        dt = tspan / nsteps
-        eps = np.full(2 * nsteps + 1, eps0, dtype=complex)
-        w = np.zeros(2 * nsteps + 1, dtype=complex)
-        u0 = rho0[None, :, :].astype(complex)
-        out, traj, max_tr, _ = _kernels.lindblad_rk4(
-            np.ascontiguousarray(u0), np.ascontiguousarray(h_nh), c_ops, np.ascontiguousarray(a_op),
-            adag_op, eps, w, False, dt, nsteps, nsteps, np.array([d - 1], dtype=np.int64),
+        coeffs = np.tile([eps0, np.conjugate(eps0)], (2 * nsteps + 1, 1))
+        run = dynamics.propagate(
+            dynamics.lindblad_generator(h0, c_list, a_op), rho0.reshape(-1), coeffs,
+            tspan / nsteps, ones(nsteps), np.arange(d) * (d + 1), store_every=nsteps,
         )
-        h_tot = h_nh + 1j * eps0 * adag_op - 1j * np.conjugate(eps0) * a_op
-        sup = liouvillian(h_tot, list(c_ops), d)
+        sup = liouvillian(driven_h_nh(h0, c_list, a_op, eps0), c_list, d)
         expected = expm_prop(sup, rho0, tspan)
-        npt.assert_allclose(out[0], expected, atol=1e-8)
-        assert traj.shape[0] == 2
-        npt.assert_allclose(traj[0], rho0, atol=1e-14)
-        npt.assert_allclose(traj[1], out[0], atol=1e-14)
+        npt.assert_allclose(run.state.reshape(d, d), expected, atol=1e-8)
+        assert len(run.snapshots) == 1
+        npt.assert_allclose(run.snapshots[0], run.state, atol=1e-14)
 
     def test_trace_preserved_full_lindblad(self):
         rng = np.random.default_rng(8)
         d = 5
         h0 = random_hermitian(rng, d)
-        c = (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / 3
-        c_ops = c[None, :, :].astype(complex)
-        h_nh = h0 - 0.5j * dag(c) @ c
+        c = random_matrix(rng, d, 1 / 3)
         a_op = destroy(d)
         rho0 = random_density(rng, d)
         nsteps = 300
         eps = 0.2 * np.exp(1j * np.linspace(0, 3, 2 * nsteps + 1))
-        w = np.zeros(2 * nsteps + 1, dtype=complex)
-        out, _, max_tr, _ = _kernels.lindblad_rk4(
-            rho0[None, :, :].astype(complex), h_nh.astype(complex), c_ops,
-            a_op.astype(complex), dag(a_op).astype(complex), eps, w, False,
-            0.01, nsteps, nsteps, np.array([d - 1], dtype=np.int64),
+        run = dynamics.propagate(
+            dynamics.lindblad_generator(h0, [c], a_op), rho0.reshape(-1),
+            np.stack([eps, np.conjugate(eps)], axis=1), 0.01, ones(nsteps),
+            np.arange(d) * (d + 1),
         )
-        assert max_tr < 1e-10
-        npt.assert_allclose(np.trace(out[0]), 1.0, atol=1e-10)
-        evals = np.linalg.eigvalsh(out[0])
+        out = run.state.reshape(d, d)
+        assert run.max_trace_defect < 1e-10
+        npt.assert_allclose(np.trace(out), 1.0, atol=1e-10)
+        evals = np.linalg.eigvalsh((out + dag(out)) / 2)
         assert evals.min() > -1e-10
 
     def test_ladder_sources_match_block_expm(self):
@@ -110,24 +210,22 @@ class TestLindbladRK4:
         kappa = 1.3
         h0 = delta * adag_op @ a_op
         c = np.sqrt(kappa) * a_op
-        c_ops = c[None, :, :].astype(complex)
-        h_nh = h0 - 0.5j * dag(c) @ c
         eps0 = 0.4 + 0.1j
         w0 = -0.8j + 0.3
         rho0 = random_density(rng, d)
         tspan = 1.5
         nsteps = 600
-        dt = tspan / nsteps
-        eps = np.full(2 * nsteps + 1, eps0, dtype=complex)
-        w = np.full(2 * nsteps + 1, w0, dtype=complex)
-        u0 = np.zeros((9, d, d), dtype=complex)
-        u0[0] = rho0
-        out, _, _, _ = _kernels.lindblad_rk4(
-            u0, h_nh.astype(complex), c_ops, a_op.astype(complex), adag_op.astype(complex),
-            eps, w, True, dt, nsteps, nsteps, np.array([d - 1], dtype=np.int64),
+        x0 = np.zeros(9 * d * d, dtype=complex)
+        x0[: d * d] = rho0.reshape(-1)
+        coeffs = np.tile(
+            [eps0, np.conjugate(eps0), w0, np.conjugate(w0)], (2 * nsteps + 1, 1)
         )
-        h_tot = h_nh + 1j * eps0 * adag_op - 1j * np.conjugate(eps0) * a_op
-        sup = liouvillian(h_tot, [c], d)
+        run = dynamics.propagate(
+            dynamics.lindblad_generator(h0, [c], a_op, ladder=True), x0, coeffs,
+            tspan / nsteps, ones(nsteps), np.arange(d) * (d + 1),
+        )
+        out = run.state.reshape(9, d, d)
+        sup = liouvillian(driven_h_nh(h0, [c], a_op, eps0), [c], d)
         eye = np.eye(d)
         left_a = np.kron(a_op, eye)
         right_adag = np.kron(eye, np.conjugate(a_op))
@@ -141,8 +239,6 @@ class TestLindbladRK4:
                     big[k * dim2:(k + 1) * dim2, (k - 1) * dim2:k * dim2] = w0 * left_a
                 if m:
                     big[k * dim2:(k + 1) * dim2, (k - 3) * dim2:(k - 2) * dim2] = np.conjugate(w0) * right_adag
-        from scipy.linalg import expm
-
         v0 = np.zeros(9 * dim2, dtype=complex)
         v0[:dim2] = rho0.reshape(-1)
         vf = expm(big * tspan) @ v0
@@ -155,21 +251,19 @@ class TestLindbladRK4:
     def test_convergence_is_fourth_order(self):
         rng = np.random.default_rng(10)
         d = 5
-        h0, a_op, c_ops, h_nh = self._problem(rng, d, nc=1)
-        adag_op = dag(a_op).astype(complex)
+        h0, a_op, c_list = self._problem(rng, d, nc=1)
+        gen = dynamics.lindblad_generator(h0, c_list, a_op)
         rho0 = random_density(rng, d)
         tspan = 1.0
 
         def run(nsteps):
             tt = np.linspace(0, tspan, 2 * nsteps + 1)
             eps = 0.5 * np.exp(-((tt - 0.5) ** 2) / 0.05) * np.exp(0.7j * tt)
-            w = np.zeros(2 * nsteps + 1, dtype=complex)
-            out, _, _, _ = _kernels.lindblad_rk4(
-                rho0[None, :, :].astype(complex), h_nh.astype(complex), c_ops,
-                a_op.astype(complex), adag_op, eps.astype(complex), w, False,
-                tspan / nsteps, nsteps, nsteps, np.array([0], dtype=np.int64),
+            out = dynamics.propagate(
+                gen, rho0.reshape(-1), np.stack([eps, np.conjugate(eps)], axis=1),
+                tspan / nsteps, ones(nsteps), np.arange(d) * (d + 1),
             )
-            return out[0]
+            return out.state
 
         ref = run(800)
         e1 = np.abs(run(100) - ref).max()
@@ -177,122 +271,34 @@ class TestLindbladRK4:
         ratio = e1 / e2
         assert 12 < ratio < 20, f"RK4 halving ratio {ratio}"
 
-    def test_backends_agree(self):
-        if not _kernels._HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        rng = np.random.default_rng(11)
-        d = 4
-        h0, a_op, c_ops, h_nh = self._problem(rng, d, nc=2)
-        adag_op = np.ascontiguousarray(dag(a_op))
-        rho0 = random_density(rng, d)
-        nsteps = 50
-        tt = np.linspace(0, 1, 2 * nsteps + 1)
-        eps = (0.3 * np.sin(tt) + 0.1j * tt).astype(complex)
-        w = (0.2 * np.cos(tt) - 0.4j * tt).astype(complex)
-        u0 = np.zeros((9, d, d), dtype=complex)
-        u0[0] = rho0
-        args = (
-            h_nh.astype(complex), c_ops, a_op.astype(complex), adag_op.astype(complex),
-            eps, w, True, 0.02, nsteps, 10, np.array([d - 1], dtype=np.int64),
-        )
-        out_nb, traj_nb, tr_nb, top_nb = _kernels._lindblad_rk4_numba(u0.copy(), *args)
-        out_np, traj_np, tr_np, top_np = _kernels.lindblad_rk4_numpy(u0.copy(), *args)
-        npt.assert_allclose(out_nb, out_np, atol=1e-13)
-        npt.assert_allclose(traj_nb, traj_np, atol=1e-13)
-        npt.assert_allclose(tr_nb, tr_np, atol=1e-13)
-        npt.assert_allclose(top_nb, top_np, atol=1e-13)
-
 
 class TestCaptureRK4:
-    def _capture_problem(self, rng):
-        dq, dc, db = 2, 3, 2
-        d = dq * dc * db
-        aq = destroy(dc)
-        ab = destroy(db)
-        a_full = np.kron(np.kron(np.eye(dq), aq), np.eye(db))
-        b_full = np.kron(np.kron(np.eye(dq), np.eye(dc)), ab)
-        sz = np.kron(np.kron(np.diag([1.0, -1.0]), np.eye(dc)), np.eye(db))
-        chi = 0.9
-        h0 = chi * sz @ (dag(a_full) @ a_full)
-        kappa_ex = 2.0
-        kappa_in = 0.3
-        sqrt_kex = np.sqrt(kappa_ex)
-        c_in = np.sqrt(kappa_in) * a_full
-        c_const = c_in[None, :, :].astype(complex)
-        k_const = h0 - 0.5j * (dag(c_in) @ c_in + kappa_ex * dag(a_full) @ a_full)
-        c0 = -1j * sqrt_kex * a_full
-        return d, a_full, b_full, c_const, k_const, c0, sqrt_kex
-
     def test_constant_coupling_matches_expm(self):
         rng = np.random.default_rng(12)
-        d, a_full, b_full, c_const, k_const, c0, sqrt_kex = self._capture_problem(rng)
+        model = capture_model()
+        db = 2
+        d = model.dim * db
         g0 = 0.8 - 0.5j
         beta0 = 0.25 + 0.15j
         rho0 = random_density(rng, d)
         tspan = 1.2
         nsteps = 300
-        dt = tspan / nsteps
         nsub = np.array([3, 1] * (nsteps // 2), dtype=np.int64)
-        offsets = np.zeros(nsteps, dtype=np.int64)
-        acc = 0
-        for i in range(nsteps):
-            offsets[i] = acc
-            acc += 2 * int(nsub[i]) + 1
-        gt = np.full(acc, g0, dtype=complex)
-        beta = np.full(acc, beta0, dtype=complex)
-        adag = dag(a_full).astype(complex)
-        bdag = dag(b_full).astype(complex)
-        out, max_tr, _, _ = _kernels.capture_rk4(
-            rho0.astype(complex), k_const.astype(complex), c_const,
-            a_full.astype(complex), adag, b_full.astype(complex), bdag,
-            (bdag @ a_full).astype(complex), (bdag @ b_full).astype(complex),
-            c0.astype(complex), sqrt_kex, gt, beta, offsets, nsub, dt,
-            np.array([0], dtype=np.int64), np.array([1], dtype=np.int64),
+        coeffs = np.tile(capture_coeffs(g0, beta0), (2 * int(nsub.sum()) + 1, 1))
+        diag = np.arange(d) * (d + 1)
+        run = dynamics.propagate(
+            dynamics.capture_generator(model, db), rho0.reshape(-1), coeffs,
+            tspan / nsteps, nsub, diag, (diag[:1], diag[1:2]),
         )
-        h_nh = (
-            k_const
-            + sqrt_kex * (beta0 * adag + np.conjugate(beta0) * a_full)
-            + 1j * g0 * np.conjugate(beta0) * b_full
-            - 1j * np.conjugate(g0) * beta0 * bdag
-            - sqrt_kex * np.conjugate(g0) * (bdag @ a_full)
-            - 0.5j * abs(g0) ** 2 * (bdag @ b_full)
+        sup = np.stack(
+            [capture_rhs(model, db, e.reshape(d, d), g0, beta0).reshape(-1)
+             for e in np.eye(d * d)],
+            axis=1,
         )
-        c_tot = c0 + g0 * b_full
-        sup = liouvillian(h_nh, [c_const[0], c_tot], d)
         expected = expm_prop(sup, rho0, tspan)
-        npt.assert_allclose(out, expected, atol=1e-8)
-        assert max_tr < 1e-9
-
-    def test_backends_agree(self):
-        if not _kernels._HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        rng = np.random.default_rng(13)
-        d, a_full, b_full, c_const, k_const, c0, sqrt_kex = self._capture_problem(rng)
-        rho0 = random_density(rng, d)
-        nsteps = 40
-        dt = 0.01
-        nsub = (1 + rng.integers(0, 4, size=nsteps)).astype(np.int64)
-        offsets = np.zeros(nsteps, dtype=np.int64)
-        acc = 0
-        for i in range(nsteps):
-            offsets[i] = acc
-            acc += 2 * int(nsub[i]) + 1
-        gt = (rng.normal(size=acc) + 1j * rng.normal(size=acc)).astype(complex)
-        beta = (rng.normal(size=acc) + 1j * rng.normal(size=acc)).astype(complex)
-        adag = dag(a_full).astype(complex)
-        bdag = dag(b_full).astype(complex)
-        args = (
-            k_const.astype(complex), c_const, a_full.astype(complex), adag,
-            b_full.astype(complex), bdag, (bdag @ a_full).astype(complex),
-            (bdag @ b_full).astype(complex), c0.astype(complex), sqrt_kex,
-            gt, beta, offsets, nsub, dt,
-            np.array([0], dtype=np.int64), np.array([1], dtype=np.int64),
-        )
-        out_nb = _kernels._capture_rk4_numba(rho0.astype(complex), *args)
-        out_np = _kernels.capture_rk4_numpy(rho0.astype(complex), *args)
-        npt.assert_allclose(out_nb[0], out_np[0], atol=1e-12)
-        for x, y in zip(out_nb[1:], out_np[1:]):
-            npt.assert_allclose(x, y, atol=1e-12)
+        npt.assert_allclose(run.state.reshape(d, d), expected, atol=1e-8)
+        assert run.max_trace_defect < 1e-9
+        assert len(run.max_watched) == 2
 
 
 class TestMLEIterations:
@@ -314,7 +320,7 @@ class TestMLEIterations:
         truth = random_density(rng, d)
         freqs = np.real(np.einsum("sij,ji->s", povm, truth))
         rho0 = np.eye(d, dtype=complex) / d
-        rho, logliks, n_iter = _kernels.mle_iterations(
+        rho, logliks, n_iter = mle_iterations(
             povm, freqs, rho0, float(n_settings), 20000, 1e-14, 1e-12
         )
         npt.assert_allclose(rho, truth, atol=5e-6)
@@ -328,24 +334,7 @@ class TestMLEIterations:
         truth = random_density(rng, d)
         freqs = np.real(np.einsum("sij,ji->s", povm, truth))
         rho0 = np.eye(d, dtype=complex) / d
-        rho, logliks, n_iter = _kernels.mle_iterations(povm, freqs, rho0, 3.0, 5000, 1e-10, 1e-12)
+        rho, logliks, n_iter = mle_iterations(povm, freqs, rho0, 3.0, 5000, 1e-10, 1e-12)
         assert n_iter < 5000
         assert logliks.shape == (n_iter,)
         npt.assert_allclose(np.trace(rho), 1.0, atol=1e-12)
-
-    def test_backends_agree(self):
-        if not _kernels._HAVE_NUMBA:
-            pytest.skip("numba not installed")
-        rng = np.random.default_rng(16)
-        d = 4
-        povm = self._projective_problem(rng, d, 4)
-        truth = random_density(rng, d)
-        p = np.real(np.einsum("sij,ji->s", povm, truth))
-        counts = rng.multinomial(2000, p / p.sum())
-        freqs = counts / counts.sum() * 4
-        rho0 = np.eye(d, dtype=complex) / d
-        out_nb = _kernels._mle_iterations_numba(povm, freqs.astype(float), rho0, 4.0, 300, 0.0, 1e-12)
-        out_np = _kernels.mle_iterations_numpy(povm, freqs.astype(float), rho0, 4.0, 300, 0.0, 1e-12)
-        npt.assert_allclose(out_nb[0], out_np[0], atol=1e-10)
-        npt.assert_allclose(out_nb[1], out_np[1], atol=1e-9)
-        assert out_nb[2] == out_np[2]

@@ -3,6 +3,7 @@ import pytest
 
 from qndsim import linalg
 from qndsim.linalg import (
+    NumericalError,
     QuantumState,
     clip_and_renormalize,
     coherent,
@@ -95,7 +96,7 @@ class TestQuantumState:
             out = clip_and_renormalize(rho)
         assert np.linalg.eigvalsh(out).min() >= 0
         assert abs(np.trace(out) - 1) < 1e-14
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             clip_and_renormalize(np.diag([1.0, -1e-2]).astype(complex))
 
 

@@ -1,6 +1,7 @@
 """Tests for quadrature POVMs, sampling, MLE reconstruction, and Wigner maps."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -245,15 +246,13 @@ class TestMleReconstruct:
         assert fidelity(est_clean, est_corr) > 0.99
 
     def test_likelihood_history_monotone(self):
-        from qndsim import _kernels
-
         rec = tg.sample(COH137, tg.phase_settings(25), 2_000, seed=17)
         povms = [
             tg.build_povm(t, 1.0, rec.n_tomo, rec.x_centers) for t in rec.thetas
         ]
         stack = np.concatenate([p.elements for p in povms], axis=0)
         freqs = (rec.counts / rec.shots[:, None]).ravel()
-        _, logliks, _ = _kernels.mle_iterations(
+        _, logliks, _ = tg.mle_iterations(
             np.ascontiguousarray(stack),
             freqs.astype(np.float64),
             np.eye(5, dtype=complex) / 5,
@@ -264,6 +263,16 @@ class TestMleReconstruct:
         )
         gains = np.diff(logliks)
         assert np.all(gains > -1e-9 * np.maximum(1.0, np.abs(logliks[:-1])))
+
+    def test_iteration_cap_warns(self):
+        rec = tg.sample(
+            COH137, tg.phase_settings(tg.MIN_PHASES), 10_000, eta=0.43, seed=1
+        )
+        with pytest.warns(RuntimeWarning, match="300-iteration cap"):
+            tg.mle_reconstruct(rec, iterations=300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tg.mle_reconstruct(rec)
 
     def test_stray_count_in_dead_bin_is_regularized(self):
         rec = tg.sample(VACUUM, tg.phase_settings(25), 5_000, seed=19)
