@@ -283,6 +283,12 @@ class Generator:
         """L x for weights (1, f_1, ..., f_K)."""
         return weights @ (self.blocks @ x).reshape(self.n_pieces + 1, -1)
 
+    def restricted(self, keep) -> "Generator":
+        """The generator with only the pieces whose indices are in keep."""
+        n = self.blocks.shape[1]
+        rows = [self.blocks[k * n:(k + 1) * n] for k in (0, *(i + 1 for i in keep))]
+        return Generator(rows[0], rows[1:])
+
 
 class Propagation(NamedTuple):
     state: np.ndarray
@@ -312,6 +318,9 @@ def propagate(
     array in watch.  With store_every > 0, x is also stored after every
     store_every-th step.
     """
+    live = np.flatnonzero(np.any(coeffs != 0, axis=0))
+    if live.size < generator.n_pieces:  # pieces that stay off cost nothing
+        generator, coeffs = generator.restricted(live), coeffs[:, live]
     x = np.array(x0, dtype=complex)
     rows = np.hstack([np.ones((len(coeffs), 1)), coeffs])
     snapshots = []

@@ -155,6 +155,34 @@ class TestGenerators:
         npt.assert_allclose(got.reshape(dc, dc), expected, atol=1e-11)
 
 
+    def test_pieces_switched_off_are_dropped_exactly(self):
+        # a ladder whose w pieces stay zero evolves node 0 like the plain
+        # generator and leaves the other nodes empty
+        rng = np.random.default_rng(6)
+        d = 4
+        h0 = random_hermitian(rng, d)
+        a_op = random_matrix(rng, d, 0.5)
+        c_list = [random_matrix(rng, d, 0.3)]
+        rho0 = random_density(rng, d)
+        nsteps = 50
+        eps = 0.3 * np.exp(1j * np.linspace(0, 2, 2 * nsteps + 1))
+        zeros = np.zeros_like(eps)
+        diag = np.arange(d) * (d + 1)
+        plain = dynamics.propagate(
+            dynamics.lindblad_generator(h0, c_list, a_op), rho0.reshape(-1),
+            np.stack([eps, np.conjugate(eps)], axis=1), 0.02, ones(nsteps), diag,
+        )
+        x0 = np.zeros(9 * d * d, dtype=complex)
+        x0[: d * d] = rho0.reshape(-1)
+        ladder = dynamics.propagate(
+            dynamics.lindblad_generator(h0, c_list, a_op, ladder=True), x0,
+            np.stack([eps, np.conjugate(eps), zeros, zeros], axis=1), 0.02,
+            ones(nsteps), diag,
+        )
+        npt.assert_allclose(ladder.state[: d * d], plain.state, rtol=0, atol=1e-15)
+        assert not np.any(ladder.state[d * d:])
+
+
 class TestLindbladRK4:
     def _problem(self, rng, d=6, nc=2):
         h0 = random_hermitian(rng, d)
