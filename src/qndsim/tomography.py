@@ -31,7 +31,6 @@ MIN_PHASES = 20
 PROB_FLOOR = 1e-12
 LIKELIHOOD_TOL = 1e-10
 DEFAULT_ITERATIONS = 10**4
-EXTENDED_ITERATIONS = 10**5
 RAW_COMPLETENESS_TOL = 1e-4
 COMPLETENESS_TOL = 1e-6
 QUBIT_BASES = ("X", "Y", "Z")
@@ -233,6 +232,87 @@ def _embedded(state: QuantumState, n_tomo: int) -> np.ndarray:
     return rho
 
 
+def _bin_set(eta, n_tomo, x_grid) -> QuadraturePOVM:
+    """The phase-0 bins E_b, whose elements are real.
+
+    Every phase-theta element is D E_b D^dag with D = diag(e^{-i n theta}):
+    the loss Kraus maps shift Fock levels and the symmetric renormalization
+    is built from the elements' sum, so both commute with D up to phases
+    that cancel.
+    """
+    povm = _build_povm_any_dim(0.0, eta, n_tomo, x_grid)
+    povm.elements = np.ascontiguousarray(povm.elements.real)
+    return povm
+
+
+class _RotatedBins:
+    """Born probabilities of one real bin set at many phases, and their adjoint.
+
+    Row r of the map measures the bins at phase thetas[r]. With qubit-basis
+    labels each setting gives two rows, the qubit outcomes +1 and -1 of its
+    basis, and a row measures that outcome's projector P times the bins;
+    a single-mode map has the one projector P = 1. The forward map takes
+    each projector's mode block B = Tr_q[(P x 1) rho], rotates it to
+    B[m,n] e^{i theta (m-n)} and contracts its real part with E_b in one
+    real product; the adjoint sums the same elements with the row weights.
+    """
+
+    def __init__(self, bins: np.ndarray, thetas, qubit_basis=None):
+        n_bins, n, _ = bins.shape
+        self.n = n
+        self.bins = bins.reshape(n_bins, n * n)
+        if qubit_basis is None:
+            self.projectors = np.ones((1, 1, 1), dtype=complex)
+            block = np.zeros(len(thetas), dtype=int)
+        else:
+            self.projectors = np.array([
+                (np.eye(2) + sign * _PAULI[basis]) / 2
+                for basis in QUBIT_BASES
+                for sign in (1.0, -1.0)
+            ])
+            block = np.array([
+                2 * QUBIT_BASES.index(basis) + outcome
+                for basis in qubit_basis
+                for outcome in (0, 1)
+            ])
+            thetas = np.repeat(thetas, 2)
+        levels = np.arange(n)
+        shift = (levels[:, None] - levels[None, :]).ravel()
+        self.phase = np.exp(1j * np.outer(thetas, shift))
+        self.block = block
+        self.select = (
+            block[None, :] == np.arange(len(self.projectors))[:, None]
+        ).astype(complex)
+
+    def probabilities(self, rho: np.ndarray) -> np.ndarray:
+        q = self.projectors.shape[1]
+        blocks = np.einsum(
+            "kpq,qmpn->kmn", self.projectors, rho.reshape(q, self.n, q, self.n)
+        ).reshape(len(self.projectors), -1)
+        rotated = np.real(blocks[self.block] * self.phase)
+        return (rotated @ self.bins.T).ravel()
+
+    def adjoint(self, weights: np.ndarray) -> np.ndarray:
+        rows = weights.reshape(len(self.phase), -1) @ self.bins
+        blocks = self.select @ (rows * self.phase.conj())
+        out = np.einsum(
+            "kpq,kmn->pmqn", self.projectors, blocks.reshape(-1, self.n, self.n)
+        )
+        d = self.projectors.shape[1] * self.n
+        return out.reshape(d, d)
+
+
+def _draw(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """One multinomial draw per setting's row of probs, each on its own stream."""
+    counts = np.empty(probs.shape, dtype=np.int64)
+    for j, row in enumerate(probs):
+        p = np.clip(row.ravel(), 0.0, None)
+        counts[j] = _setting_rng(seed, j).multinomial(shots, p / p.sum()).reshape(
+            row.shape
+        )
+    return counts
+
+
 def sample(
     state: QuantumState,
     thetas,
@@ -253,19 +333,16 @@ def sample(
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
     rho = _embedded(state, n_tomo)
-    counts = None
-    x_centers = None
-    width = None
-    for j, theta in enumerate(thetas):
-        povm = _build_povm_any_dim(theta, eta, n_tomo, x_grid)
-        if counts is None:
-            counts = np.zeros((thetas.size, povm.x_centers.size), dtype=np.int64)
-            x_centers = povm.x_centers
-            width = povm.width
-        p = povm.probabilities(rho)
-        counts[j] = _setting_rng(seed, j).multinomial(shots, p)
+    bins = _bin_set(eta, n_tomo, x_grid)
+    probs = _RotatedBins(bins.elements, thetas).probabilities(rho)
     return MeasurementRecord(
-        thetas, counts, x_centers, width, eta, n_tomo, seed=seed
+        thetas,
+        _draw(probs.reshape(thetas.size, -1), shots, seed),
+        bins.x_centers,
+        bins.width,
+        eta,
+        n_tomo,
+        seed=seed,
     )
 
 
@@ -296,64 +373,48 @@ def sample_composite(
     r = state.rho.reshape(2, mode_dim, 2, mode_dim)
     big = rho.reshape(2, n_tomo, 2, n_tomo)
     big[:, :mode_dim, :, :mode_dim] = r
-    basis_labels = []
-    all_thetas = []
-    rows = []
-    idx = 0
-    for basis in QUBIT_BASES:
-        for theta in thetas:
-            povm = _build_povm_any_dim(theta, eta, n_tomo, x_grid)
-            joint = np.empty((2, povm.x_centers.size))
-            for s_i, sign in enumerate((1.0, -1.0)):
-                proj = (np.eye(2) + sign * _PAULI[basis]) / 2
-                ops = np.einsum(
-                    "pq,bmn->bpmqn", proj, povm.elements
-                ).reshape(-1, 2 * n_tomo, 2 * n_tomo)
-                joint[s_i] = np.real(np.einsum("bij,ji->b", ops, rho))
-            p = np.clip(joint.ravel(), 0.0, None)
-            p /= p.sum()
-            drawn = _setting_rng(seed, idx).multinomial(shots, p)
-            rows.append(drawn.reshape(2, -1))
-            basis_labels.append(basis)
-            all_thetas.append(theta)
-            idx += 1
+    basis_labels = tuple(b for b in QUBIT_BASES for _ in thetas)
+    all_thetas = np.tile(thetas, len(QUBIT_BASES))
+    bins = _bin_set(eta, n_tomo, x_grid)
+    joint = _RotatedBins(bins.elements, all_thetas, basis_labels)
+    probs = joint.probabilities(rho).reshape(all_thetas.size, 2, -1)
     return MeasurementRecord(
-        np.array(all_thetas),
-        np.array(rows, dtype=np.int64),
-        povm.x_centers,
-        povm.width,
+        all_thetas,
+        _draw(probs, shots, seed),
+        bins.x_centers,
+        bins.width,
         eta,
         n_tomo,
-        qubit_basis=tuple(basis_labels),
+        qubit_basis=basis_labels,
         seed=seed,
     )
 
 
-def mle_iterations(povm, freqs, rho0, n_settings, max_iter, tol, floor):
+def mle_iterations(
+    probabilities, adjoint, freqs, rho0, n_settings, max_iter, tol, floor
+):
     """Iterate rho -> R rho R with R = (1/n_settings) sum_s (f_s/p_s) Pi_s.
 
-    Returns (rho, log-likelihood per recorded iteration, iterations done).
-    Stops early when the log-likelihood gain drops below tol.
+    probabilities(rho) gives every p_s = Tr[Pi_s rho]; adjoint(w) gives
+    sum_s w_s Pi_s. Returns (rho, log-likelihood per recorded iteration,
+    iterations done). Stops early when the log-likelihood gain drops below
+    tol.
     """
     rho = rho0.astype(np.complex128).copy()
-    d = rho.shape[0]
-    s_count = povm.shape[0]
-    pmat = povm.reshape(s_count, d * d)
     logliks = np.empty(max_iter, dtype=np.float64)
     mask = freqs > 0
+    observed = freqs[mask]
     prev = -np.inf
     it = 0
     for it in range(max_iter):
-        p = np.real(pmat @ rho.T.ravel())
-        pc = np.maximum(p, floor)
-        ll = float(np.dot(freqs[mask], np.log(pc[mask])))
+        pc = np.maximum(probabilities(rho), floor)
+        ll = float(np.dot(observed, np.log(pc[mask])))
         logliks[it] = ll
         if it > 0 and ll - prev < tol:
             it += 1
             break
         prev = ll
-        wvec = (freqs / pc / n_settings).astype(np.float64)
-        r_op = (wvec @ pmat).reshape(d, d)
+        r_op = adjoint(freqs / pc / n_settings)
         rho = r_op @ rho @ r_op
         rho = (rho + rho.conj().T) / 2
         rho = rho / np.real(np.trace(rho))
@@ -362,10 +423,11 @@ def mle_iterations(povm, freqs, rho0, n_settings, max_iter, tol, floor):
     return rho, logliks[:it], it
 
 
-def _run_mle(povm_stack, freqs, n_settings, dim, iterations):
+def _run_mle(rotated: _RotatedBins, freqs, n_settings, dim, iterations):
     rho0 = np.eye(dim, dtype=complex) / dim
     rho, logliks, n_iter = mle_iterations(
-        np.ascontiguousarray(povm_stack),
+        rotated.probabilities,
+        rotated.adjoint,
         np.ascontiguousarray(freqs, dtype=np.float64),
         rho0,
         n_settings,
@@ -395,7 +457,6 @@ def _run_mle(povm_stack, freqs, n_settings, dim, iterations):
 
 def mle_reconstruct(
     record: MeasurementRecord,
-    povms: list | None = None,
     iterations: int = DEFAULT_ITERATIONS,
     *,
     correct_efficiency: bool = True,
@@ -413,21 +474,16 @@ def mle_reconstruct(
         raise ValueError(
             f"need at least {MIN_PHASES} distinct phases for a complete set"
         )
-    if povms is None:
-        eta = record.eta if correct_efficiency else 1.0
-        povms = [
-            _build_povm_any_dim(theta, eta, record.n_tomo, record.x_centers)
-            for theta in record.thetas
-        ]
-    stack = np.concatenate([p.elements for p in povms], axis=0)
+    eta = record.eta if correct_efficiency else 1.0
+    bins = _bin_set(eta, record.n_tomo, record.x_centers)
+    rotated = _RotatedBins(bins.elements, record.thetas)
     freqs = (record.counts / record.shots[:, None]).ravel()
-    rho = _run_mle(stack, freqs, record.n_settings, record.n_tomo, iterations)
+    rho = _run_mle(rotated, freqs, record.n_settings, record.n_tomo, iterations)
     return QuantumState(rho, (record.n_tomo,))
 
 
 def composite_mle(
     record: MeasurementRecord,
-    povms: list | None = None,
     iterations: int = DEFAULT_ITERATIONS,
     *,
     correct_efficiency: bool = True,
@@ -450,30 +506,12 @@ def composite_mle(
         )
     eta = record.eta if correct_efficiency else 1.0
     n = record.n_tomo
-    stacks = []
-    povm_cache = {}
-    for j, (basis, theta) in enumerate(zip(record.qubit_basis, record.thetas)):
-        if povms is not None:
-            povm = povms[j]
-        else:
-            key = round(float(theta), 12)
-            if key not in povm_cache:
-                povm_cache[key] = _build_povm_any_dim(
-                    theta, eta, n, record.x_centers
-                )
-            povm = povm_cache[key]
-        for sign in (1.0, -1.0):
-            proj = (np.eye(2) + sign * _PAULI[basis]) / 2
-            stacks.append(
-                np.einsum("pq,bmn->bpmqn", proj, povm.elements).reshape(
-                    -1, 2 * n, 2 * n
-                )
-            )
-    stack = np.concatenate(stacks, axis=0)
+    bins = _bin_set(eta, n, record.x_centers)
+    joint = _RotatedBins(bins.elements, record.thetas, record.qubit_basis)
     freqs = (
         record.counts / record.shots[:, None, None]
     ).ravel()
-    rho = _run_mle(stack, freqs, record.n_settings, 2 * n, iterations)
+    rho = _run_mle(joint, freqs, record.n_settings, 2 * n, iterations)
     return QuantumState(rho, (2, n))
 
 

@@ -329,6 +329,15 @@ class TestCaptureRK4:
         assert len(run.max_watched) == 2
 
 
+def dense_map(stack):
+    """(probabilities, adjoint) of a dense stack of measurement operators."""
+    flat = stack.reshape(len(stack), -1)
+    return (
+        lambda rho: np.real(flat @ rho.T.ravel()),
+        lambda w: (w @ flat).reshape(stack.shape[1:]),
+    )
+
+
 class TestMLEIterations:
     def _projective_problem(self, rng, d=3, n_settings=5):
         povms = []
@@ -349,7 +358,7 @@ class TestMLEIterations:
         freqs = np.real(np.einsum("sij,ji->s", povm, truth))
         rho0 = np.eye(d, dtype=complex) / d
         rho, logliks, n_iter = mle_iterations(
-            povm, freqs, rho0, float(n_settings), 20000, 1e-14, 1e-12
+            *dense_map(povm), freqs, rho0, float(n_settings), 20000, 1e-14, 1e-12
         )
         npt.assert_allclose(rho, truth, atol=5e-6)
         diffs = np.diff(logliks)
@@ -362,7 +371,9 @@ class TestMLEIterations:
         truth = random_density(rng, d)
         freqs = np.real(np.einsum("sij,ji->s", povm, truth))
         rho0 = np.eye(d, dtype=complex) / d
-        rho, logliks, n_iter = mle_iterations(povm, freqs, rho0, 3.0, 5000, 1e-10, 1e-12)
+        rho, logliks, n_iter = mle_iterations(
+            *dense_map(povm), freqs, rho0, 3.0, 5000, 1e-10, 1e-12
+        )
         assert n_iter < 5000
         assert logliks.shape == (n_iter,)
         npt.assert_allclose(np.trace(rho), 1.0, atol=1e-12)

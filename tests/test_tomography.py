@@ -60,6 +60,61 @@ COH137 = pure(coherent(5, math.sqrt(0.137)))
 # sampled records and reconstructions shared with the acceptance suite
 
 
+def dense_map(stack):
+    """(probabilities, adjoint) of a dense stack of measurement operators."""
+    flat = stack.reshape(len(stack), -1)
+    return (
+        lambda rho: np.real(flat @ rho.T.ravel()),
+        lambda w: (w @ flat).reshape(stack.shape[1:]),
+    )
+
+
+def per_phase_povm(theta, eta, n_tomo, x):
+    """Quadrature bins built at phase theta, then loss-smeared and renormalized."""
+    psi = tg.hermite_functions(n_tomo, x)
+    levels = np.arange(n_tomo)
+    phase = np.exp(1j * theta * (levels[None, :] - levels[:, None]))
+    ideal = np.einsum("mb,nb->bmn", psi, psi) * phase * (x[1] - x[0])
+    smeared = sum(
+        np.einsum("nm,bnk,kl->bml", a_k, ideal, a_k)
+        for a_k in tg.loss_kraus(n_tomo, eta)
+    )
+    evals, evecs = np.linalg.eigh(smeared.sum(axis=0))
+    inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
+    return np.einsum("ij,bjk,kl->bil", inv_sqrt, smeared, inv_sqrt)
+
+
+def dense_stack(record, eta):
+    """Every setting's measurement operators stacked, in record order."""
+    per_phase = [
+        per_phase_povm(t, eta, record.n_tomo, record.x_centers)
+        for t in record.thetas
+    ]
+    if record.qubit_basis is None:
+        return np.concatenate(per_phase)
+    d = 2 * record.n_tomo
+    return np.concatenate([
+        np.einsum("pq,bmn->bpmqn", (np.eye(2) + sign * tg._PAULI[basis]) / 2, els)
+        .reshape(-1, d, d)
+        for basis, els in zip(record.qubit_basis, per_phase)
+        for sign in (1.0, -1.0)
+    ])
+
+
+def iteration_counts(monkeypatch):
+    """Record the iteration count of every fit the library runs."""
+    counts = []
+    loop = tg.mle_iterations
+
+    def counted(*args):
+        out = loop(*args)
+        counts.append(out[2])
+        return out
+
+    monkeypatch.setattr(tg, "mle_iterations", counted)
+    return counts
+
+
 class TestBuildPovm:
     def test_completeness_for_every_setting(self):
         for theta in (0.0, 0.31, 1.0, math.pi / 2, 2.4, 3.1):
@@ -133,6 +188,75 @@ class TestBuildPovm:
             ops = tg.loss_kraus(5, eta)
             total = sum(a.conj().T @ a for a in ops)
             np.testing.assert_allclose(total, np.eye(5), atol=1e-13)
+
+
+class TestSharedBinSet:
+    """Every phase's bins are the real phase-0 bins rotated by D(theta)."""
+
+    SHORT_GRID = np.linspace(-5.0, 5.0, 41)
+
+    def test_rotated_bins_equal_per_phase_build(self):
+        for eta in (1.0, 0.43):
+            for n in (3, 5):
+                bins = tg._bin_set(eta, n, GRID).elements
+                assert bins.dtype == np.float64
+                for theta in tg.phase_settings(100):
+                    d_theta = np.diag(np.exp(-1j * theta * np.arange(n)))
+                    rotated = d_theta @ bins @ d_theta.conj().T
+                    ref = per_phase_povm(theta, eta, n, GRID)
+                    assert np.max(np.abs(rotated - ref)) <= 1e-14
+
+    def _dense_counts(self, record, rho, shots, seed):
+        probs = np.real(np.einsum("bij,ji->b", dense_stack(record, record.eta), rho))
+        rows = probs.reshape(record.counts.shape[0], -1)
+        drawn = []
+        for j, p in enumerate(rows):
+            p = np.clip(p, 0.0, None)
+            drawn.append(tg._setting_rng(seed, j).multinomial(shots, p / p.sum()))
+        return np.array(drawn).reshape(record.counts.shape)
+
+    def _check_fits(self, record, fit, monkeypatch):
+        counts = iteration_counts(monkeypatch)
+        d = 2 * record.n_tomo if record.qubit_basis else record.n_tomo
+        freqs = (
+            record.counts.reshape(record.n_settings, -1) / record.shots[:, None]
+        ).ravel()
+        for correct in (False, True):
+            est = fit(record, correct_efficiency=correct)
+            fit_iterations = counts[-1]
+            eta = record.eta if correct else 1.0
+            rho, _, n_iter = tg.mle_iterations(
+                *dense_map(dense_stack(record, eta)),
+                freqs,
+                np.eye(d, dtype=complex) / d,
+                record.n_settings,
+                tg.DEFAULT_ITERATIONS,
+                tg.LIKELIHOOD_TOL,
+                tg.PROB_FLOOR,
+            )
+            assert fit_iterations == n_iter
+            assert np.max(np.abs(est.rho - rho)) <= 1e-12
+
+    def test_single_mode_sampling_and_fits_match_dense_stack(self, monkeypatch):
+        thetas = tg.phase_settings(tg.MIN_PHASES)
+        rec = tg.sample(
+            COH137, thetas, 2_000, eta=0.43, seed=3, x_grid=self.SHORT_GRID
+        )
+        np.testing.assert_array_equal(
+            rec.counts, self._dense_counts(rec, COH137.rho, 2_000, 3)
+        )
+        self._check_fits(rec, tg.mle_reconstruct, monkeypatch)
+
+    def test_composite_sampling_and_fits_match_dense_stack(self, monkeypatch):
+        state = ideal_composite(0.165)
+        rec = tg.sample_composite(
+            state, tg.phase_settings(tg.MIN_PHASES), 500, eta=0.43, seed=4,
+            x_grid=self.SHORT_GRID,
+        )
+        np.testing.assert_array_equal(
+            rec.counts, self._dense_counts(rec, state.rho, 500, 4)
+        )
+        self._check_fits(rec, tg.composite_mle, monkeypatch)
 
 
 class TestSampling:
@@ -253,7 +377,7 @@ class TestMleReconstruct:
         stack = np.concatenate([p.elements for p in povms], axis=0)
         freqs = (rec.counts / rec.shots[:, None]).ravel()
         _, logliks, _ = tg.mle_iterations(
-            np.ascontiguousarray(stack),
+            *dense_map(stack),
             freqs.astype(np.float64),
             np.eye(5, dtype=complex) / 5,
             rec.n_settings,
