@@ -40,7 +40,6 @@ from .protocol import (
     SWEEP_AXES,
     default_schedule,
     efficiency_scan,
-    entanglement_report,
     run_protocol,
     sweep,
 )
@@ -123,7 +122,7 @@ def _as_int(value, key: str, *, allow_none: bool = False):
     if value is None and allow_none:
         return None
     f = _as_float(value, key)
-    if f != int(f):
+    if not math.isfinite(f) or f != int(f):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(f)
 
@@ -314,10 +313,13 @@ def cmd_efficiency(cfg: dict, outdir: Path, seed) -> None:
     eff = cfg["efficiency"]
     if eff["preset"] == "ideal":
         params = ideal_params()
-        gate_interval = eff["gate_interval"] or 1600e-9
+        default_interval = 1600e-9
     else:
         params = _build_params(cfg)
-        gate_interval = eff["gate_interval"] or 800e-9
+        default_interval = 800e-9
+    gate_interval = eff["gate_interval"]
+    if gate_interval is None:
+        gate_interval = default_interval
     template = default_schedule(
         gate_interval=gate_interval,
         pulse_fwhm=cfg["schedule"]["pulse_fwhm"],
@@ -359,7 +361,6 @@ def cmd_protocol(cfg: dict, outdir: Path, seed) -> None:
     schedule = _build_schedule(cfg)
     n_ph = cfg["protocol"]["n_ph"]
     result = run_protocol(params, schedule, n_ph=n_ph)
-    report = entanglement_report(result)
     _write_json(
         outdir / "report.json",
         {
@@ -370,8 +371,8 @@ def cmd_protocol(cfg: dict, outdir: Path, seed) -> None:
             "reference_phase": _num(result.phase_ref),
             "flip_probability_raw": _num(result.p_e_raw),
             "flip_probability": _num(result.p_e),
-            "negativity": _num(report["negativity"]),
-            "fidelity_to_ideal": _num(report["fidelity_to_ideal"]),
+            "negativity": _num(result.negativity),
+            "fidelity_to_ideal": _num(result.fidelity_ideal),
             "fidelity_ground_vacuum": _num(result.fidelity_vacuum),
             "fidelity_excited_single": _num(result.fidelity_single),
         },

@@ -1,19 +1,19 @@
 """Driven-dissipative time evolution and temporal-mode output observables.
 
 Implements fixed-step RK4 master-equation propagation of the qubit-cavity
-system with a classical pulse drive and instantaneous qubit rotations,
-multi-time correlation functions by regression insertions, the ladder of
-output-mode moments (qubit-resolved mean amplitude, photon number, and
-second-order moments of the reflected temporal mode), and an independent
-capture-mode oracle that absorbs the outgoing field into an auxiliary
-resonator for cross-validation.
+system with a classical pulse drive and instantaneous qubit rotations, the
+ladder of output-mode moments (qubit-resolved mean amplitude, photon number,
+and second-order moments of the reflected temporal mode), and an
+independent capture-mode oracle that absorbs the outgoing field into an
+auxiliary resonator for cross-validation.  All three walk the pulse
+schedule through one driver.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
@@ -30,6 +30,9 @@ TRACE_DRIFT_MAX = 1e-8
 TOP_LEVEL_MAX = 1e-7
 CAPTURE_TOP_MAX = 1e-5
 EARLY_TAIL_MASS = 1e-5
+# floor of the capture coupling's denominator, relative to the windowed mode
+# energy: regularizes the coupling on the leading tail of the mode
+CAPTURE_EPS_FLOOR = 1e-6
 
 _QIDX = {"g": 0, "e": 1}
 
@@ -112,12 +115,9 @@ class MomentSet:
         """Re-gauge the mode phase: A -> A e^{-i phi} (phi defaults to phase_ref)."""
         if phi is None:
             phi = self.phase_ref
-        out = self.moments.copy()
-        for m in range(3):
-            for n in range(3):
-                out[:, :, m, n] *= np.exp(1j * (m - n) * phi)
+        k = np.arange(self.moments.shape[-1])
         return MomentSet(
-            out,
+            self.moments * np.exp(1j * np.subtract.outer(k, k) * phi),
             self.classical * np.exp(-1j * phi),
             self.overlap,
             self.phase_ref - phi,
@@ -135,16 +135,6 @@ class MomentSet:
     @property
     def mean_photon(self) -> float:
         return float((self.moments[0, 0, 1, 1] + self.moments[1, 1, 1, 1]).real)
-
-    def as_dict(self, qubit_op: str) -> dict:
-        return {
-            "P": self.moment(qubit_op, 0, 0),
-            "A": self.moment(qubit_op, 0, 1),
-            "N": self.moment(qubit_op, 1, 1),
-            "A2": self.moment(qubit_op, 0, 2),
-            "AdA2": self.moment(qubit_op, 1, 2),
-            "Ad2A2": self.moment(qubit_op, 2, 2),
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -405,6 +395,54 @@ def _check_monitors(max_tr: float, max_top: float, top_limit: float, label: str)
 # propagation
 
 
+def _run_schedule(
+    gen: Generator,
+    x: np.ndarray,
+    schedule: PulseSchedule,
+    dt: float,
+    coeffs_for: Callable,
+    d: int,
+    trace_idx: np.ndarray,
+    watch: tuple = (),
+    store_every: int = 0,
+) -> Propagation:
+    """Propagate x from the start of the pulse window to t_f.
+
+    Each of the schedule's three segments is cut into equal steps no
+    longer than dt; coeffs_for(t0, nsteps, dt_seg, in_window) returns the
+    segment's coefficient rows and substep counts for propagate, with
+    in_window set when the segment ends after t_i.  Qubit rotations of
+    the d x d blocks of x fire at t_i and t_g when schedule.ramsey_gates
+    is set.  The monitors are maximised over all segments.  With
+    store_every > 0 the snapshots are (time, x) pairs: the start, every
+    store_every-th step, each segment end not already stored, and the
+    state after each rotation.
+    """
+    t_start = _start_time(schedule)
+    snaps = [(t_start, x.copy())] if store_every else []
+    max_tr = 0.0
+    max_watched = (0.0,) * len(watch)
+    for t0, t1, gate in _segments(schedule, t_start):
+        span = t1 - t0
+        if span > 1e-15:
+            nsteps = _segment_steps(span, dt)
+            dt_seg = span / nsteps
+            coeffs, nsub = coeffs_for(t0, nsteps, dt_seg, t1 > schedule.t_i + 1e-15)
+            run = propagate(gen, x, coeffs, dt_seg, nsub, trace_idx, watch, store_every)
+            x = run.state
+            max_tr = max(max_tr, run.max_trace_defect)
+            max_watched = tuple(map(max, max_watched, run.max_watched))
+            for k, snap in enumerate(run.snapshots, start=1):
+                snaps.append((t0 + dt_seg * store_every * k, snap))
+            if store_every and nsteps % store_every:
+                snaps.append((t1, x.copy()))
+        if gate is not None and schedule.ramsey_gates:
+            x = _apply_gate(x, gate, d)
+            if store_every:
+                snaps.append((t1, x.copy()))
+    return Propagation(x, snaps, max_tr, max_watched)
+
+
 def evolve(
     model: LindbladModel,
     schedule: PulseSchedule,
@@ -428,129 +466,35 @@ def evolve(
     gen, diag, top = _model_generator(model)
     state = initial if initial is not None else model.ground_state()
     _require(state.rho.shape[0] == d, "initial state dimension mismatch")
-    x = state.rho.astype(complex).reshape(-1)
-    t_start = _start_time(schedule)
-    times_out = [t_start]
-    rhos_out = [x.copy()]
-    max_tr = 0.0
-    max_top = 0.0
-    for t0, t1, gate in _segments(schedule, t_start):
-        span = t1 - t0
-        if span > 1e-15:
-            nsteps = _segment_steps(span, dt)
-            dt_seg = span / nsteps
-            eps = _drive_samples(p, schedule, _half_grid(t0, nsteps, dt_seg), drive)
-            run = propagate(
-                gen, x, _conj_pairs(eps), dt_seg, np.ones(nsteps, dtype=np.int64),
-                diag, (top,), store_every,
-            )
-            x = run.state
-            max_tr = max(max_tr, run.max_trace_defect)
-            max_top = max(max_top, run.max_watched[0])
-            for k, snap in enumerate(run.snapshots, start=1):
-                times_out.append(t0 + dt_seg * store_every * k)
-                rhos_out.append(snap)
-            if nsteps % store_every:
-                times_out.append(t1)
-                rhos_out.append(x.copy())
-        if gate is not None and schedule.ramsey_gates:
-            x = _apply_gate(x, gate, d)
-            times_out.append(t1)
-            rhos_out.append(x.copy())
-    _check_monitors(max_tr, max_top, TOP_LEVEL_MAX, "evolve")
-    return Trajectory(
-        np.array(times_out), np.array(rhos_out).reshape(-1, d, d), model.dims, max_tr, max_top
-    )
+    _require(store_every >= 1, "store_every must be at least 1")
 
-
-def correlator(
-    model: LindbladModel,
-    schedule: PulseSchedule,
-    insertions,
-    observable: np.ndarray,
-    *,
-    initial: Optional[QuantumState] = None,
-    dt: Optional[float] = None,
-    drive: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> complex:
-    """Multi-time correlation by regression insertions.
-
-    insertions is a sequence of (time, operator, side) with side 'left'
-    (operator applied from the left at its time; annihilation-like slots)
-    or 'right' (applied from the right; creation-like slots).  Times must
-    be non-decreasing and inside [t_i, t_f].  Qubit rotations fire at
-    their scheduled times; the observable is traced at t_f.
-    """
-    p = model.params
-    if dt is None:
-        dt = default_timestep(p, schedule.mode)
-    d = model.dim
-    gen, diag, _ = _model_generator(model)
-    state = initial if initial is not None else model.ground_state()
-    rho = state.rho.astype(complex)
-
-    ins = list(insertions)
-    t_prev = None
-    for t, op, side in ins:
-        _require(side in ("left", "right"), f"side must be left or right, got {side!r}")
-        _require(schedule.t_i <= t <= schedule.t_f, "insertion time outside [t_i, t_f]")
-        _require(t_prev is None or t >= t_prev, "insertion times must be ordered")
-        _require(np.shape(op) == (d, d), "insertion operator dimension mismatch")
-        t_prev = t
-
-    t_start = _start_time(schedule)
-    events = []
-    if schedule.ramsey_gates:
-        events.append((schedule.t_i, 0, "gate", "y90"))
-        events.append((schedule.t_g, 0, "gate", "ym90"))
-    for k, (t, op, side) in enumerate(ins):
-        events.append((t, 1, side, np.asarray(op, dtype=complex)))
-    events.sort(key=lambda ev: (ev[0], ev[1]))
-
-    def run_to(rho, t0, t1):
-        span = t1 - t0
-        if span <= 1e-15:
-            return rho
-        nsteps = _segment_steps(span, dt)
-        dt_seg = span / nsteps
+    def coeffs_for(t0, nsteps, dt_seg, in_window):
         eps = _drive_samples(p, schedule, _half_grid(t0, nsteps, dt_seg), drive)
-        run = propagate(
-            gen, rho.reshape(-1), _conj_pairs(eps), dt_seg,
-            np.ones(nsteps, dtype=np.int64), diag,
-        )
-        return run.state.reshape(d, d)
+        return _conj_pairs(eps), np.ones(nsteps, dtype=np.int64)
 
-    t_cur = t_start
-    for t_ev, _, kind, op in events:
-        rho = run_to(rho, t_cur, t_ev)
-        t_cur = t_ev
-        if kind == "gate":
-            rho = _apply_gate(rho, op, d).reshape(d, d)
-        elif kind == "left":
-            rho = op @ rho
-        else:
-            rho = rho @ op
-    rho = run_to(rho, t_cur, schedule.t_f)
-    return complex(np.trace(np.asarray(observable, dtype=complex) @ rho))
+    run = _run_schedule(
+        gen, state.rho.astype(complex).reshape(-1), schedule, dt, coeffs_for, d,
+        diag, (top,), store_every,
+    )
+    max_top = run.max_watched[0]
+    _check_monitors(run.max_trace_defect, max_top, TOP_LEVEL_MAX, "evolve")
+    times, rhos = zip(*run.snapshots)
+    return Trajectory(
+        np.array(times), np.array(rhos).reshape(-1, d, d), model.dims,
+        run.max_trace_defect, max_top,
+    )
 
 
 # ---------------------------------------------------------------------------
 # linear (ground-pinned) reference and delay choice
 
 
-def _linear_alpha(
-    params: SystemParams,
-    schedule: PulseSchedule,
-    t0: float,
-    t1: float,
-    dt: float,
-    drive: Optional[Callable] = None,
-):
-    """Scalar cavity amplitude with the qubit pinned in its ground state."""
+def _linear_output(params: SystemParams, schedule: PulseSchedule, t0: float, t1: float, dt: float):
+    """Output field psi_out = beta - i sqrt(kex) alpha of the ground-pinned
+    linear cavity (empty at t0) on the RK4 step grid from t0 to t1."""
     nsteps = _segment_steps(t1 - t0, dt)
     dt_seg = (t1 - t0) / nsteps
-    tt = _half_grid(t0, nsteps, dt_seg)
-    eps = _drive_samples(params, schedule, tt, drive)
+    eps = _drive_samples(params, schedule, _half_grid(t0, nsteps, dt_seg), None)
     lam = -(1j * params.chi + params.kappa_tot / 2.0)
     alpha = np.empty(nsteps + 1, dtype=complex)
     alpha[0] = 0.0
@@ -564,7 +508,8 @@ def _linear_alpha(
         a = a + dt_seg / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         alpha[k + 1] = a
     t_full = t0 + np.arange(nsteps + 1) * dt_seg
-    return t_full, alpha
+    beta = schedule.alpha_in * _mode_u(schedule.mode, t_full)
+    return t_full, beta - 1j * math.sqrt(params.kappa_ex) * alpha
 
 
 def linear_reference(
@@ -573,35 +518,15 @@ def linear_reference(
     output_mode: TemporalMode,
     *,
     dt: Optional[float] = None,
-) -> dict:
-    """Mean output field of the ground-pinned linear cavity.
-
-    Returns the windowed projection a_ref = <u, psi_out> over [t_i, t_f],
-    the input-projection overlap o_f = <u, f_in(- .)>, and the gauge phase
-    (the argument of a_ref, 0 for zero input).
-    """
+) -> complex:
+    """Windowed projection a_ref = <u, psi_out> over [t_i, t_f] of the mean
+    output field of the ground-pinned linear cavity."""
     if dt is None:
         dt = default_timestep(params, schedule.mode)
-    t_start = _start_time(schedule)
-    t_full, alpha = _linear_alpha(params, schedule, t_start, schedule.t_f, dt)
-    beta = _drive_samples(params, schedule, t_full, None)
-    if params.kappa_ex > 0:
-        beta = beta / (-1j * math.sqrt(params.kappa_ex))
-    psi_out = beta - 1j * math.sqrt(params.kappa_ex) * alpha
+    t_full, psi_out = _linear_output(params, schedule, _start_time(schedule), schedule.t_f, dt)
     sel = t_full >= schedule.t_i - 1e-15
     uu = _mode_u(output_mode, t_full[sel])
-    a_ref = complex(np.trapezoid(np.conjugate(uu) * psi_out[sel], t_full[sel]))
-    fin = _mode_u(schedule.mode, t_full[sel])
-    o_f = complex(np.trapezoid(np.conjugate(uu) * fin, t_full[sel]))
-    phase = float(np.angle(a_ref)) if abs(a_ref) > 1e-300 else 0.0
-    return {
-        "times": t_full,
-        "alpha_g": alpha,
-        "psi_out": psi_out,
-        "a_ref": a_ref,
-        "o_f": o_f,
-        "phase": phase,
-    }
+    return complex(np.trapezoid(np.conjugate(uu) * psi_out[sel], t_full[sel]))
 
 
 def optimize_delay(
@@ -619,15 +544,10 @@ def optimize_delay(
     t0 = float(mode.t[0])
     t1 = float(mode.t[-1]) + 5.0 / params.kappa_ex
     sched = PulseSchedule(t0, (t0 + t1) / 2, t1, mode, alpha_in=1.0, ramsey_gates=False)
-    t_full, alpha = _linear_alpha(params, sched, t0, t1, dt)
-    beta = _mode_u(mode, t_full)
-    off = mode.carrier_offset
-    psi_out = beta - 1j * math.sqrt(params.kappa_ex) * alpha
+    t_full, psi_out = _linear_output(params, sched, t0, t1, dt)
 
     def negative_capture(tau: float) -> float:
-        uu = mode.amplitude(tau - t_full)
-        if off != 0.0:
-            uu = uu * np.exp(-1j * off * t_full)
+        uu = _mode_u(mode, t_full - tau)
         return -abs(np.trapezoid(np.conjugate(uu) * psi_out, t_full)) ** 2
 
     res = minimize_scalar(
@@ -655,32 +575,39 @@ def _resolve_output_mode(
     return schedule.mode.delayed(tau), tau
 
 
-def _window_overlap(schedule: PulseSchedule, output_mode: TemporalMode, dt: float) -> complex:
+def _classical_shift(moments: np.ndarray, c: complex) -> np.ndarray:
+    """Normally ordered moments of A + c from those of A: P̄ M Pᵀ over the
+    last two axes, with P[n, k] = C(n, k) c^(n - k)."""
+    k = np.arange(moments.shape[-1])
+    binom = np.array([[math.comb(n, j) for j in k] for n in k])
+    p = binom * np.power(c, np.maximum(np.subtract.outer(k, k), 0))
+    return np.conjugate(p) @ moments @ p.T
+
+
+def _moment_set(
+    moments: np.ndarray,
+    params: SystemParams,
+    schedule: PulseSchedule,
+    output_mode: TemporalMode,
+    tau: float,
+    dt: float,
+) -> MomentSet:
+    """MomentSet of the projection-mode moments read at t_f.
+
+    The overlap o_f of the projection mode with the input envelope over
+    [t_i, t_f] gives the classical amplitude c = alpha_in o_f; the gauge
+    phase is the argument of the linear reference's projection.
+    """
     n = 4 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
     tt = np.linspace(schedule.t_i, schedule.t_f, n)
     uu = _mode_u(output_mode, tt)
-    fin = _mode_u(schedule.mode, tt)
-    return complex(np.trapezoid(np.conjugate(uu) * fin, tt))
-
-
-def _assemble_a_moments(mb: np.ndarray, c: complex) -> np.ndarray:
-    """Shift normally ordered ladder moments by the classical amplitude c."""
-    out = np.zeros_like(mb)
-    cbar = np.conjugate(c)
-    for m in range(3):
-        for n in range(3):
-            acc = np.zeros(mb.shape[:2], dtype=complex)
-            for j in range(m + 1):
-                for k in range(n + 1):
-                    acc += (
-                        math.comb(m, j)
-                        * math.comb(n, k)
-                        * cbar ** (m - j)
-                        * c ** (n - k)
-                        * mb[:, :, j, k]
-                    )
-            out[:, :, m, n] = acc
-    return out
+    o_f = complex(np.trapezoid(np.conjugate(uu) * _mode_u(schedule.mode, tt), tt))
+    c = schedule.alpha_in * o_f
+    phase = 0.0
+    if schedule.alpha_in != 0:
+        a_ref = linear_reference(params, schedule, output_mode, dt=dt)
+        phase = float(np.angle(a_ref)) if abs(a_ref) > 1e-300 else 0.0
+    return MomentSet(moments, c, o_f, phase, tau)
 
 
 def output_mode_moments(
@@ -689,17 +616,13 @@ def output_mode_moments(
     *,
     output_mode: Optional[TemporalMode] = None,
     delay: Optional[float] = None,
-    qubit_op: Optional[str] = None,
     dt: Optional[float] = None,
-    initial: Optional[QuantumState] = None,
-) -> Union[MomentSet, dict]:
+) -> MomentSet:
     """Qubit-resolved moments of the reflected temporal mode at t_f.
 
     Propagates a ladder of matrices sourced by ladder-operator insertions
     weighted with the projection-mode waveform (regression route), then
-    shifts by the classical input amplitude.  With qubit_op given ("gg",
-    "ge", "eg", "ee"), returns that operator's moment dictionary; otherwise
-    the full MomentSet.
+    shifts by the classical input amplitude.
     """
     p = model.params
     if dt is None:
@@ -707,63 +630,29 @@ def output_mode_moments(
     output_mode, tau = _resolve_output_mode(p, schedule, output_mode, delay)
     d = model.dim
     gen, diag, top = _model_generator(model, ladder=True)
-    state = initial if initial is not None else model.ground_state()
     x = np.zeros(9 * d * d, dtype=complex)
-    x[: d * d] = state.rho.reshape(-1)
-    t_start = _start_time(schedule)
+    x[: d * d] = model.ground_state().rho.reshape(-1)
     sqrt_kex = math.sqrt(p.kappa_ex) if p.kappa_ex > 0 else 0.0
-    max_tr = 0.0
-    max_top = 0.0
-    for t0, t1, gate in _segments(schedule, t_start):
-        span = t1 - t0
-        if span > 1e-15:
-            nsteps = _segment_steps(span, dt)
-            dt_seg = span / nsteps
-            tt = _half_grid(t0, nsteps, dt_seg)
-            eps = _drive_samples(p, schedule, tt, None)
-            if t1 <= schedule.t_i + 1e-15:
-                w = np.zeros(tt.shape, dtype=complex)
-            else:
-                w = -1j * sqrt_kex * np.conjugate(_mode_u(output_mode, tt))
-            run = propagate(
-                gen, x, _conj_pairs(eps, w), dt_seg, np.ones(nsteps, dtype=np.int64),
-                diag, (top,),
-            )
-            x = run.state
-            max_tr = max(max_tr, run.max_trace_defect)
-            max_top = max(max_top, run.max_watched[0])
-        if gate is not None and schedule.ramsey_gates:
-            x = _apply_gate(x, gate, d)
-    _check_monitors(max_tr, max_top, TOP_LEVEL_MAX, "output_mode_moments")
 
+    def coeffs_for(t0, nsteps, dt_seg, in_window):
+        tt = _half_grid(t0, nsteps, dt_seg)
+        eps = _drive_samples(p, schedule, tt, None)
+        if in_window:
+            w = -1j * sqrt_kex * np.conjugate(_mode_u(output_mode, tt))
+        else:
+            w = np.zeros(tt.shape, dtype=complex)
+        return _conj_pairs(eps, w), np.ones(nsteps, dtype=np.int64)
+
+    run = _run_schedule(gen, x, schedule, dt, coeffs_for, d, diag, (top,))
+    _check_monitors(
+        run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "output_mode_moments"
+    )
+    # <sigma_pq Adag^m A^n> = m! n! Tr[sigma_pq X_mn], sigma_pq = |p><q| x 1
     n_c = model.n_max + 1
-    sig = {
-        (pp, qq): np.kron(
-            np.outer(np.eye(2)[:, pp], np.eye(2)[qq, :]), np.eye(n_c)
-        ).astype(complex)
-        for pp in range(2)
-        for qq in range(2)
-    }
-    stack = x.reshape(9, d, d)
-    mb = np.zeros((2, 2, 3, 3), dtype=complex)
-    for m in range(3):
-        for n in range(3):
-            node = stack[3 * m + n]
-            fac = math.factorial(m) * math.factorial(n)
-            for pp in range(2):
-                for qq in range(2):
-                    mb[pp, qq, m, n] = fac * np.trace(sig[(pp, qq)] @ node)
-    o_f = _window_overlap(schedule, output_mode, dt)
-    c = schedule.alpha_in * o_f
-    moments = _assemble_a_moments(mb, c)
-    if schedule.alpha_in != 0:
-        phase = linear_reference(p, schedule, output_mode, dt=dt)["phase"]
-    else:
-        phase = 0.0
-    ms = MomentSet(moments, c, o_f, phase, tau)
-    if qubit_op is not None:
-        return ms.as_dict(qubit_op)
-    return ms
+    fac = np.array([1.0, 1.0, 2.0])  # m! for m = 0, 1, 2
+    mb = np.einsum("mnqkpk->pqmn", run.state.reshape(3, 3, 2, n_c, 2, n_c))
+    ms = _moment_set(mb * np.outer(fac, fac), p, schedule, output_mode, tau, dt)
+    return replace(ms, moments=_classical_shift(ms.moments, ms.classical))
 
 
 # ---------------------------------------------------------------------------
@@ -822,19 +711,17 @@ def capture_mode_oracle(
     *,
     output_mode: Optional[TemporalMode] = None,
     delay: Optional[float] = None,
-    qubit_op: Optional[str] = None,
     dt: Optional[float] = None,
     dim_b: int = 7,
-    eps_floor: float = 1e-6,
-    initial: Optional[QuantumState] = None,
-) -> Union[MomentSet, dict]:
+) -> MomentSet:
     """Independent route to the output-mode moments via an absorbing mode.
 
     Augments the system with an auxiliary resonator whose time-dependent
     coupling is shaped so it absorbs exactly the projection mode of the
     reflected field; at t_f the auxiliary-mode moments are read directly
     from the joint state.  The coupling denominator is floored at
-    eps_floor of the windowed mode energy to regularize the leading tail.
+    CAPTURE_EPS_FLOOR of the windowed mode energy to regularize the leading
+    tail.
     """
     _require(dim_b >= 4, "capture mode needs at least 4 levels")
     p = model.params
@@ -846,17 +733,10 @@ def capture_mode_oracle(
     db = dim_b
     d = 2 * n_c * db
     gen = capture_generator(model, db)
-
-    if initial is not None:
-        _require(initial.rho.shape[0] == 2 * n_c, "initial state dimension mismatch")
-        rho = np.kron(initial.rho, np.diag(np.eye(db)[0]).astype(complex))
-    else:
-        rho = np.zeros((d, d), dtype=complex)
-        rho[0, 0] = 1.0
-    x = rho.astype(complex).reshape(-1)
+    x = np.zeros(d * d, dtype=complex)
+    x[0] = 1.0
 
     # fine-grid mode energy and coupling magnitude inside the window
-    t_start = _start_time(schedule)
     n_fine = 64 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
     t_fine = np.linspace(schedule.t_i, schedule.t_f, n_fine)
     u_fine = _mode_u(output_mode, t_fine)
@@ -866,14 +746,11 @@ def capture_mode_oracle(
     )
     energy = float(cum[-1])
     _require(energy > 0, "projection mode carries no energy inside the window")
-    f_fine = eps_floor * energy + cum
+    f_fine = CAPTURE_EPS_FLOOR * energy + cum
     g2_fine = inten / f_fine
     del u_fine, inten, cum  # the fine grid is large; keep only what the stages read
 
-    def f_interp(times):
-        return np.interp(times, t_fine, f_fine)
-
-    def stage_arrays(t0, nsteps, dt_seg, in_window):
+    def coeffs_for(t0, nsteps, dt_seg, in_window):
         """Substep counts and the coefficient rows of every substep grid."""
         nsub = np.ones(nsteps, dtype=np.int64)
         if in_window:
@@ -892,7 +769,7 @@ def capture_mode_oracle(
         if schedule.alpha_in != 0:
             beta = schedule.alpha_in * _mode_u(schedule.mode, ts)
         if in_window:
-            gt = -_mode_u(output_mode, ts) / np.sqrt(f_interp(ts))
+            gt = -_mode_u(output_mode, ts) / np.sqrt(np.interp(ts, t_fine, f_fine))
         gb = np.conjugate(gt)
         coeffs = np.stack([
             beta, np.conjugate(beta), gt * np.conjugate(beta), gb * beta,
@@ -903,24 +780,9 @@ def capture_mode_oracle(
     diag = np.arange(d) * (d + 1)
     cav_idx = diag[[(q * n_c + (n_c - 1)) * db + m for q in range(2) for m in range(db)]]
     b_idx = diag[[(q * n_c + n) * db + (db - 1) for q in range(2) for n in range(n_c)]]
-    max_tr = 0.0
-    max_cav = 0.0
-    max_b = 0.0
-    for t0, t1, gate in _segments(schedule, t_start):
-        span = t1 - t0
-        if span > 1e-15:
-            nsteps = _segment_steps(span, dt)
-            dt_seg = span / nsteps
-            in_window = t1 > schedule.t_i + 1e-15
-            coeffs, nsub = stage_arrays(t0, nsteps, dt_seg, in_window)
-            run = propagate(gen, x, coeffs, dt_seg, nsub, diag, (cav_idx, b_idx))
-            x = run.state
-            max_tr = max(max_tr, run.max_trace_defect)
-            max_cav = max(max_cav, run.max_watched[0])
-            max_b = max(max_b, run.max_watched[1])
-        if gate is not None and schedule.ramsey_gates:
-            x = _apply_gate(x, gate, d)
-    _check_monitors(max_tr, max_cav, TOP_LEVEL_MAX, "capture_mode_oracle")
+    run = _run_schedule(gen, x, schedule, dt, coeffs_for, d, diag, (cav_idx, b_idx))
+    max_cav, max_b = run.max_watched
+    _check_monitors(run.max_trace_defect, max_cav, TOP_LEVEL_MAX, "capture_mode_oracle")
     if max_b > CAPTURE_TOP_MAX:
         raise RuntimeError(
             f"capture_mode_oracle: capture-mode top population {max_b:.3e} "
@@ -928,9 +790,8 @@ def capture_mode_oracle(
         )
 
     # <sigma_pq b^dag^m b^n> from the qubit-capture state (cavity traced out)
-    f_final = eps_floor * energy + energy
-    scale = math.sqrt(f_final)
-    rho_qb = np.einsum("qnjpni->qjpi", x.reshape(2, n_c, db, 2, n_c, db))
+    scale = math.sqrt(CAPTURE_EPS_FLOOR * energy + energy)
+    rho_qb = np.einsum("qnjpni->qjpi", run.state.reshape(2, n_c, db, 2, n_c, db))
     b_op = destroy(db)
     bpow = [np.eye(db, dtype=complex), b_op, b_op @ b_op]
     moments = np.zeros((2, 2, 3, 3), dtype=complex)
@@ -938,13 +799,4 @@ def capture_mode_oracle(
         for n in range(3):
             op = dag(bpow[m]) @ bpow[n]
             moments[:, :, m, n] = np.einsum("ij,qjpi->pq", op, rho_qb) * scale ** (m + n)
-    o_f = _window_overlap(schedule, output_mode, dt)
-    c = schedule.alpha_in * o_f
-    if schedule.alpha_in != 0:
-        phase = linear_reference(p, schedule, output_mode, dt=dt)["phase"]
-    else:
-        phase = 0.0
-    ms = MomentSet(moments, c, o_f, phase, tau)
-    if qubit_op is not None:
-        return ms.as_dict(qubit_op)
-    return ms
+    return _moment_set(moments, p, schedule, output_mode, tau, dt)

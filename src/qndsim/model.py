@@ -224,14 +224,6 @@ class TemporalMode:
         im = np.interp(times, self.t, self.f.imag, left=0.0, right=0.0)
         return re + 1j * im
 
-    def rotating_frame_amplitude(self, times) -> np.ndarray:
-        """Envelope in the frame rotating at the bare cavity frequency."""
-        times = np.asarray(times, dtype=float)
-        amp = self.amplitude(times)
-        if self.carrier_offset != 0.0:
-            amp = amp * np.exp(-1j * self.carrier_offset * times)
-        return amp
-
     def delayed(self, tau: float) -> "TemporalMode":
         """Same envelope arriving ``tau`` later: g(r) = f(r + tau)."""
         func = None

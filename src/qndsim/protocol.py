@@ -322,16 +322,6 @@ def run_protocol(
     )
 
 
-def entanglement_report(result: ProtocolResult) -> dict:
-    """Entanglement figures of the assembled composite state."""
-    return {
-        "negativity": negativity(result.rho_comp, cut=1),
-        "fidelity_to_ideal": fidelity(
-            result.rho_comp, ideal_composite(result.n_in, result.n_ph)
-        ),
-    }
-
-
 # ---------------------------------------------------------------------------
 # efficiency
 

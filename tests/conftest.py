@@ -1,6 +1,12 @@
 """Shared fixtures: the flagship detection run is computed once per session."""
 
-import pytest
+import os
+
+# One BLAS thread, set before numpy loads: at two threads the MLE's small
+# products slow down about 30x whenever another process holds a core.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
 
 from qndsim.model import default_params
 from qndsim.protocol import (

@@ -72,6 +72,13 @@ class TestConfigLoading:
         with pytest.raises(cli.ConfigError, match="alpha_sq_grid"):
             cli.load_config(p)
 
+    def test_infinite_integer_is_config_error(self, tmp_path, capsys):
+        p = write_yaml(tmp_path / "c.yaml", "spectrum:\n  points: .inf\n")
+        with pytest.raises(cli.ConfigError, match="spectrum.points"):
+            cli.load_config(p)
+        assert run_cli("spectrum", "--config", p, "--out", str(tmp_path / "out")) == 2
+        assert "config error" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def spectrum_outputs(tmp_path_factory):
@@ -161,6 +168,16 @@ class TestEfficiency:
         )
         assert run_cli("efficiency", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "grid" in capsys.readouterr().err
+
+    def test_zero_gate_interval_is_config_error(self, tmp_path, capsys):
+        cfg = write_yaml(
+            tmp_path / "c.yaml",
+            SMALL_GRID_YAML + "efficiency:\n  gate_interval: 0\n  preset: ideal\n",
+        )
+        out = tmp_path / "out"
+        assert run_cli("efficiency", "--config", cfg, "--out", str(out)) == 2
+        assert "t_i must precede t_g" in capsys.readouterr().err
+        assert not (out / "efficiency.json").exists()
 
 
 class TestProtocol:

@@ -1,4 +1,4 @@
-"""Tests for propagation, gates, correlators, and output-mode moments."""
+"""Tests for propagation, gates, and output-mode moments."""
 
 import math
 
@@ -12,8 +12,8 @@ from qndsim.dynamics import (
     MomentSet,
     PulseSchedule,
     apply_gate,
+    _classical_shift,
     capture_mode_oracle,
-    correlator,
     default_timestep,
     evolve,
     gate_matrix,
@@ -167,45 +167,24 @@ class TestEvolve:
         npt.assert_allclose(
             np.einsum("tii->t", traj.rhos), np.ones(len(traj.times)), atol=1e-8
         )
+        with pytest.raises(ValueError, match="store_every"):
+            evolve(m, sched, store_every=0)
 
-
-class TestCorrelator:
-    def test_single_time_consistency(self):
-        p = default_params()
-        m = build_model(p)
-        sched = PulseSchedule(-400e-9, 400e-9, 500e-9, MODE, alpha_in=0.0)
-        val = correlator(m, sched, [], m.sigma_ee)
-        traj = evolve(m, sched, store_every=500)
-        npt.assert_allclose(val, np.real(traj.expect(m.sigma_ee)[-1]), atol=1e-10)
 
     def test_qubit_coherence_with_coherent_cavity(self):
+        # n_max = 7 leaves 4.6e-6 of |0.8> on the top level, above the monitor
         p = ideal_qubit(default_params()).replace(kappa_ex=0.0, kappa_in=0.0)
-        m = build_model(p)
+        m = build_model(p, n_max=10)
         alpha_c = 0.8
-        psi = np.kron([1.0, 0.0], coherent(m.n_max + 1, alpha_c))
+        psi = np.kron([1.0, 1.0], coherent(m.n_max + 1, alpha_c)) / math.sqrt(2)
         initial = QuantumState(ket_density(psi), m.dims)
         t_f = 430e-9
         sched = PulseSchedule(0.0, 215e-9, t_f, MODE, alpha_in=0.0, ramsey_gates=False)
-        val = correlator(
-            m, sched, [(0.0, m.sigma_eg, "left")], m.sigma_ge,
-            initial=initial, dt=2.5e-10,
-        )
+        traj = evolve(m, sched, initial=initial, dt=2.5e-10, store_every=10**9)
+        val = 2 * traj.expect(m.sigma_ge)[-1]
         weights = np.abs(coherent(m.n_max + 1, alpha_c)) ** 2
         expected = np.sum(weights * np.exp(2j * p.chi * np.arange(m.n_max + 1) * t_f))
         npt.assert_allclose(val, expected, atol=1e-8)
-
-    def test_validation(self):
-        p = default_params()
-        m = build_model(p)
-        sched = PulseSchedule(-400e-9, 400e-9, 500e-9, MODE, alpha_in=0.0)
-        with pytest.raises(ValueError):
-            correlator(m, sched, [(0.0, m.a, "middle")], m.sigma_ee)
-        with pytest.raises(ValueError):
-            correlator(
-                m, sched, [(100e-9, m.a, "left"), (0.0, m.a, "left")], m.sigma_ee
-            )
-        with pytest.raises(ValueError):
-            correlator(m, sched, [(1e-3, m.a, "left")], m.sigma_ee)
 
 
 class TestDelayChoice:
@@ -249,10 +228,10 @@ class TestOutputMoments:
         sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA, ramsey_gates=False)
         out_mode = MODE.delayed(table_delay)
         ms = output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay)
-        ref = linear_reference(p, sched, out_mode)
-        npt.assert_allclose(ms.moment("gg", 0, 1), ref["a_ref"], rtol=2e-5)
-        npt.assert_allclose(ms.moment("gg", 1, 1), abs(ref["a_ref"]) ** 2, rtol=2e-5)
-        assert ms.phase_ref == pytest.approx(float(np.angle(ref["a_ref"])), abs=1e-9)
+        a_ref = linear_reference(p, sched, out_mode)
+        npt.assert_allclose(ms.moment("gg", 0, 1), a_ref, rtol=2e-5)
+        npt.assert_allclose(ms.moment("gg", 1, 1), abs(a_ref) ** 2, rtol=2e-5)
+        assert ms.phase_ref == pytest.approx(float(np.angle(a_ref)), abs=1e-9)
 
     def test_reflected_photons_match_spectral_filter(self, table_moments):
         n_freq = reflected_photon_number(default_params(), MODE, N_IN)
@@ -307,14 +286,45 @@ class TestOutputMoments:
         )
         assert err.max() < 1e-4
 
-    def test_moment_dict_and_rotation(self, table_moments):
-        d = table_moments.as_dict("ge")
-        assert set(d) == {"P", "A", "N", "A2", "AdA2", "Ad2A2"}
+    def test_rotation(self, table_moments):
         rot = table_moments.rotated()
         npt.assert_allclose(np.angle(rot.mean_amplitude), 0.0, atol=2e-2)
         npt.assert_allclose(rot.mean_photon, table_moments.mean_photon, rtol=1e-12)
         back = rot.rotated(-table_moments.phase_ref)
         npt.assert_allclose(back.moments, table_moments.moments, atol=1e-12)
+
+
+def _reference_shift(mb, c):
+    """Moments of A + c from those of A, written out term by term."""
+    out = np.zeros_like(mb)
+    cbar = np.conjugate(c)
+    for m in range(3):
+        for n in range(3):
+            acc = np.zeros(mb.shape[:2], dtype=complex)
+            for j in range(m + 1):
+                for k in range(n + 1):
+                    acc += (
+                        math.comb(m, j)
+                        * math.comb(n, k)
+                        * cbar ** (m - j)
+                        * c ** (n - k)
+                        * mb[:, :, j, k]
+                    )
+            out[:, :, m, n] = acc
+    return out
+
+
+class TestClassicalShift:
+    @pytest.mark.parametrize("c", [0.0, 0.3 - 0.2j, 1.1j])
+    def test_matches_term_by_term_sum(self, c):
+        rng = np.random.default_rng(11)
+        for _ in range(5):
+            mb = rng.normal(size=(2, 2, 3, 3)) + 1j * rng.normal(size=(2, 2, 3, 3))
+            ref = _reference_shift(mb, c)
+            # relative to the largest entry: at |c| = 1.1 entries reach ~17
+            npt.assert_allclose(
+                _classical_shift(mb, c), ref, rtol=0, atol=1e-15 * np.abs(ref).max()
+            )
 
 
 class TestCaptureOracle:

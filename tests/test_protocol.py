@@ -25,7 +25,6 @@ from qndsim.protocol import (
     default_schedule,
     dressed_flip_probability,
     efficiency_scan,
-    entanglement_report,
     field_operator_from_moments,
     ideal_composite,
     run_protocol,
@@ -186,13 +185,6 @@ class TestRunProtocolReference:
 
     def test_fidelity_to_ideal(self, table_run_n2):
         npt.assert_allclose(table_run_n2.fidelity_ideal, 0.9516170, atol=5e-3)
-
-    def test_entanglement_report(self, table_run_n2):
-        rep = entanglement_report(table_run_n2)
-        npt.assert_allclose(rep["negativity"], table_run_n2.negativity, rtol=1e-12)
-        npt.assert_allclose(
-            rep["fidelity_to_ideal"], table_run_n2.fidelity_ideal, rtol=1e-12
-        )
 
     def test_decomposition_identity(self, table_run_n1, table_run_n2):
         for r, tol in ((table_run_n1, 1e-8), (table_run_n2, 5e-3)):
