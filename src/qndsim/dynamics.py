@@ -107,8 +107,8 @@ class MomentSet:
     phase_ref: float
     delay: float
 
-    def moment(self, qubit_op: str, m: int = 0, n: int = 0) -> complex:
-        p, q = _QIDX[qubit_op[0]], _QIDX[qubit_op[1]]
+    def moment(self, pair: str, m: int = 0, n: int = 0) -> complex:
+        p, q = _QIDX[pair[0]], _QIDX[pair[1]]
         return complex(self.moments[p, q, m, n])
 
     def rotated(self, phi: Optional[float] = None) -> "MomentSet":
