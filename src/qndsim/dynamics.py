@@ -151,13 +151,15 @@ def gate_matrix(which: str) -> np.ndarray:
 def apply_gate(state: QuantumState, which: str) -> QuantumState:
     """Conjugate the qubit (first subsystem) by a +/-90 degree y rotation."""
     d = state.dim
-    return QuantumState(_apply_gate(state.rho, which, d).reshape(d, d), state.dims)
+    return QuantumState(_apply_gate(state.rho.reshape(-1), which, d).reshape(d, d), state.dims)
 
 
 def _apply_gate(x: np.ndarray, which: str, d: int) -> np.ndarray:
-    """Rotate the qubit of every d x d block of x; returns them flattened."""
+    """Rotate the qubit of every d x d block of each column of x."""
     u = np.kron(gate_matrix(which), np.eye(d // 2, dtype=complex))
-    return (u @ x.reshape(-1, d, d) @ dag(u)).reshape(-1)
+    cols = np.moveaxis(x, 0, -1)  # (m, n^2); x itself when it is one vector
+    out = (u @ cols.reshape(-1, d, d) @ dag(u)).reshape(cols.shape)
+    return np.ascontiguousarray(np.moveaxis(out, -1, 0))
 
 
 def default_timestep(params: SystemParams, mode: TemporalMode) -> float:
@@ -262,7 +264,8 @@ class Generator:
 
     L0 and the pieces L_k are stacked into one CSR matrix, so a single
     sparse product yields every L_k x and a short dense product weights
-    them.
+    them.  x is one vector of length n^2 or an (n^2, m) array whose
+    columns are independent members, each with its own coefficients.
     """
 
     def __init__(self, l0: sparse.csr_matrix, pieces) -> None:
@@ -270,8 +273,12 @@ class Generator:
         self.blocks = sparse.vstack([l0, *pieces], format="csr")
 
     def apply(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """L x for weights (1, f_1, ..., f_K)."""
-        return weights @ (self.blocks @ x).reshape(self.n_pieces + 1, -1)
+        """L x for weights (1, f_1, ..., f_K); with m columns in x, weights
+        is (K + 1, m), one column per member."""
+        y = (self.blocks @ x).reshape(self.n_pieces + 1, *x.shape)
+        if x.ndim == 1:  # one BLAS gemv, ~5x faster than the einsum on the oracle state
+            return weights @ y
+        return np.einsum("kj,knj->nj", weights, y)
 
     def restricted(self, keep) -> "Generator":
         """The generator with only the pieces whose indices are in keep."""
@@ -281,9 +288,12 @@ class Generator:
 
 
 class Propagation(NamedTuple):
+    """Final state, snapshots and monitors; each monitor has one value per
+    member column (a 0-d array for a single vector)."""
+
     state: np.ndarray
     snapshots: list
-    max_trace_defect: float
+    max_trace_defect: np.ndarray
     max_watched: tuple
 
 
@@ -299,23 +309,26 @@ def propagate(
 ) -> Propagation:
     """Fixed-step RK4 of x' = L(t) x over len(nsub) steps of size dt.
 
-    coeffs has one column per piece.  Step i takes nsub[i] equal substeps
-    and reads rows o_i .. o_i + 2 nsub[i], its half-substep grid, with
-    o_i = 2 (nsub[0] + ... + nsub[i-1]): consecutive steps share their
-    boundary row, and with one substep per step the rows are the half-step
-    grid.  After every step the monitors are updated: |trace - 1| of the
-    entries trace_idx of x, and the summed real part of x over each index
-    array in watch.  With store_every > 0, x is also stored after every
-    store_every-th step.
+    coeffs has one column per piece; with x0 of shape (n^2, m) it is
+    (rows, K, m), one coefficient set per member column.  Step i takes
+    nsub[i] equal substeps and reads rows o_i .. o_i + 2 nsub[i], its
+    half-substep grid, with o_i = 2 (nsub[0] + ... + nsub[i-1]):
+    consecutive steps share their boundary row, and with one substep per
+    step the rows are the half-step grid.  After every step the monitors
+    are updated per member: |trace - 1| of the entries trace_idx of x, and
+    the summed real part of x over each index array in watch.  A NaN
+    stays in its running maximum.  With store_every > 0, x is also stored
+    after every store_every-th step.
     """
-    live = np.flatnonzero(np.any(coeffs != 0, axis=0))
-    if live.size < generator.n_pieces:  # pieces that stay off cost nothing
+    n_rows, n_pieces = coeffs.shape[:2]
+    live = np.flatnonzero(np.any(coeffs.reshape(n_rows, n_pieces, -1) != 0, axis=(0, 2)))
+    if live.size < generator.n_pieces:  # pieces off in every member cost nothing
         generator, coeffs = generator.restricted(live), coeffs[:, live]
     x = np.array(x0, dtype=complex)
-    rows = np.hstack([np.ones((len(coeffs), 1)), coeffs])
+    rows = np.concatenate([np.ones((n_rows, 1, *coeffs.shape[2:])), coeffs], axis=1)
     snapshots = []
-    max_tr = 0.0
-    max_watched = [0.0] * len(watch)
+    max_tr = np.zeros(x.shape[1:])
+    max_watched = [np.zeros(x.shape[1:])] * len(watch)
     o = 0
     for i, ns in enumerate(np.asarray(nsub).tolist()):
         h = dt / ns
@@ -327,10 +340,10 @@ def propagate(
             k4 = generator.apply(x + h * k3, rows[j + 2])
             x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         o += 2 * ns
-        tr = x[trace_idx].sum()
-        max_tr = max(max_tr, abs(tr.real - 1.0) + abs(tr.imag))
+        tr = x[trace_idx].sum(axis=0)
+        max_tr = np.maximum(max_tr, abs(tr.real - 1.0) + abs(tr.imag))
         for w, idx in enumerate(watch):
-            max_watched[w] = max(max_watched[w], float(x[idx].real.sum()))
+            max_watched[w] = np.maximum(max_watched[w], x[idx].real.sum(axis=0))
         if store_every and (i + 1) % store_every == 0:
             snapshots.append(x.copy())
     return Propagation(x, snapshots, max_tr, tuple(max_watched))
@@ -381,12 +394,22 @@ def _conj_pairs(*samples: np.ndarray) -> np.ndarray:
     return np.stack([f(s) for s in samples for f in (np.asarray, np.conjugate)], axis=1)
 
 
-def _check_monitors(max_tr: float, max_top: float, top_limit: float, label: str) -> None:
-    if max_tr > TRACE_DRIFT_MAX:
-        raise RuntimeError(f"{label}: trace drifted by {max_tr:.3e} (limit {TRACE_DRIFT_MAX:.0e})")
-    if max_top > top_limit:
+def _breach(value, limit: float):
+    """The worst member's value if any member exceeds limit or is NaN, else None."""
+    value = np.asarray(value)
+    return None if np.all(value <= limit) else float(np.max(value))
+
+
+def _check_monitors(max_tr, max_top, top_limit: float, label: str) -> None:
+    """Raise when the trace drift or the top-level population of any member
+    breaks its limit; a non-finite value counts as a breach."""
+    worst = _breach(max_tr, TRACE_DRIFT_MAX)
+    if worst is not None:
+        raise RuntimeError(f"{label}: trace drifted by {worst:.3e} (limit {TRACE_DRIFT_MAX:.0e})")
+    worst = _breach(max_top, top_limit)
+    if worst is not None:
         raise RuntimeError(
-            f"{label}: top-level population {max_top:.3e} exceeds {top_limit:.0e}; "
+            f"{label}: top-level population {worst:.3e} exceeds {top_limit:.0e}; "
             "raise the truncation dimension"
         )
 
@@ -411,17 +434,18 @@ def _run_schedule(
     Each of the schedule's three segments is cut into equal steps no
     longer than dt; coeffs_for(t0, nsteps, dt_seg, in_window) returns the
     segment's coefficient rows and substep counts for propagate, with
-    in_window set when the segment ends after t_i.  Qubit rotations of
-    the d x d blocks of x fire at t_i and t_g when schedule.ramsey_gates
-    is set.  The monitors are maximised over all segments.  With
+    in_window set when the segment ends after t_i.  x may hold one member
+    per column (see propagate).  Qubit rotations of the d x d blocks of x
+    fire at t_i and t_g when schedule.ramsey_gates is set.  The monitors
+    are maximised per member over all segments.  With
     store_every > 0 the snapshots are (time, x) pairs: the start, every
     store_every-th step, each segment end not already stored, and the
     state after each rotation.
     """
     t_start = _start_time(schedule)
     snaps = [(t_start, x.copy())] if store_every else []
-    max_tr = 0.0
-    max_watched = (0.0,) * len(watch)
+    max_tr = np.zeros(x.shape[1:])
+    max_watched = (max_tr,) * len(watch)
     for t0, t1, gate in _segments(schedule, t_start):
         span = t1 - t0
         if span > 1e-15:
@@ -430,8 +454,8 @@ def _run_schedule(
             coeffs, nsub = coeffs_for(t0, nsteps, dt_seg, t1 > schedule.t_i + 1e-15)
             run = propagate(gen, x, coeffs, dt_seg, nsub, trace_idx, watch, store_every)
             x = run.state
-            max_tr = max(max_tr, run.max_trace_defect)
-            max_watched = tuple(map(max, max_watched, run.max_watched))
+            max_tr = np.maximum(max_tr, run.max_trace_defect)
+            max_watched = tuple(map(np.maximum, max_watched, run.max_watched))
             for k, snap in enumerate(run.snapshots, start=1):
                 snaps.append((t0 + dt_seg * store_every * k, snap))
             if store_every and nsteps % store_every:
@@ -459,30 +483,68 @@ def evolve(
     t_g when schedule.ramsey_gates is set.  The trajectory stores every
     store_every-th step plus segment boundaries (pre- and post-rotation).
     """
-    p = model.params
+    state = initial if initial is not None else model.ground_state()
+    _require(state.rho.shape[0] == model.dim, "initial state dimension mismatch")
+    x0 = state.rho.astype(complex).reshape(-1)
+    return _evolve(model, [schedule], x0, drive, dt, store_every)[0]
+
+
+def evolve_members(
+    model: LindbladModel,
+    schedule: PulseSchedule,
+    alphas,
+    *,
+    dt: Optional[float] = None,
+    store_every: int = 1,
+) -> list:
+    """evolve from the ground state for each input amplitude in alphas.
+
+    Member j runs schedule with alpha_in = alphas[j].  The members are the
+    columns of one RK4 run, so they must share the propagation window
+    (all amplitudes nonzero, or all zero).  Each trajectory and its
+    monitors equal those of the member's own evolve up to round-off, and
+    a monitor breach in any member raises.
+    """
+    members = [replace(schedule, alpha_in=a) for a in alphas]
+    if not members:
+        return []
+    t_start = _start_time(members[0])
+    _require(
+        all(_start_time(s) == t_start for s in members),
+        "members must share the propagation window",
+    )
+    x0 = np.repeat(model.ground_state().rho.astype(complex).reshape(-1, 1), len(members), axis=1)
+    return _evolve(model, members, x0, None, dt, store_every)
+
+
+def _evolve(model, members, x0, drive, dt, store_every) -> list:
+    """Trajectories of the member schedules, started from the columns of x0
+    (from x0 itself when it is one vector), over the first member's window."""
+    schedule = members[0]
     if dt is None:
-        dt = default_timestep(p, schedule.mode)
+        dt = default_timestep(model.params, schedule.mode)
     d = model.dim
     gen, diag, top = _model_generator(model)
-    state = initial if initial is not None else model.ground_state()
-    _require(state.rho.shape[0] == d, "initial state dimension mismatch")
     _require(store_every >= 1, "store_every must be at least 1")
 
     def coeffs_for(t0, nsteps, dt_seg, in_window):
-        eps = _drive_samples(p, schedule, _half_grid(t0, nsteps, dt_seg), drive)
-        return _conj_pairs(eps), np.ones(nsteps, dtype=np.int64)
+        tt = _half_grid(t0, nsteps, dt_seg)
+        eps = np.stack([_drive_samples(model.params, s, tt, drive) for s in members], axis=-1)
+        return _conj_pairs(eps.reshape(len(tt), *x0.shape[1:])), np.ones(nsteps, dtype=np.int64)
 
-    run = _run_schedule(
-        gen, state.rho.astype(complex).reshape(-1), schedule, dt, coeffs_for, d,
-        diag, (top,), store_every,
-    )
-    max_top = run.max_watched[0]
-    _check_monitors(run.max_trace_defect, max_top, TOP_LEVEL_MAX, "evolve")
-    times, rhos = zip(*run.snapshots)
-    return Trajectory(
-        np.array(times), np.array(rhos).reshape(-1, d, d), model.dims,
-        run.max_trace_defect, max_top,
-    )
+    run = _run_schedule(gen, x0, schedule, dt, coeffs_for, d, diag, (top,), store_every)
+    _check_monitors(run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "evolve")
+    times, states = zip(*run.snapshots)
+    times = np.array(times)
+    rhos = np.array(states).reshape(len(times), d, d, -1)
+    max_tr, max_top = np.ravel(run.max_trace_defect), np.ravel(run.max_watched[0])
+    return [
+        Trajectory(
+            times, np.ascontiguousarray(rhos[..., j]), model.dims,
+            float(max_tr[j]), float(max_top[j]),
+        )
+        for j in range(rhos.shape[-1])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -783,9 +845,10 @@ def capture_mode_oracle(
     run = _run_schedule(gen, x, schedule, dt, coeffs_for, d, diag, (cav_idx, b_idx))
     max_cav, max_b = run.max_watched
     _check_monitors(run.max_trace_defect, max_cav, TOP_LEVEL_MAX, "capture_mode_oracle")
-    if max_b > CAPTURE_TOP_MAX:
+    worst = _breach(max_b, CAPTURE_TOP_MAX)
+    if worst is not None:
         raise RuntimeError(
-            f"capture_mode_oracle: capture-mode top population {max_b:.3e} "
+            f"capture_mode_oracle: capture-mode top population {worst:.3e} "
             f"exceeds {CAPTURE_TOP_MAX:.0e}; raise dim_b"
         )
 

@@ -12,6 +12,7 @@ from qndsim.dynamics import (
     MomentSet,
     PulseSchedule,
     apply_gate,
+    _check_monitors,
     _classical_shift,
     capture_mode_oracle,
     default_timestep,
@@ -155,6 +156,26 @@ class TestEvolve:
                               ramsey_gates=False)
         with pytest.raises(RuntimeError):
             evolve(m, sched)
+
+    def test_nan_drive_trips_the_monitors(self):
+        # a NaN at one half-step sample turns the state into NaN from that
+        # step on; the running maxima keep the NaN and the check refuses it
+        m = build_model(default_params())
+        sched = PulseSchedule(-400e-9, 400e-9, 500e-9, MODE, alpha_in=ALPHA)
+        calls = []
+
+        def drive(tt):
+            eps = np.zeros(tt.shape, dtype=complex)
+            if not calls:
+                eps[5] = np.nan
+            calls.append(tt)
+            return eps
+
+        with pytest.raises(RuntimeError, match="evolve: trace drifted by nan"):
+            evolve(m, sched, drive=drive)
+        # the same holds per member and for the top-level check alone
+        with pytest.raises(RuntimeError, match="top-level population nan"):
+            _check_monitors(np.zeros(3), np.array([0.0, np.nan, 1e-9]), 1e-7, "members")
 
     def test_store_every_and_boundaries(self):
         p = default_params()

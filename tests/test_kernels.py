@@ -183,6 +183,48 @@ class TestGenerators:
         assert not np.any(ladder.state[d * d:])
 
 
+class TestColumns:
+    def test_columns_equal_single_runs(self):
+        # members in the columns of one run, one of them undriven: the
+        # drive pieces stay in the batch (they are live in the other
+        # columns) but are dropped from that member's single run
+        rng = np.random.default_rng(11)
+        d = 5
+        h0 = random_hermitian(rng, d)
+        a_op = random_matrix(rng, d, 0.5)
+        c_list = [random_matrix(rng, d, 0.3) for _ in range(2)]
+        gen = dynamics.lindblad_generator(h0, c_list, a_op)
+        nsub = np.array([2, 1, 3] * 20, dtype=np.int64)
+        tt = np.linspace(0.0, 1.0, 2 * int(nsub.sum()) + 1)
+        eps = np.stack(
+            [0.4 * np.exp(1j * (0.7 + k) * tt) * np.cos(2 * tt) for k in range(4)], axis=1
+        )
+        eps[:, 2] = 0.0
+        x0 = np.stack([random_density(rng, d).reshape(-1) for _ in range(4)], axis=1)
+        diag = np.arange(d) * (d + 1)
+        watch = (diag[-2:], diag[:1])
+        batch = dynamics.propagate(
+            gen, x0, np.stack([eps, np.conjugate(eps)], axis=1), 0.02, nsub, diag,
+            watch, store_every=7,
+        )
+        assert batch.state.shape == x0.shape
+        for j in range(4):
+            single = dynamics.propagate(
+                gen, x0[:, j], np.stack([eps[:, j], np.conjugate(eps[:, j])], axis=1),
+                0.02, nsub, diag, watch, store_every=7,
+            )
+            scale = np.abs(single.state).max()
+            npt.assert_allclose(batch.state[:, j], single.state, rtol=0, atol=1e-15 * scale)
+            for got, want in zip(batch.snapshots, single.snapshots, strict=True):
+                npt.assert_allclose(got[:, j], want, rtol=0, atol=1e-15 * scale)
+            # monitors on the trace scale, 1: the trace defect is round-off
+            npt.assert_allclose(
+                batch.max_trace_defect[j], single.max_trace_defect, rtol=0, atol=1e-15
+            )
+            for got, want in zip(batch.max_watched, single.max_watched, strict=True):
+                npt.assert_allclose(got[j], want, rtol=0, atol=1e-15)
+
+
 class TestLindbladRK4:
     def _problem(self, rng, d=6, nc=2):
         h0 = random_hermitian(rng, d)

@@ -1,5 +1,6 @@
 """Tests for the detection sequence, efficiency extraction, and sweeps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,8 +17,8 @@ from qndsim.linalg import (
     negativity,
     partial_trace,
 )
-from qndsim.model import build_model, default_params, ideal_params
-from qndsim.dynamics import evolve
+from qndsim.model import build_model, default_params, gaussian_input_mode, ideal_params
+from qndsim.dynamics import PulseSchedule, evolve, evolve_members
 from qndsim.protocol import (
     DEFAULT_FIT_GRID,
     SWEEP_AXES,
@@ -32,6 +33,7 @@ from qndsim.protocol import (
 )
 
 SMALL_GRID = (0.0, 0.035, 0.07, 0.1)
+CLI_GRID = DEFAULT_FIT_GRID + (0.3, 0.45, 0.6)
 
 
 def exact_moments(block: np.ndarray, order: int) -> np.ndarray:
@@ -297,6 +299,48 @@ class TestEfficiencyScan:
             )
             rep = efficiency_scan(p, None, SMALL_GRID)
             assert -1e-6 <= rep.eta <= 1.0 + 1e-6
+
+    @pytest.mark.parametrize("preset", ["reference", "ideal"])
+    def test_batched_members_equal_single_runs(self, preset):
+        p, interval = {
+            "reference": (default_params(), 800e-9),
+            "ideal": (ideal_params(), 1600e-9),
+        }[preset]
+        sched = default_schedule(gate_interval=interval)
+        rep = efficiency_scan(p, sched, CLI_GRID)
+        model = build_model(p)
+        single = []
+        for x in CLI_GRID:
+            member = dataclasses.replace(sched, alpha_in=math.sqrt(x))
+            traj = evolve(model, member, store_every=10**9)
+            p_e = float(np.real(traj.expect(model.sigma_ee)[-1]))
+            single.append(dressed_flip_probability(p_e, p))
+        npt.assert_allclose(rep.p_flip, single, rtol=1e-15, atol=0)
+
+    def test_members_monitored_separately(self):
+        # the setup of test_truncation_monitor_trips: at n_max = 3 two input
+        # photons overfill the top cavity level, while the weak members stay
+        # far below the limit
+        p = default_params().replace(T1=math.inf, T2_star=math.inf, T2_echo=math.inf, p_th=0.0)
+        model = build_model(p, n_max=3)
+        sched = PulseSchedule(-300e-9, 300e-9, 400e-9, gaussian_input_mode(300e-9),
+                              ramsey_gates=False)
+        weak = (0.002, 0.005, 0.01)
+        batch = evolve_members(model, sched, [math.sqrt(x) for x in weak])
+        for x, traj in zip(weak, batch, strict=True):
+            alone = evolve(model, dataclasses.replace(sched, alpha_in=math.sqrt(x)))
+            assert alone.max_top_population < 1e-7
+            npt.assert_allclose(traj.max_top_population, alone.max_top_population, rtol=1e-12)
+            npt.assert_allclose(traj.max_trace_defect, alone.max_trace_defect, rtol=0, atol=1e-15)
+        with pytest.raises(RuntimeError, match="top-level population"):
+            evolve(model, dataclasses.replace(sched, alpha_in=math.sqrt(2.0)))
+        with pytest.raises(RuntimeError, match="top-level population"):
+            efficiency_scan(p, sched, (0.0,) + weak + (2.0,), n_max=3)
+
+    def test_members_share_the_window(self):
+        model = build_model(default_params(), n_max=3)
+        with pytest.raises(ValueError, match="window"):
+            evolve_members(model, default_schedule(), [0.0, 0.3])
 
     def test_grid_validation(self):
         p = default_params()
