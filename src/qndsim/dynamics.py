@@ -30,6 +30,9 @@ TRACE_DRIFT_MAX = 1e-8
 TOP_LEVEL_MAX = 1e-7
 CAPTURE_TOP_MAX = 1e-5
 EARLY_TAIL_MASS = 1e-5
+# highest power of A and of Adag in the output-mode moments; the regression
+# ladder holds one node per moment, (MOMENT_ORDER + 1)^2 in all
+MOMENT_ORDER = 2
 # floor of the capture coupling's denominator, relative to the windowed mode
 # energy: regularizes the coupling on the leading tail of the mode
 CAPTURE_EPS_FLOOR = 1e-6
@@ -94,18 +97,14 @@ class MomentSet:
     """Normally ordered output-mode moments resolved on the qubit.
 
     moments[p, q, m, n] holds <sigma_pq Adag^m A^n> at the readout time,
-    with p, q in {0: g, 1: e} and m, n up to 2.  A is the annihilator of
-    the reflected temporal mode; classical = alpha_in times the overlap of
-    the projection mode with the input envelope; phase_ref is the phase of
+    with p, q in {0: g, 1: e} and m, n up to MOMENT_ORDER.  A is the
+    annihilator of the reflected temporal mode; phase_ref is the phase of
     the mean reflected amplitude of an empty-qubit (ground-pinned) linear
-    reference used for gauge fixing; delay is the projection-mode delay.
+    reference used for gauge fixing.
     """
 
     moments: np.ndarray
-    classical: complex
-    overlap: complex
     phase_ref: float
-    delay: float
 
     def moment(self, pair: str, m: int = 0, n: int = 0) -> complex:
         p, q = _QIDX[pair[0]], _QIDX[pair[1]]
@@ -117,11 +116,7 @@ class MomentSet:
             phi = self.phase_ref
         k = np.arange(self.moments.shape[-1])
         return MomentSet(
-            self.moments * np.exp(1j * np.subtract.outer(k, k) * phi),
-            self.classical * np.exp(-1j * phi),
-            self.overlap,
-            self.phase_ref - phi,
-            self.delay,
+            self.moments * np.exp(1j * np.subtract.outer(k, k) * phi), self.phase_ref - phi
         )
 
     @property
@@ -349,44 +344,47 @@ def propagate(
     return Propagation(x, snapshots, max_tr, tuple(max_watched))
 
 
-def lindblad_generator(h, c_ops, a, ladder: bool = False) -> Generator:
-    """Generator of the driven master equation, with the drive as pieces.
+def _drive_pieces(a: sparse.csr_matrix) -> tuple:
+    """The pieces eps and conj(eps) of the drive term
+    -i[i eps a^dag - i conj(eps) a, X]."""
+    ad = a.conj().T
+    return _spre(ad) - _spost(ad), _spost(a) - _spre(a)
 
-    The drive term -i[i eps a^dag - i conj(eps) a, X] gives the pieces eps
-    and conj(eps).  With ladder set, the state is the 9-node regression
-    ladder (node 3m + n at offset (3m + n) n^2): node 3m + n is sourced by
-    w a X_{3m+n-1} and conj(w) X_{3(m-1)+n} a^dag, adding the pieces w and
-    conj(w) to a block-lower-triangular generator.
+
+def lindblad_generator(h, c_ops, a) -> Generator:
+    """Generator of the driven master equation, with the drive as pieces."""
+    a = sparse.csr_matrix(a, dtype=complex)
+    return Generator(_lindblad_superop(h, c_ops), _drive_pieces(a))
+
+
+def ladder_generator(h, c_ops, a) -> Generator:
+    """Generator of the regression ladder of order K = MOMENT_ORDER.
+
+    The state holds (K + 1)^2 nodes, node (m, n) at offset ((K + 1) m + n) n^2
+    for m, n <= K, each driven like lindblad_generator's state.  Node (m, n)
+    is sourced by w a X_{m,n-1} and conj(w) X_{m-1,n} a^dag, adding the
+    pieces w and conj(w) to a block-lower-triangular generator.
     """
     a = sparse.csr_matrix(a, dtype=complex)
-    ad = a.conj().T
-    l0 = _lindblad_superop(h, c_ops)
-    drive = (_spre(ad) - _spost(ad), _spost(a) - _spre(a))
-    if not ladder:
-        return Generator(l0, drive)
-    nodes = sparse.identity(9, dtype=complex, format="csr")
-    k = np.arange(9)
-    right = k[k % 3 != 0]
-    src_w = sparse.csr_matrix((np.ones(6), (right, right - 1)), shape=(9, 9))
-    src_wb = sparse.csr_matrix((np.ones(6), (k[3:], k[3:] - 3)), shape=(9, 9))
+    nodes = sparse.identity((MOMENT_ORDER + 1) ** 2, dtype=complex, format="csr")
+    eye = sparse.identity(MOMENT_ORDER + 1)
+    lower = sparse.eye(MOMENT_ORDER + 1, k=-1)  # index i - 1 -> i
     return Generator(
-        sparse.kron(nodes, l0, format="csr"),
-        tuple(sparse.kron(nodes, piece, format="csr") for piece in drive)
+        sparse.kron(nodes, _lindblad_superop(h, c_ops), format="csr"),
+        tuple(sparse.kron(nodes, piece, format="csr") for piece in _drive_pieces(a))
         + (
-            sparse.kron(src_w, _spre(a), format="csr"),
-            sparse.kron(src_wb, _spost(ad), format="csr"),
+            sparse.kron(sparse.kron(eye, lower), _spre(a), format="csr"),
+            sparse.kron(sparse.kron(lower, eye), _spost(a.conj().T), format="csr"),
         ),
     )
 
 
-def _model_generator(model: LindbladModel, ladder: bool = False):
-    """The model's generator, the trace positions of node 0 and those of its
-    top cavity level."""
+def _monitor_indices(model: LindbladModel):
+    """Trace positions of the model's state and those of its top cavity level."""
     d = model.dim
     n_c = model.n_max + 1
     diag = np.arange(d) * (d + 1)
-    gen = lindblad_generator(model.H, model.collapse, model.a, ladder)
-    return gen, diag, diag[[n_c - 1, 2 * n_c - 1]]
+    return diag, diag[[n_c - 1, 2 * n_c - 1]]
 
 
 def _conj_pairs(*samples: np.ndarray) -> np.ndarray:
@@ -524,7 +522,8 @@ def _evolve(model, members, x0, drive, dt, store_every) -> list:
     if dt is None:
         dt = default_timestep(model.params, schedule.mode)
     d = model.dim
-    gen, diag, top = _model_generator(model)
+    gen = lindblad_generator(model.H, model.collapse, model.a)
+    diag, top = _monitor_indices(model)
     _require(store_every >= 1, "store_every must be at least 1")
 
     def coeffs_for(t0, nsteps, dt_seg, in_window):
@@ -630,11 +629,13 @@ def _resolve_output_mode(
     schedule: PulseSchedule,
     output_mode: Optional[TemporalMode],
     delay: Optional[float],
-):
+) -> TemporalMode:
+    """The projection mode: output_mode if given, else the input mode
+    delayed by delay (by optimize_delay's choice when delay is None)."""
     if output_mode is not None:
-        return output_mode, (delay if delay is not None else float("nan"))
+        return output_mode
     tau = delay if delay is not None else optimize_delay(params, schedule.mode)
-    return schedule.mode.delayed(tau), tau
+    return schedule.mode.delayed(tau)
 
 
 def _classical_shift(moments: np.ndarray, c: complex) -> np.ndarray:
@@ -646,30 +647,14 @@ def _classical_shift(moments: np.ndarray, c: complex) -> np.ndarray:
     return np.conjugate(p) @ moments @ p.T
 
 
-def _moment_set(
-    moments: np.ndarray,
-    params: SystemParams,
-    schedule: PulseSchedule,
-    output_mode: TemporalMode,
-    tau: float,
-    dt: float,
-) -> MomentSet:
-    """MomentSet of the projection-mode moments read at t_f.
-
-    The overlap o_f of the projection mode with the input envelope over
-    [t_i, t_f] gives the classical amplitude c = alpha_in o_f; the gauge
-    phase is the argument of the linear reference's projection.
-    """
-    n = 4 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
-    tt = np.linspace(schedule.t_i, schedule.t_f, n)
-    uu = _mode_u(output_mode, tt)
-    o_f = complex(np.trapezoid(np.conjugate(uu) * _mode_u(schedule.mode, tt), tt))
-    c = schedule.alpha_in * o_f
-    phase = 0.0
-    if schedule.alpha_in != 0:
-        a_ref = linear_reference(params, schedule, output_mode, dt=dt)
-        phase = float(np.angle(a_ref)) if abs(a_ref) > 1e-300 else 0.0
-    return MomentSet(moments, c, o_f, phase, tau)
+def _gauge_phase(
+    params: SystemParams, schedule: PulseSchedule, output_mode: TemporalMode, dt: float
+) -> float:
+    """Argument of the linear reference's projection (0 without a pulse)."""
+    if schedule.alpha_in == 0:
+        return 0.0
+    a_ref = linear_reference(params, schedule, output_mode, dt=dt)
+    return float(np.angle(a_ref)) if abs(a_ref) > 1e-300 else 0.0
 
 
 def output_mode_moments(
@@ -684,15 +669,18 @@ def output_mode_moments(
 
     Propagates a ladder of matrices sourced by ladder-operator insertions
     weighted with the projection-mode waveform (regression route), then
-    shifts by the classical input amplitude.
+    shifts by the classical amplitude c = alpha_in o_f, where o_f is the
+    overlap of the projection mode with the input envelope over [t_i, t_f].
     """
     p = model.params
     if dt is None:
         dt = default_timestep(p, schedule.mode)
-    output_mode, tau = _resolve_output_mode(p, schedule, output_mode, delay)
+    output_mode = _resolve_output_mode(p, schedule, output_mode, delay)
     d = model.dim
-    gen, diag, top = _model_generator(model, ladder=True)
-    x = np.zeros(9 * d * d, dtype=complex)
+    n_k = MOMENT_ORDER + 1  # nodes per ladder axis
+    gen = ladder_generator(model.H, model.collapse, model.a)
+    diag, top = _monitor_indices(model)
+    x = np.zeros(n_k * n_k * d * d, dtype=complex)
     x[: d * d] = model.ground_state().rho.reshape(-1)
     sqrt_kex = math.sqrt(p.kappa_ex) if p.kappa_ex > 0 else 0.0
 
@@ -711,10 +699,15 @@ def output_mode_moments(
     )
     # <sigma_pq Adag^m A^n> = m! n! Tr[sigma_pq X_mn], sigma_pq = |p><q| x 1
     n_c = model.n_max + 1
-    fac = np.array([1.0, 1.0, 2.0])  # m! for m = 0, 1, 2
-    mb = np.einsum("mnqkpk->pqmn", run.state.reshape(3, 3, 2, n_c, 2, n_c))
-    ms = _moment_set(mb * np.outer(fac, fac), p, schedule, output_mode, tau, dt)
-    return replace(ms, moments=_classical_shift(ms.moments, ms.classical))
+    fac = np.array([math.factorial(m) for m in range(n_k)], dtype=float)
+    mb = np.einsum("mnqkpk->pqmn", run.state.reshape(n_k, n_k, 2, n_c, 2, n_c))
+    tt = np.linspace(
+        schedule.t_i, schedule.t_f, 4 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
+    )
+    uu = _mode_u(output_mode, tt)
+    o_f = complex(np.trapezoid(np.conjugate(uu) * _mode_u(schedule.mode, tt), tt))
+    moments = _classical_shift(mb * np.outer(fac, fac), schedule.alpha_in * o_f)
+    return MomentSet(moments, _gauge_phase(p, schedule, output_mode, dt))
 
 
 # ---------------------------------------------------------------------------
@@ -790,7 +783,7 @@ def capture_mode_oracle(
     _require(p.kappa_ex > 0, "capture oracle needs an external port")
     if dt is None:
         dt = default_timestep(p, schedule.mode)
-    output_mode, tau = _resolve_output_mode(p, schedule, output_mode, delay)
+    output_mode = _resolve_output_mode(p, schedule, output_mode, delay)
     n_c = model.n_max + 1
     db = dim_b
     d = 2 * n_c * db
@@ -855,11 +848,10 @@ def capture_mode_oracle(
     # <sigma_pq b^dag^m b^n> from the qubit-capture state (cavity traced out)
     scale = math.sqrt(CAPTURE_EPS_FLOOR * energy + energy)
     rho_qb = np.einsum("qnjpni->qjpi", run.state.reshape(2, n_c, db, 2, n_c, db))
-    b_op = destroy(db)
-    bpow = [np.eye(db, dtype=complex), b_op, b_op @ b_op]
-    moments = np.zeros((2, 2, 3, 3), dtype=complex)
-    for m in range(3):
-        for n in range(3):
-            op = dag(bpow[m]) @ bpow[n]
-            moments[:, :, m, n] = np.einsum("ij,qjpi->pq", op, rho_qb) * scale ** (m + n)
-    return _moment_set(moments, p, schedule, output_mode, tau, dt)
+    k = range(MOMENT_ORDER + 1)
+    b_pow = [np.linalg.matrix_power(destroy(db), n) for n in k]
+    ops = np.array([[dag(b_pow[m]) @ b_pow[n] for n in k] for m in k])
+    # Python's float power: numpy's vectorised one can differ in the last bit
+    weights = np.array([[scale ** (m + n) for n in k] for m in k])
+    moments = np.einsum("mnij,qjpi->pqmn", ops, rho_qb) * weights
+    return MomentSet(moments, _gauge_phase(p, schedule, output_mode, dt))

@@ -196,6 +196,8 @@ class TemporalMode:
         steps = np.diff(self.t)
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("time grid must be uniform")
+        if not np.all(np.isfinite(self.f)):
+            raise ValueError("envelope samples must be finite")
         norm = float(np.sum(np.abs(self.f) ** 2) * self.dt)
         if abs(norm - 1.0) > 1e-6:
             raise ValueError(f"envelope norm {norm!r} deviates from 1 beyond 1e-6")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
+    MOMENT_ORDER,
     MomentSet,
     PulseSchedule,
     evolve,
@@ -34,6 +35,10 @@ from .linalg import (
 from .model import SystemParams, build_model, gaussian_input_mode
 
 PROB_FLOOR = 1e-12
+# eigenvalue defects projected out of the inverted states: above CLIP_WARN
+# the repair warns, above CLIP_ERR it raises NumericalError
+CLIP_WARN = 5e-2
+CLIP_ERR = 0.2
 
 SWEEP_AXES = (
     "gate_interval",
@@ -107,10 +112,8 @@ class ProtocolResult:
     p_g: float
     survival: float
     moments: MomentSet
-    rho_g: QuantumState | None
+    rho_g: QuantumState
     rho_e: QuantumState | None
-    rho_g_raw: QuantumState | None
-    rho_e_raw: QuantumState | None
     rho_uncond: QuantumState
     rho_comp: QuantumState
     comp_assembled: np.ndarray
@@ -170,12 +173,6 @@ def default_schedule(
 # protocol
 
 
-def _mode_state(rho: np.ndarray | None, dim: int) -> QuantumState | None:
-    if rho is None:
-        return None
-    return QuantumState(rho, (dim,))
-
-
 def ideal_composite(n_in: float, n_ph: int = 2) -> QuantumState:
     """Lossless-detector target: qubit flips on odd photon number.
 
@@ -204,8 +201,6 @@ def run_protocol(
     delay: float | None = None,
     dt: float | None = None,
     n_max: int = 7,
-    clip_warn: float = 5e-2,
-    clip_err: float = 0.2,
 ) -> ProtocolResult:
     """Run the full detection sequence and assemble every reported state.
 
@@ -215,23 +210,26 @@ def run_protocol(
     accordingly (the reported outcome is dominated by the matching true
     outcome, with the complementary state entering at the misread rate).
 
-    Truncating the moment inversion at two photons aliases coherences that
+    Truncating the moment inversion at n_ph photons aliases coherences that
     reach outside the kept subspace (chiefly the one-to-three-photon
     coherence of the heralded branch) onto kept entries, so the
     single-outcome blocks can acquire spurious negative eigenvalues of a
-    few percent before repair; clip_warn/clip_err bound the warning and
+    few percent before repair; CLIP_WARN and CLIP_ERR bound the warning and
     failure thresholds for that repair.
     """
     if schedule is None:
         schedule = default_schedule()
-    if not 1 <= n_ph <= 2:
-        raise ValueError("n_ph must be 1 or 2")
+    if not 1 <= n_ph <= MOMENT_ORDER:
+        raise ValueError(f"n_ph must be between 1 and {MOMENT_ORDER}")
     n_in = schedule.mean_input_photons
     model = build_model(params, n_max=n_max)
     if delay is None:
         delay = optimize_delay(params, schedule.mode)
     ms = output_mode_moments(model, schedule, delay=delay, dt=dt)
     rot = ms.rotated()
+
+    def repaired(rho: np.ndarray) -> np.ndarray:
+        return clip_and_renormalize(rho, warn_above=CLIP_WARN, error_above=CLIP_ERR)
 
     dim = n_ph + 1
     sub = rot.moments[:, :, : dim, : dim]
@@ -245,34 +243,23 @@ def run_protocol(
 
     p_g_raw = float(np.real(np.trace(r_gg)))
     p_e_raw = float(np.real(np.trace(r_ee)))
-
-    rho_uncond = clip_and_renormalize(r_gg + r_ee, warn_above=clip_warn, error_above=clip_err)
+    rho_uncond = repaired(r_gg + r_ee)
 
     # conditional states before the readout dressing
-    rho_g_raw = None
-    rho_e_raw = None
-    if p_g_raw > PROB_FLOOR:
-        rho_g_raw = clip_and_renormalize(r_gg / p_g_raw, warn_above=clip_warn, error_above=clip_err)
-    if p_e_raw > PROB_FLOOR:
-        rho_e_raw = clip_and_renormalize(r_ee / p_e_raw, warn_above=clip_warn, error_above=clip_err)
+    p_raw = (p_g_raw, p_e_raw)
+    raw = [repaired(r / p) if p > PROB_FLOOR else 0.0 * r for p, r in zip(p_raw, (r_gg, r_ee))]
 
     # readout dressing: outcome q is dominated by true q, contaminated by the
     # other outcome at the misread rate
-    eps_g, eps_e = params.eps_rg, params.eps_re
     p_e = dressed_flip_probability(p_e_raw, params)
     p_g = 1.0 - p_e
-    rho_g = None
-    rho_e = None
-    if p_g > PROB_FLOOR:
-        mix = p_g_raw * (1.0 - eps_g) * (
-            rho_g_raw if rho_g_raw is not None else 0.0 * r_gg
-        ) + p_e_raw * eps_e * (rho_e_raw if rho_e_raw is not None else 0.0 * r_ee)
-        rho_g = clip_and_renormalize(mix / p_g, warn_above=clip_warn, error_above=clip_err)
-    if p_e > PROB_FLOOR:
-        mix = p_e_raw * (1.0 - eps_e) * (
-            rho_e_raw if rho_e_raw is not None else 0.0 * r_ee
-        ) + p_g_raw * eps_g * (rho_g_raw if rho_g_raw is not None else 0.0 * r_gg)
-        rho_e = clip_and_renormalize(mix / p_e, warn_above=clip_warn, error_above=clip_err)
+    misread = (params.eps_rg, params.eps_re)
+    dressed = []
+    for q, p_q in enumerate((p_g, p_e)):
+        o = 1 - q
+        mix = p_raw[q] * (1.0 - misread[q]) * raw[q] + p_raw[o] * misread[o] * raw[o]
+        dressed.append(QuantumState(repaired(mix / p_q), (dim,)) if p_q > PROB_FLOOR else None)
+    rho_g, rho_e = dressed
     if rho_g is None:
         raise ConditioningError(
             f"ground-outcome probability {p_g:.3e} below {PROB_FLOOR:.0e}"
@@ -281,23 +268,11 @@ def run_protocol(
     # composite state; the final gate maps the phase-flipped qubit onto -|e>,
     # so the e block carries a conventional sign flip relative to the
     # positive-coherence target
-    comp = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    comp[:dim, :dim] = r_gg
-    comp[dim:, dim:] = r_ee
-    comp[:dim, dim:] = -r_ge
-    comp[dim:, :dim] = -dag(r_ge)
-    comp_assembled = comp.copy()
-    comp = clip_and_renormalize(comp, warn_above=clip_warn, error_above=clip_err)
-    rho_comp = QuantumState(comp, (2, dim))
+    comp_assembled = np.block([[r_gg, -r_ge], [-dag(r_ge), r_ee]])
+    rho_comp = QuantumState(repaired(comp_assembled), (2, dim))
 
     vac = QuantumState(ket_density(fock(dim, 0)), (dim,))
     one = QuantumState(ket_density(fock(dim, 1)), (dim,))
-    rho_g_state = _mode_state(rho_g, dim)
-    rho_e_state = _mode_state(rho_e, dim)
-    fid_vac = fidelity(rho_g_state, vac) if rho_g_state is not None else math.nan
-    fid_one = fidelity(rho_e_state, one) if rho_e_state is not None else math.nan
-    neg = negativity(rho_comp, cut=1)
-    fid_ideal = fidelity(rho_comp, ideal_composite(n_in, n_ph))
 
     return ProtocolResult(
         n_in=n_in,
@@ -309,17 +284,15 @@ def run_protocol(
         p_g=p_g,
         survival=ms.mean_photon / n_in if n_in > 0 else math.nan,
         moments=ms,
-        rho_g=rho_g_state,
-        rho_e=rho_e_state,
-        rho_g_raw=_mode_state(rho_g_raw, dim),
-        rho_e_raw=_mode_state(rho_e_raw, dim),
+        rho_g=rho_g,
+        rho_e=rho_e,
         rho_uncond=QuantumState(rho_uncond, (dim,)),
         rho_comp=rho_comp,
         comp_assembled=comp_assembled,
-        negativity=neg,
-        fidelity_vacuum=fid_vac,
-        fidelity_single=fid_one,
-        fidelity_ideal=fid_ideal,
+        negativity=negativity(rho_comp, cut=1),
+        fidelity_vacuum=fidelity(rho_g, vac),
+        fidelity_single=fidelity(rho_e, one) if rho_e is not None else math.nan,
+        fidelity_ideal=fidelity(rho_comp, ideal_composite(n_in, n_ph)),
     )
 
 
@@ -353,6 +326,8 @@ def efficiency_scan(
     if schedule_template is None:
         schedule_template = default_schedule(gate_interval=800e-9)
     grid = np.asarray(sorted(float(x) for x in grid))
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("mean photon numbers must be finite")
     if grid.size < 4:
         raise ValueError("need at least 4 grid points for a quadratic fit")
     if grid[0] < 0:

@@ -1,13 +1,12 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
-import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from qndsim import cli
+from qndsim import cli, protocol
 
 
 def run_cli(*argv):
@@ -169,6 +168,17 @@ class TestEfficiency:
         assert run_cli("efficiency", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [".nan", ".inf"])
+    def test_non_finite_grid_is_config_error(self, tmp_path, capsys, bad):
+        cfg = write_yaml(
+            tmp_path / "c.yaml",
+            f"schedule:\n  alpha_sq_grid: [0.0, 0.025, 0.05, {bad}, 0.1, 0.6]\n",
+        )
+        out = tmp_path / "out"
+        assert run_cli("efficiency", "--config", cfg, "--out", str(out)) == 2
+        assert "finite" in capsys.readouterr().err
+        assert not (out / "efficiency.json").exists()
+
     def test_zero_gate_interval_is_config_error(self, tmp_path, capsys):
         cfg = write_yaml(
             tmp_path / "c.yaml",
@@ -241,9 +251,7 @@ class TestProtocol:
         # the reference run projects out eigenvalue defects of order 1e-3
         # from its conditional states; a repair bound below that makes the
         # repair fail, which must not read as a configuration error
-        monkeypatch.setattr(
-            cli, "run_protocol", functools.partial(cli.run_protocol, clip_err=1e-6)
-        )
+        monkeypatch.setattr(protocol, "CLIP_ERR", 1e-6)
         code = run_cli("protocol", "--out", str(tmp_path / "o"))
         err = capsys.readouterr().err
         assert code == 3

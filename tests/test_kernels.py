@@ -3,12 +3,13 @@
 Every generator is checked against the Lindblad formula written densely
 here, and `propagate` against dense matrix-exponential propagation of the
 vectorized generator (row-major convention: vec(A U B) = (A kron B^T)
-vec(U)), including the 9-node regression ladder and the capture mode with
+vec(U)), including the regression ladder and the capture mode with
 substeps.  The MLE fixed-point iteration is checked on exact data.
 """
 
 import numpy as np
 import numpy.testing as npt
+from scipy import sparse
 from scipy.linalg import expm
 
 from qndsim import dynamics
@@ -131,7 +132,7 @@ class TestGenerators:
         expected = lindblad_rhs(h_nh, c_list, nodes[0])
         npt.assert_allclose(got.reshape(d, d), expected, atol=1e-12)
 
-        ladder = dynamics.lindblad_generator(h0, c_list, a_op, ladder=True)
+        ladder = dynamics.ladder_generator(h0, c_list, a_op)
         weights = np.array([1.0, eps, np.conjugate(eps), w, np.conjugate(w)])
         got = ladder.apply(np.concatenate([x.reshape(-1) for x in nodes]), weights)
         got = got.reshape(9, d, d)
@@ -155,6 +156,36 @@ class TestGenerators:
         npt.assert_allclose(got.reshape(dc, dc), expected, atol=1e-11)
 
 
+    def test_ladder_matches_hand_built_nine_nodes(self):
+        # reference: the order-2 ladder written out by hand, node 3m + n
+        # sourced by w from node 3m + n - 1 and by conj(w) from node 3(m - 1) + n
+        model = capture_model()
+        a = sparse.csr_matrix(model.a, dtype=complex)
+        ad = a.conj().T
+        nodes = sparse.identity(9, dtype=complex, format="csr")
+        k = np.arange(9)
+        right = k[k % 3 != 0]
+        src_w = sparse.csr_matrix((np.ones(6), (right, right - 1)), shape=(9, 9))
+        src_wb = sparse.csr_matrix((np.ones(6), (k[3:], k[3:] - 3)), shape=(9, 9))
+        drive = (
+            dynamics._spre(ad) - dynamics._spost(ad),
+            dynamics._spost(a) - dynamics._spre(a),
+        )
+        expected = dynamics.Generator(
+            sparse.kron(nodes, dynamics._lindblad_superop(model.H, model.collapse), format="csr"),
+            tuple(sparse.kron(nodes, piece, format="csr") for piece in drive)
+            + (
+                sparse.kron(src_w, dynamics._spre(a), format="csr"),
+                sparse.kron(src_wb, dynamics._spost(ad), format="csr"),
+            ),
+        ).blocks
+        got = dynamics.ladder_generator(model.H, model.collapse, model.a).blocks
+        assert dynamics.MOMENT_ORDER == 2
+        for field in ("data", "indices", "indptr"):
+            want = getattr(expected, field)
+            assert getattr(got, field).dtype == want.dtype
+            npt.assert_array_equal(getattr(got, field), want, err_msg=field)
+
     def test_pieces_switched_off_are_dropped_exactly(self):
         # a ladder whose w pieces stay zero evolves node 0 like the plain
         # generator and leaves the other nodes empty
@@ -175,7 +206,7 @@ class TestGenerators:
         x0 = np.zeros(9 * d * d, dtype=complex)
         x0[: d * d] = rho0.reshape(-1)
         ladder = dynamics.propagate(
-            dynamics.lindblad_generator(h0, c_list, a_op, ladder=True), x0,
+            dynamics.ladder_generator(h0, c_list, a_op), x0,
             np.stack([eps, np.conjugate(eps), zeros, zeros], axis=1), 0.02,
             ones(nsteps), diag,
         )
@@ -291,7 +322,7 @@ class TestLindbladRK4:
             [eps0, np.conjugate(eps0), w0, np.conjugate(w0)], (2 * nsteps + 1, 1)
         )
         run = dynamics.propagate(
-            dynamics.lindblad_generator(h0, [c], a_op, ladder=True), x0, coeffs,
+            dynamics.ladder_generator(h0, [c], a_op), x0, coeffs,
             tspan / nsteps, ones(nsteps), np.arange(d) * (d + 1),
         )
         out = run.state.reshape(9, d, d)

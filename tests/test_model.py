@@ -162,6 +162,14 @@ class TestGaussianMode:
         with pytest.raises(ValueError):
             model.TemporalMode(t, np.ones_like(t, dtype=complex))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_envelope_rejected(self, bad):
+        mode = gaussian_input_mode(500e-9)
+        f = mode.f.copy()
+        f[len(f) // 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            model.TemporalMode(mode.t, f)
+
 
 class TestReflectionCoefficient:
     def test_lossless_unit_modulus(self):

@@ -134,7 +134,7 @@ class TestRunProtocolTrivial:
     def test_dark_ideal_run(self):
         r = run_protocol(ideal_params(), default_schedule(0.0))
         assert r.p_e < 1e-12
-        assert r.rho_e is None and r.rho_e_raw is None
+        assert r.rho_e is None
         assert math.isnan(r.fidelity_single)
         npt.assert_allclose(r.rho_g.rho[0, 0].real, 1.0, atol=1e-9)
         assert r.negativity < 1e-9
@@ -350,6 +350,11 @@ class TestEfficiencyScan:
             efficiency_scan(p, None, (-0.01, 0.05, 0.1, 0.15))
         with pytest.raises(ValueError):
             efficiency_scan(p, None, (0.0, 0.2, 0.4, 0.6))
+        # a NaN point would drop out of the driven members yet count as a
+        # zero point, shifting p_flip against the grid
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                efficiency_scan(p, None, (0.0, 0.025, 0.05, bad, 0.1, 0.6))
 
 
 class TestSweep:
