@@ -31,7 +31,6 @@ from .linalg import (
 from .model import (
     SystemParams,
     default_params,
-    gaussian_input_mode,
     ideal_params,
     reflection_coefficient,
 )
@@ -57,6 +56,8 @@ _PARAM_HZ_KEYS = (
 _PARAM_PLAIN_KEYS = (
     "T1", "T2_star", "T2_echo", "p_th", "n_th", "eps_rg", "eps_re", "eta_meas",
 )
+# the only keys that may be infinite: an infinite decay time means no decay
+_INFINITE_ALLOWED = ("params.T1", "params.T2_star", "params.T2_echo")
 
 
 class ConfigError(Exception):
@@ -74,9 +75,6 @@ def default_config() -> dict:
             "pulse_fwhm": 500e-9,
             "gate_interval": 1100e-9,
             "readout_delay": 100e-9,
-            "t_i": None,
-            "t_g": None,
-            "t_f": None,
             "n_in": 0.165,
             "alpha_sq_grid": [
                 0.0, 0.025, 0.05, 0.075, 0.1, 0.125, 0.15, 0.3, 0.45, 0.6,
@@ -85,7 +83,6 @@ def default_config() -> dict:
         "tomography": {
             "phases": 100,
             "shots": 10_000,
-            "eta": 0.43,
             "seed": 7,
             "iterations": 10_000,
         },
@@ -109,20 +106,24 @@ def _as_float(value, key: str, *, allow_none: bool = False):
     if isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got a boolean")
     if isinstance(value, (int, float)):
-        return float(value)
-    if isinstance(value, str):
+        f = float(value)
+    elif isinstance(value, str):
         try:
-            return float(value)
+            f = float(value)
         except ValueError:
             raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    raise ConfigError(f"{key} must be a number, got {type(value).__name__}")
+    else:
+        raise ConfigError(f"{key} must be a number, got {type(value).__name__}")
+    if math.isnan(f) or (math.isinf(f) and key not in _INFINITE_ALLOWED):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
+    return f
 
 
 def _as_int(value, key: str, *, allow_none: bool = False):
     if value is None and allow_none:
         return None
     f = _as_float(value, key)
-    if not math.isfinite(f) or f != int(f):
+    if f != int(f):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(f)
 
@@ -163,8 +164,6 @@ def _normalize(cfg: dict) -> None:
     s = cfg["schedule"]
     for k in ("pulse_fwhm", "gate_interval", "readout_delay", "n_in"):
         s[k] = _as_float(s[k], f"schedule.{k}")
-    for k in ("t_i", "t_g", "t_f"):
-        s[k] = _as_float(s[k], f"schedule.{k}", allow_none=True)
     if not isinstance(s["alpha_sq_grid"], (list, tuple)):
         raise ConfigError("schedule.alpha_sq_grid must be a list")
     s["alpha_sq_grid"] = [
@@ -173,7 +172,6 @@ def _normalize(cfg: dict) -> None:
     t = cfg["tomography"]
     for k in ("phases", "shots", "iterations"):
         t[k] = _as_int(t[k], f"tomography.{k}")
-    t["eta"] = _as_float(t["eta"], "tomography.eta")
     t["seed"] = _as_int(t["seed"], "tomography.seed", allow_none=True)
     sp = cfg["spectrum"]
     sp["span_hz"] = _as_float(sp["span_hz"], "spectrum.span_hz")
@@ -212,16 +210,7 @@ def _build_params(cfg: dict) -> SystemParams:
 
 def _build_schedule(cfg: dict) -> PulseSchedule:
     s = cfg["schedule"]
-    explicit = [s["t_i"], s["t_g"], s["t_f"]]
     try:
-        if any(v is not None for v in explicit):
-            if any(v is None for v in explicit):
-                raise ConfigError("t_i, t_g, t_f must be given together")
-            mode = gaussian_input_mode(s["pulse_fwhm"])
-            return PulseSchedule(
-                s["t_i"], s["t_g"], s["t_f"], mode,
-                alpha_in=math.sqrt(s["n_in"]),
-            )
         return default_schedule(
             s["n_in"],
             gate_interval=s["gate_interval"],
@@ -414,7 +403,8 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
     if seed is None:
         raise ConfigError("a seed is required for reproducible sampling")
     t = cfg["tomography"]
-    eta = t["eta"]
+    params = _build_params(cfg)
+    eta = params.eta_meas
     thetas = tomography.phase_settings(t["phases"])
     iters = t["iterations"]
 
@@ -436,7 +426,6 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
         ket_density(coherent(5, math.sqrt(eta * CAL_PHOTON_NUMBER))), (5,)
     )
 
-    params = _build_params(cfg)
     schedule = _build_schedule(cfg)
     result = run_protocol(params, schedule)
     comp_record = tomography.sample_composite(

@@ -84,12 +84,9 @@ class Trajectory:
     def expect(self, op: np.ndarray) -> np.ndarray:
         return np.einsum("ij,tji->t", op, self.rhos)
 
-    def state(self, idx: int = -1) -> QuantumState:
-        return QuantumState(self.rhos[idx].copy(), self.dims)
-
     @property
     def final_state(self) -> QuantumState:
-        return self.state(-1)
+        return QuantumState(self.rhos[-1].copy(), self.dims)
 
 
 @dataclass
@@ -491,17 +488,15 @@ def evolve_members(
     model: LindbladModel,
     schedule: PulseSchedule,
     alphas,
-    *,
-    dt: Optional[float] = None,
-    store_every: int = 1,
 ) -> list:
     """evolve from the ground state for each input amplitude in alphas.
 
     Member j runs schedule with alpha_in = alphas[j].  The members are the
     columns of one RK4 run, so they must share the propagation window
-    (all amplitudes nonzero, or all zero).  Each trajectory and its
-    monitors equal those of the member's own evolve up to round-off, and
-    a monitor breach in any member raises.
+    (all amplitudes nonzero, or all zero).  Each trajectory stores the
+    segment boundaries only; it and its monitors equal those of the
+    member's own evolve up to round-off, and a monitor breach in any
+    member raises.
     """
     members = [replace(schedule, alpha_in=a) for a in alphas]
     if not members:
@@ -512,7 +507,8 @@ def evolve_members(
         "members must share the propagation window",
     )
     x0 = np.repeat(model.ground_state().rho.astype(complex).reshape(-1, 1), len(members), axis=1)
-    return _evolve(model, members, x0, None, dt, store_every)
+    # a stride longer than any segment stores its boundaries only
+    return _evolve(model, members, x0, None, None, 10**9)
 
 
 def _evolve(model, members, x0, drive, dt, store_every) -> list:
@@ -590,9 +586,7 @@ def linear_reference(
     return complex(np.trapezoid(np.conjugate(uu) * psi_out[sel], t_full[sel]))
 
 
-def optimize_delay(
-    params: SystemParams, mode: TemporalMode, *, dt: Optional[float] = None
-) -> float:
+def optimize_delay(params: SystemParams, mode: TemporalMode) -> float:
     """Delay of the projection mode maximizing captured reflected energy.
 
     Maximizes |<f(. - tau), psi_out>|^2 for the ground-pinned linear cavity
@@ -600,8 +594,7 @@ def optimize_delay(
     """
     if params.kappa_ex <= 0:
         return 0.0
-    if dt is None:
-        dt = default_timestep(params, mode)
+    dt = default_timestep(params, mode)
     t0 = float(mode.t[0])
     t1 = float(mode.t[-1]) + 5.0 / params.kappa_ex
     sched = PulseSchedule(t0, (t0 + t1) / 2, t1, mode, alpha_in=1.0, ramsey_gates=False)
@@ -766,7 +759,6 @@ def capture_mode_oracle(
     *,
     output_mode: Optional[TemporalMode] = None,
     delay: Optional[float] = None,
-    dt: Optional[float] = None,
     dim_b: int = 7,
 ) -> MomentSet:
     """Independent route to the output-mode moments via an absorbing mode.
@@ -781,8 +773,7 @@ def capture_mode_oracle(
     _require(dim_b >= 4, "capture mode needs at least 4 levels")
     p = model.params
     _require(p.kappa_ex > 0, "capture oracle needs an external port")
-    if dt is None:
-        dt = default_timestep(p, schedule.mode)
+    dt = default_timestep(p, schedule.mode)
     output_mode = _resolve_output_mode(p, schedule, output_mode, delay)
     n_c = model.n_max + 1
     db = dim_b

@@ -27,7 +27,6 @@ PROJ_G = np.diag([1.0, 0.0]).astype(complex)
 PROJ_E = np.diag([0.0, 1.0]).astype(complex)
 SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)  # |g><e|
 SIGMA_PLUS = SIGMA_MINUS.conj().T
-SIGMA_Z = PROJ_E - PROJ_G  # +1 on |e>
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -155,8 +154,10 @@ def default_params() -> SystemParams:
     )
 
 
-def ideal_params(chi_hz: float = 1.5e6, kappa_ex_over_2chi: float = 1.0) -> SystemParams:
-    """Lossless detector: kappa_ex = ratio*2*chi, no internal loss, perfect qubit."""
+def ideal_params(kappa_ex_over_2chi: float = 1.0) -> SystemParams:
+    """Lossless detector: chi = 1.5 MHz, kappa_ex = ratio*2*chi, no internal
+    loss, perfect qubit."""
+    chi_hz = 1.5e6
     return SystemParams.from_hz(
         omega_c=10.62524e9,
         omega_q=7.8693e9,
@@ -212,10 +213,6 @@ class TemporalMode:
     @property
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
-
-    @property
-    def span(self) -> float:
-        return float(self.t[-1] - self.t[0])
 
     def amplitude(self, times) -> np.ndarray:
         """Envelope evaluated at arbitrary times (0 outside the grid if interpolated)."""
@@ -277,7 +274,6 @@ class LindbladModel:
     H: np.ndarray
     collapse: list  # operators already scaled by sqrt(rate)
     a: np.ndarray  # cavity annihilation on the full space
-    sigma_gg: np.ndarray
     sigma_ee: np.ndarray
     sigma_ge: np.ndarray  # |g><e| (x) identity
     sigma_eg: np.ndarray
@@ -314,7 +310,6 @@ def build_model(p: SystemParams, n_max: int = 7) -> LindbladModel:
     n_c = a_c.conj().T @ a_c
 
     a = np.kron(np.eye(2, dtype=complex), a_c)
-    sigma_gg = np.kron(PROJ_G, eye_c)
     sigma_ee = np.kron(PROJ_E, eye_c)
     sigma_ge = np.kron(SIGMA_MINUS, eye_c)
     sigma_eg = np.kron(SIGMA_PLUS, eye_c)
@@ -338,7 +333,6 @@ def build_model(p: SystemParams, n_max: int = 7) -> LindbladModel:
         H=H,
         collapse=collapse,
         a=a,
-        sigma_gg=sigma_gg,
         sigma_ee=sigma_ee,
         sigma_ge=sigma_ge,
         sigma_eg=sigma_eg,
@@ -399,16 +393,15 @@ def reflected_photon_number(p: SystemParams, mode: TemporalMode, n_in: float) ->
     return float(n_in * np.sum(weight * np.abs(spectrum) ** 2) / (n_fft * dt))
 
 
-def thermal_bounds(p: SystemParams, mode: Optional[TemporalMode] = None) -> dict:
+def thermal_bounds(p: SystemParams) -> dict:
     """Thermal-occupation bounds and the resulting efficiency penalty.
 
     n_th_max: cavity occupation that would explain the full echo dephasing;
-    n_th_pulse: thermal photons emitted into the temporal mode, obtained by
-    integrating the output flux kappa_ex*n_th over the mode's equivalent
-    duration; eta_th = 1/(1 + 2*n_th_pulse).
+    n_th_pulse: thermal photons emitted into the 500 ns Gaussian mode,
+    obtained by integrating the output flux kappa_ex*n_th over the mode's
+    equivalent duration; eta_th = 1/(1 + 2*n_th_pulse).
     """
-    if mode is None:
-        mode = gaussian_input_mode(500e-9)
+    mode = gaussian_input_mode(500e-9)
     gamma_phi_echo = max(p.gamma_phi_echo, 0.0)
     kt = p.kappa_tot
     n_th_max = (kt**2 + p.chi**2) / (4.0 * kt * p.chi**2) * gamma_phi_echo

@@ -197,10 +197,6 @@ def run_protocol(
     params: SystemParams,
     schedule: PulseSchedule | None = None,
     n_ph: int = 2,
-    *,
-    delay: float | None = None,
-    dt: float | None = None,
-    n_max: int = 7,
 ) -> ProtocolResult:
     """Run the full detection sequence and assemble every reported state.
 
@@ -222,10 +218,9 @@ def run_protocol(
     if not 1 <= n_ph <= MOMENT_ORDER:
         raise ValueError(f"n_ph must be between 1 and {MOMENT_ORDER}")
     n_in = schedule.mean_input_photons
-    model = build_model(params, n_max=n_max)
-    if delay is None:
-        delay = optimize_delay(params, schedule.mode)
-    ms = output_mode_moments(model, schedule, delay=delay, dt=dt)
+    model = build_model(params)
+    delay = optimize_delay(params, schedule.mode)
+    ms = output_mode_moments(model, schedule, delay=delay)
     rot = ms.rotated()
 
     def repaired(rho: np.ndarray) -> np.ndarray:
@@ -306,7 +301,6 @@ def efficiency_scan(
     grid,
     *,
     fit_window: float = 0.10,
-    dt: float | None = None,
     n_max: int = 7,
 ) -> EfficiencyReport:
     """Phase-flip probability versus mean input photon number.
@@ -339,9 +333,9 @@ def efficiency_scan(
         return dressed_flip_probability(p_e, params)
 
     dark_sched = dataclasses.replace(schedule_template, alpha_in=0.0)
-    dark = flip(evolve(model, dark_sched, dt=dt, store_every=10**9))
+    dark = flip(evolve(model, dark_sched, store_every=10**9))
     driven = [math.sqrt(x) for x in grid if x > 0]
-    members = evolve_members(model, schedule_template, driven, dt=dt, store_every=10**9)
+    members = evolve_members(model, schedule_template, driven)
     # the grid is sorted, so its zero points come first
     p_flip = np.array([dark] * (grid.size - len(driven)) + [flip(t) for t in members])
 
@@ -430,35 +424,25 @@ def sweep(
     axis: str,
     values,
     *,
-    schedule_template: PulseSchedule | None = None,
     grid=DEFAULT_FIT_GRID,
-    protocol_n_in: float = 0.165,
-    dt: float | None = None,
-    n_max: int = 7,
 ) -> list[SweepPoint]:
     """Efficiency scan plus protocol figures at each value of one parameter.
 
-    Times are in seconds and rates in angular units (rad/s); ``gamma`` and
-    ``gamma_phi`` set the qubit relaxation and pure-dephasing rates while
-    holding the complementary decoherence channel fixed.
+    Every value starts from default_schedule(gate_interval=800e-9), whose
+    input of 0.165 photons is also the protocol's.  Times are in seconds and
+    rates in angular units (rad/s); ``gamma`` and ``gamma_phi`` set the
+    qubit relaxation and pure-dephasing rates while holding the
+    complementary decoherence channel fixed.
     """
     values = [float(v) for v in values]
     if not values or not all(math.isfinite(v) for v in values):
         raise ValueError("sweep values must be a non-empty finite list")
-    if schedule_template is None:
-        schedule_template = default_schedule(
-            protocol_n_in, gate_interval=800e-9
-        )
+    template = default_schedule(gate_interval=800e-9)
     points = []
     for value in values:
-        p_i, sched_i = _swept_configuration(
-            params, schedule_template, axis, value
-        )
-        report = efficiency_scan(p_i, sched_i, grid, dt=dt, n_max=n_max)
-        proto_sched = dataclasses.replace(
-            sched_i, alpha_in=math.sqrt(protocol_n_in)
-        )
-        result = run_protocol(p_i, proto_sched, dt=dt, n_max=n_max)
+        p_i, sched_i = _swept_configuration(params, template, axis, value)
+        report = efficiency_scan(p_i, sched_i, grid)
+        result = run_protocol(p_i, sched_i)
         points.append(
             SweepPoint(
                 value=value,

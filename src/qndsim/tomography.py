@@ -42,9 +42,9 @@ _PAULI = {
 }
 
 
-def default_grid(n_bins: int = DEFAULT_BINS) -> np.ndarray:
-    """Uniform quadrature bin centers spanning +-GRID_HALF_WIDTH."""
-    return np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, n_bins)
+def default_grid() -> np.ndarray:
+    """DEFAULT_BINS uniform quadrature bin centers spanning +-GRID_HALF_WIDTH."""
+    return np.linspace(-GRID_HALF_WIDTH, GRID_HALF_WIDTH, DEFAULT_BINS)
 
 
 def phase_settings(n: int = 100) -> np.ndarray:
@@ -398,8 +398,10 @@ def mle_iterations(
     probabilities(rho) gives every p_s = Tr[Pi_s rho]; adjoint(w) gives
     sum_s w_s Pi_s. Returns (rho, log-likelihood per recorded iteration,
     iterations done). Stops early when the log-likelihood gain drops below
-    tol.
+    tol. max_iter must be at least 1.
     """
+    if max_iter < 1:
+        raise ValueError(f"MLE needs at least 1 iteration, got {max_iter}")
     rho = rho0.astype(np.complex128).copy()
     logliks = np.empty(max_iter, dtype=np.float64)
     mask = freqs > 0
@@ -612,6 +614,9 @@ def read_record(csv_path, json_path) -> MeasurementRecord:
                 (float(center_s), int(count_s))
             )
     n_flat = len(rows)
+    bad = sorted(set(rows) - set(range(n_flat)))
+    if bad:
+        raise ValueError(f"setting id {bad[0]} outside 0..{n_flat - 1}")
     counts = np.zeros((n_flat, n_bins), dtype=np.int64)
     for sid, pairs in rows.items():
         if len(pairs) != n_bins:

@@ -78,6 +78,33 @@ class TestConfigLoading:
         assert run_cli("spectrum", "--config", p, "--out", str(tmp_path / "out")) == 2
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, section, key, value",
+        [
+            ("protocol", "schedule", "n_in", ".nan"),
+            ("spectrum", "spectrum", "span_hz", ".nan"),
+            ("spectrum", "params", "omega_c", ".nan"),
+            ("efficiency", "efficiency", "gate_interval", ".inf"),
+            ("protocol", "schedule", "readout_delay", ".inf"),
+        ],
+    )
+    def test_non_finite_number_is_config_error(
+        self, tmp_path, capsys, command, section, key, value
+    ):
+        p = write_yaml(tmp_path / "c.yaml", f"{section}:\n  {key}: {value}\n")
+        with pytest.raises(cli.ConfigError, match="must be finite"):
+            cli.load_config(p)
+        assert run_cli(command, "--config", p, "--out", str(tmp_path / "out")) == 2
+        assert "must be finite" in capsys.readouterr().err
+
+    def test_infinite_decay_time_means_no_decay(self, tmp_path):
+        p = write_yaml(
+            tmp_path / "c.yaml", "params:\n  T1: .inf\n  T2_star: .inf\n  T2_echo: .inf\n"
+        )
+        cfg = cli.load_config(p)
+        assert cfg["params"]["T1"] == math.inf
+        assert cli._build_params(cfg).gamma_phi_tot == 0.0
+
 
 @pytest.fixture(scope="module")
 def spectrum_outputs(tmp_path_factory):
@@ -293,6 +320,13 @@ class TestTomoSelftest:
         )
         assert run_cli("tomo-selftest", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "seed" in capsys.readouterr().err
+
+    def test_zero_iterations_is_config_error(self, tmp_path, capsys):
+        cfg = write_yaml(
+            tmp_path / "c.yaml", "tomography:\n  phases: 21\n  shots: 300\n  iterations: 0\n"
+        )
+        assert run_cli("tomo-selftest", "--config", cfg, "--out", str(tmp_path)) == 2
+        assert "iteration" in capsys.readouterr().err
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", TINY_TOMO_YAML + "  seed: null\n")

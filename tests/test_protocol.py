@@ -199,7 +199,7 @@ class TestRunProtocolReference:
         red = np.einsum("qaQa->qQ", r.comp_assembled.reshape(2, dim, 2, dim))
         p = default_params()
         m = build_model(p)
-        rho_f = evolve(m, default_schedule(), store_every=10**9).state().rho
+        rho_f = evolve(m, default_schedule(), store_every=10**9).final_state.rho
         rq = partial_trace(QuantumState(rho_f, (2, m.n_max + 1)), keep=(0,)).rho
         z = np.diag([1.0, -1.0])
         npt.assert_allclose(red, z @ rq @ z, atol=1e-8)

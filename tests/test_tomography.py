@@ -398,6 +398,11 @@ class TestMleReconstruct:
             warnings.simplefilter("error")
             tg.mle_reconstruct(rec)
 
+    def test_zero_iterations_rejected(self):
+        rec = tg.sample(VACUUM, tg.phase_settings(tg.MIN_PHASES), 100, seed=1)
+        with pytest.raises(ValueError, match="at least 1 iteration"):
+            tg.mle_reconstruct(rec, iterations=0)
+
     def test_stray_count_in_dead_bin_is_regularized(self):
         rec = tg.sample(VACUUM, tg.phase_settings(25), 5_000, seed=19)
         tampered = rec.counts.copy()
@@ -613,6 +618,18 @@ class TestSerialization:
         body[0] = "a,b,c"
         csv_p.write_text("\n".join(body) + "\n")
         with pytest.raises(ValueError, match="header"):
+            tg.read_record(csv_p, json_p)
+
+    @pytest.mark.parametrize("new", ["25", "-1"])
+    def test_setting_ids_must_be_contiguous(self, tmp_path, new):
+        rec = tg.sample(VACUUM, tg.phase_settings(tg.MIN_PHASES), 50, seed=1)
+        csv_p, json_p = tmp_path / "rec.csv", tmp_path / "rec.json"
+        tg.write_record(rec, csv_p, json_p)
+        body = csv_p.read_text().splitlines()
+        # the last of the 20 setting ids, 19, takes the id new
+        body = [new + line[2:] if line.startswith("19,") else line for line in body]
+        csv_p.write_text("\n".join(body) + "\n")
+        with pytest.raises(ValueError, match=f"setting id {new}"):
             tg.read_record(csv_p, json_p)
 
     def test_wigner_csv_layout(self, tmp_path):
