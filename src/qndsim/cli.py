@@ -3,7 +3,9 @@
 Subcommands: spectrum | efficiency | protocol | tomo-selftest | sweep.
 Every run resolves its configuration (YAML file over built-in defaults,
 unknown keys rejected), writes a manifest echoing the full resolution, and
-emits CSV/JSON outputs that are byte-identical for identical config + seed.
+emits CSV/JSON outputs that are byte-identical for identical config + seed
+at the same BLAS thread count (the MLE's stopping iteration, and so the
+tomography figures' last digits, can move with the thread count).
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
@@ -172,6 +174,12 @@ def _normalize(cfg: dict) -> None:
     t = cfg["tomography"]
     for k in ("phases", "shots", "iterations"):
         t[k] = _as_int(t[k], f"tomography.{k}")
+    if t["phases"] < tomography.MIN_PHASES:
+        raise ConfigError(
+            f"tomography.phases must be at least {tomography.MIN_PHASES}"
+        )
+    if t["shots"] < 1:
+        raise ConfigError("tomography.shots must be at least 1")
     t["seed"] = _as_int(t["seed"], "tomography.seed", allow_none=True)
     sp = cfg["spectrum"]
     sp["span_hz"] = _as_float(sp["span_hz"], "spectrum.span_hz")

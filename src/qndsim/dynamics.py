@@ -717,8 +717,10 @@ def capture_generator(model: LindbladModel, db: int):
     (K the constant non-Hermitian part) and the output collapse operator is
     -i sqrt(kex) a + g b.  Expanding both gives one piece per coefficient:
     beta, conj(beta), g conj(beta), conj(g) beta, conj(g), g and |g|^2.
+    The constant part keeps the model's own collapse operators: the internal
+    loss kin D[a] and the output's g-free part kex D[a] sum to its
+    kappa_tot D[a].
     """
-    p = model.params
 
     def extend(op):
         return sparse.kron(sparse.csr_matrix(op), sparse.identity(db), format="csr")
@@ -726,18 +728,7 @@ def capture_generator(model: LindbladModel, db: int):
     a = extend(model.a)
     b = sparse.kron(sparse.identity(model.dim), sparse.csr_matrix(destroy(db)), format="csr")
     ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
-    # the model's collapse channels, with only the internal part of the
-    # cavity loss: the external part feeds the capture mode
-    c_list = [math.sqrt(p.kappa_in) * a] if p.kappa_in > 0 else []
-    for op, rate in (
-        (model.sigma_ge, p.gamma_1),
-        (model.sigma_eg, p.gamma_2),
-        (model.sigma_ee, 2.0 * max(p.gamma_phi, 0.0)),
-    ):
-        if rate > 0:
-            c_list.append(math.sqrt(rate) * extend(op))
-    sqrt_kex = math.sqrt(p.kappa_ex)
-    c0 = -1j * sqrt_kex * a
+    sqrt_kex = math.sqrt(model.params.kappa_ex)
     pieces = (
         -1j * sqrt_kex * (_spre(ad) - _spost(ad)),
         -1j * sqrt_kex * (_spre(a) - _spost(a)),
@@ -748,7 +739,7 @@ def capture_generator(model: LindbladModel, db: int):
         _sprepost(b, bd) - 0.5 * (_spre(bd @ b) + _spost(bd @ b)),
     )
     return Generator(
-        _lindblad_superop(extend(model.H), c_list + [c0]),
+        _lindblad_superop(extend(model.H), [extend(c) for c in model.collapse]),
         tuple(piece.tocsr() for piece in pieces),
     )
 

@@ -382,11 +382,7 @@ def _swept_configuration(
     value: float,
 ) -> tuple[SystemParams, PulseSchedule]:
     if axis == "gate_interval":
-        half = value / 2
-        sched = PulseSchedule(
-            -half, half, half + 100e-9, template.mode, alpha_in=template.alpha_in
-        )
-        return params, sched
+        return params, default_schedule(gate_interval=value)
     if axis == "pulse_length":
         mode = gaussian_input_mode(
             value, carrier_offset=template.mode.carrier_offset
@@ -429,9 +425,10 @@ def sweep(
     """Efficiency scan plus protocol figures at each value of one parameter.
 
     Every value starts from default_schedule(gate_interval=800e-9), whose
-    input of 0.165 photons is also the protocol's.  Times are in seconds and
-    rates in angular units (rad/s); ``gamma`` and ``gamma_phi`` set the
-    qubit relaxation and pure-dephasing rates while holding the
+    input of 0.165 photons is also the protocol's; the ``gate_interval``
+    axis takes default_schedule's window at each interval.  Times are in
+    seconds and rates in angular units (rad/s); ``gamma`` and ``gamma_phi``
+    set the qubit relaxation and pure-dephasing rates while holding the
     complementary decoherence channel fixed.
     """
     values = [float(v) for v in values]

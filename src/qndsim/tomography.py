@@ -32,7 +32,6 @@ PROB_FLOOR = 1e-12
 LIKELIHOOD_TOL = 1e-10
 DEFAULT_ITERATIONS = 10**4
 RAW_COMPLETENESS_TOL = 1e-4
-COMPLETENESS_TOL = 1e-6
 QUBIT_BASES = ("X", "Y", "Z")
 
 _PAULI = {
@@ -112,7 +111,6 @@ class QuadraturePOVM:
 
 
 def _build_povm_any_dim(
-    theta: float,
     eta: float,
     n_tomo: int,
     x_grid: np.ndarray | None,
@@ -127,12 +125,7 @@ def _build_povm_any_dim(
     if not np.allclose(widths, width, rtol=1e-9):
         raise ValueError("quadrature grid must be uniform")
     psi = hermite_functions(n_tomo, x)
-    phase = np.exp(
-        1j * theta * (np.arange(n_tomo)[None, :] - np.arange(n_tomo)[:, None])
-    )
-    elements = (
-        np.einsum("mb,nb->bmn", psi, psi) * phase[None, :, :] * width
-    ).astype(complex)
+    elements = (np.einsum("mb,nb->bmn", psi, psi) * width).astype(complex)
     if eta != 1.0:
         smeared = np.zeros_like(elements)
         for a_k in loss_kraus(n_tomo, eta):
@@ -147,7 +140,26 @@ def _build_povm_any_dim(
     evals, evecs = np.linalg.eigh(s)
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
     elements = np.einsum("ij,bjk,kl->bil", inv_sqrt, elements, inv_sqrt)
-    return QuadraturePOVM(float(theta), x, width, float(eta), elements)
+    return QuadraturePOVM(0.0, x, width, float(eta), elements)
+
+
+def _bin_set(eta, n_tomo, x_grid) -> QuadraturePOVM:
+    """The phase-0 bins E_b, whose elements are real.
+
+    Ideal projector elements psi_m(x) psi_n(x) dx are pre-composed with the
+    adjoint of a transmittance-eta loss channel, then symmetrically
+    renormalized so the elements resolve the identity exactly. A
+    completeness defect above RAW_COMPLETENESS_TOL before renormalization
+    means the grid does not cover the state space and is an error.
+
+    Every phase-theta element is D E_b D^dag with D = diag(e^{-i n theta}):
+    the loss Kraus maps shift Fock levels and the symmetric renormalization
+    is built from the elements' sum, so both commute with D up to phases
+    that cancel.
+    """
+    povm = _build_povm_any_dim(eta, n_tomo, x_grid)
+    povm.elements = np.ascontiguousarray(povm.elements.real)
+    return povm
 
 
 def build_povm(
@@ -158,15 +170,16 @@ def build_povm(
 ) -> QuadraturePOVM:
     """Binned quadrature POVM at one phase, smeared by detector loss.
 
-    Ideal projector elements psi_m(x) psi_n(x) e^{i(n-m)theta} dx are
-    pre-composed with the adjoint of a transmittance-eta loss channel, then
-    symmetrically renormalized so the elements resolve the identity exactly.
-    A completeness defect above RAW_COMPLETENESS_TOL before renormalization
-    means the grid does not cover the state space and is an error.
+    The shared phase-0 bins (see _bin_set) rotated to D E_b D^dag with
+    D = diag(e^{-i n theta}).
     """
     if n_tomo < 4:
         raise ValueError("need at least 4 Fock levels")
-    return _build_povm_any_dim(theta, eta, n_tomo, x_grid)
+    povm = _bin_set(eta, n_tomo, x_grid)
+    d = np.exp(-1j * theta * np.arange(n_tomo))
+    povm.theta = float(theta)
+    povm.elements = d[:, None] * povm.elements * d.conj()
+    return povm
 
 
 @dataclass
@@ -222,27 +235,16 @@ def _setting_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _embedded(state: QuantumState, n_tomo: int) -> np.ndarray:
-    d = state.dim
+    """state.rho with its mode, the last factor, zero-padded to n_tomo levels."""
+    d = state.dims[-1]
     if d > n_tomo:
         raise ValueError(
-            f"state dimension {d} exceeds reconstruction space {n_tomo}"
+            f"mode dimension {d} exceeds reconstruction space {n_tomo}"
         )
-    rho = np.zeros((n_tomo, n_tomo), dtype=complex)
-    rho[:d, :d] = state.rho
-    return rho
-
-
-def _bin_set(eta, n_tomo, x_grid) -> QuadraturePOVM:
-    """The phase-0 bins E_b, whose elements are real.
-
-    Every phase-theta element is D E_b D^dag with D = diag(e^{-i n theta}):
-    the loss Kraus maps shift Fock levels and the symmetric renormalization
-    is built from the elements' sum, so both commute with D up to phases
-    that cancel.
-    """
-    povm = _build_povm_any_dim(0.0, eta, n_tomo, x_grid)
-    povm.elements = np.ascontiguousarray(povm.elements.real)
-    return povm
+    q = state.dim // d
+    rho = np.zeros((q, n_tomo, q, n_tomo), dtype=complex)
+    rho[:, :d, :, :d] = state.rho.reshape(q, d, q, d)
+    return rho.reshape(q * n_tomo, q * n_tomo)
 
 
 class _RotatedBins:
@@ -313,6 +315,28 @@ def _draw(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return counts
 
 
+def _sample(state, thetas, shots, eta, seed, n_tomo, x_grid, qubit_basis=None):
+    """Draw a record at the settings thetas, basis-labelled or single-mode.
+
+    Settings are sampled on independent RNG streams spawned from the master
+    seed, so the record is reproducible and order-independent.
+    """
+    rho = _embedded(state, n_tomo)
+    bins = _bin_set(eta, n_tomo, x_grid)
+    probs = _RotatedBins(bins.elements, thetas, qubit_basis).probabilities(rho)
+    outcomes = () if qubit_basis is None else (2,)
+    return MeasurementRecord(
+        thetas,
+        _draw(probs.reshape(thetas.size, *outcomes, -1), shots, seed),
+        bins.x_centers,
+        bins.width,
+        eta,
+        n_tomo,
+        qubit_basis=qubit_basis,
+        seed=seed,
+    )
+
+
 def sample(
     state: QuantumState,
     thetas,
@@ -325,25 +349,14 @@ def sample(
 ) -> MeasurementRecord:
     """Draw binned quadrature outcomes for each phase setting.
 
-    Settings are sampled on independent RNG streams spawned from the master
-    seed, so the record is reproducible and order-independent. The sampling
-    space n_tomo need only contain the state (smaller reconstruction spaces
-    than the single-mode default are legitimate, e.g. the composite runs'
-    three-level mode sector).
+    The sampling space n_tomo need only contain the state (smaller
+    reconstruction spaces than the single-mode default are legitimate, e.g.
+    the composite runs' three-level mode sector).
     """
+    if len(state.dims) != 1:
+        raise ValueError("single-mode sampling expects one mode")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    rho = _embedded(state, n_tomo)
-    bins = _bin_set(eta, n_tomo, x_grid)
-    probs = _RotatedBins(bins.elements, thetas).probabilities(rho)
-    return MeasurementRecord(
-        thetas,
-        _draw(probs.reshape(thetas.size, -1), shots, seed),
-        bins.x_centers,
-        bins.width,
-        eta,
-        n_tomo,
-        seed=seed,
-    )
+    return _sample(state, thetas, shots, eta, seed, n_tomo, x_grid)
 
 
 def sample_composite(
@@ -364,29 +377,10 @@ def sample_composite(
     if len(state.dims) != 2 or state.dims[0] != 2:
         raise ValueError("composite sampling expects dims (2, mode)")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    mode_dim = state.dims[1]
-    if mode_dim > n_tomo:
-        raise ValueError(
-            f"mode dimension {mode_dim} exceeds reconstruction space {n_tomo}"
-        )
-    rho = np.zeros((2 * n_tomo, 2 * n_tomo), dtype=complex)
-    r = state.rho.reshape(2, mode_dim, 2, mode_dim)
-    big = rho.reshape(2, n_tomo, 2, n_tomo)
-    big[:, :mode_dim, :, :mode_dim] = r
     basis_labels = tuple(b for b in QUBIT_BASES for _ in thetas)
     all_thetas = np.tile(thetas, len(QUBIT_BASES))
-    bins = _bin_set(eta, n_tomo, x_grid)
-    joint = _RotatedBins(bins.elements, all_thetas, basis_labels)
-    probs = joint.probabilities(rho).reshape(all_thetas.size, 2, -1)
-    return MeasurementRecord(
-        all_thetas,
-        _draw(probs, shots, seed),
-        bins.x_centers,
-        bins.width,
-        eta,
-        n_tomo,
-        qubit_basis=basis_labels,
-        seed=seed,
+    return _sample(
+        state, all_thetas, shots, eta, seed, n_tomo, x_grid, basis_labels
     )
 
 
@@ -425,14 +419,32 @@ def mle_iterations(
     return rho, logliks[:it], it
 
 
-def _run_mle(rotated: _RotatedBins, freqs, n_settings, dim, iterations):
-    rho0 = np.eye(dim, dtype=complex) / dim
+def _fit(record: MeasurementRecord, iterations, correct_efficiency) -> QuantumState:
+    """MLE over the record's settings, with or without qubit-basis labels.
+
+    With correct_efficiency the detector loss recorded with the data is
+    folded into the measurement operators (reconstructing the pre-detector
+    state); without it the smeared statistics are attributed to ideal
+    quadrature measurements, as in the uncorrected-reconstruction variant.
+    """
+    if record.distinct_phases() < MIN_PHASES:
+        raise ValueError(
+            f"need at least {MIN_PHASES} distinct phases for a complete set"
+        )
+    eta = record.eta if correct_efficiency else 1.0
+    bins = _bin_set(eta, record.n_tomo, record.x_centers)
+    rotated = _RotatedBins(bins.elements, record.thetas, record.qubit_basis)
+    freqs = (
+        record.counts.reshape(record.n_settings, -1) / record.shots[:, None]
+    ).ravel()
+    dims = (record.n_tomo,) if record.qubit_basis is None else (2, record.n_tomo)
+    dim = math.prod(dims)
     rho, logliks, n_iter = mle_iterations(
         rotated.probabilities,
         rotated.adjoint,
-        np.ascontiguousarray(freqs, dtype=np.float64),
-        rho0,
-        n_settings,
+        freqs,
+        np.eye(dim, dtype=complex) / dim,
+        record.n_settings,
         int(iterations),
         LIKELIHOOD_TOL,
         PROB_FLOOR,
@@ -454,7 +466,7 @@ def _run_mle(rotated: _RotatedBins, freqs, n_settings, dim, iterations):
                 "likelihood decreased at iteration "
                 f"{int(np.argmax(bad)) + 1} by {float(-gains[bad].min()):.3e}"
             )
-    return rho
+    return QuantumState(rho, dims)
 
 
 def mle_reconstruct(
@@ -463,25 +475,10 @@ def mle_reconstruct(
     *,
     correct_efficiency: bool = True,
 ) -> QuantumState:
-    """Iterative maximum-likelihood estimate of the single-mode state.
-
-    With correct_efficiency the detector loss recorded with the data is
-    folded into the measurement operators (reconstructing the pre-detector
-    state); without it the smeared statistics are attributed to ideal
-    quadrature measurements, as in the uncorrected-reconstruction variant.
-    """
+    """Iterative maximum-likelihood estimate of the single-mode state."""
     if record.qubit_basis is not None:
         raise ValueError("composite record passed to the single-mode routine")
-    if record.distinct_phases() < MIN_PHASES:
-        raise ValueError(
-            f"need at least {MIN_PHASES} distinct phases for a complete set"
-        )
-    eta = record.eta if correct_efficiency else 1.0
-    bins = _bin_set(eta, record.n_tomo, record.x_centers)
-    rotated = _RotatedBins(bins.elements, record.thetas)
-    freqs = (record.counts / record.shots[:, None]).ravel()
-    rho = _run_mle(rotated, freqs, record.n_settings, record.n_tomo, iterations)
-    return QuantumState(rho, (record.n_tomo,))
+    return _fit(record, iterations, correct_efficiency)
 
 
 def composite_mle(
@@ -502,19 +499,7 @@ def composite_mle(
     if present != set(QUBIT_BASES):
         missing = sorted(set(QUBIT_BASES) - present)
         raise ValueError(f"missing qubit basis records: {missing}")
-    if record.distinct_phases() < MIN_PHASES:
-        raise ValueError(
-            f"need at least {MIN_PHASES} distinct phases for a complete set"
-        )
-    eta = record.eta if correct_efficiency else 1.0
-    n = record.n_tomo
-    bins = _bin_set(eta, n, record.x_centers)
-    joint = _RotatedBins(bins.elements, record.thetas, record.qubit_basis)
-    freqs = (
-        record.counts / record.shots[:, None, None]
-    ).ravel()
-    rho = _run_mle(joint, freqs, record.n_settings, 2 * n, iterations)
-    return QuantumState(rho, (2, n))
+    return _fit(record, iterations, correct_efficiency)
 
 
 def wigner(state: QuantumState, grid: np.ndarray | None = None) -> np.ndarray:

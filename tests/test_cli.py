@@ -328,6 +328,21 @@ class TestTomoSelftest:
         assert run_cli("tomo-selftest", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "iteration" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("phases", 0), ("phases", -3), ("phases", 5), ("shots", -5), ("shots", 0)],
+    )
+    def test_bad_phases_or_shots_rejected_up_front(self, tmp_path, capsys, key, value):
+        settings = {"phases": 21, "shots": 300, "iterations": 400, key: value}
+        cfg = write_yaml(
+            tmp_path / "c.yaml",
+            "tomography:\n" + "".join(f"  {k}: {v}\n" for k, v in settings.items()),
+        )
+        out = tmp_path / "o"
+        assert run_cli("tomo-selftest", "--config", cfg, "--out", str(out)) == 2
+        assert f"tomography.{key}" in capsys.readouterr().err
+        assert not list(out.glob("record_*"))
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", TINY_TOMO_YAML + "  seed: null\n")
         out = tmp_path / "o"

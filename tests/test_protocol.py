@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qndsim import protocol
 from qndsim.linalg import (
     QuantumState,
     dag,
@@ -401,6 +402,17 @@ class TestSweep:
         ys = [-math.log(1 - 2 * pt.dark_count) for pt in pts]
         slope = sum(t * y for t, y in zip(taus, ys)) / sum(t * t for t in taus)
         npt.assert_allclose(slope, 1.0 / 26e-6, rtol=0.2)
+
+    @pytest.mark.parametrize("value", [500e-9, 800e-9, 900e-9, 1100e-9])
+    def test_gate_interval_axis_uses_default_schedule(self, value):
+        _, sched = protocol._swept_configuration(
+            default_params(), default_schedule(gate_interval=800e-9),
+            "gate_interval", value,
+        )
+        ref = default_schedule(gate_interval=value)
+        assert (sched.t_i, sched.t_g, sched.t_f, sched.alpha_in) == (
+            ref.t_i, ref.t_g, ref.t_f, ref.alpha_in
+        )
 
     def test_axis_validation(self):
         p = default_params()
