@@ -36,6 +36,9 @@ MOMENT_ORDER = 2
 # floor of the capture coupling's denominator, relative to the windowed mode
 # energy: regularizes the coupling on the leading tail of the mode
 CAPTURE_EPS_FLOOR = 1e-6
+# most RK4 substeps the capture coupling may take within one step; a step
+# that needs more raises instead of running under-resolved
+CAPTURE_MAX_SUBSTEPS = 256
 
 _QIDX = {"g": 0, "e": 1}
 
@@ -219,9 +222,16 @@ def _segments(schedule: PulseSchedule, t_start: float) -> list:
 # ---------------------------------------------------------------------------
 # sparse-superoperator propagation
 #
-# Matrices are propagated as row-major vectors, vec(A X B) = (A kron B^T)
-# vec(X), under generators L(t) = L0 + sum_k f_k(t) L_k whose pieces are
-# short sums of sparse Kronecker products.
+# Matrices are row-major vectors, vec(A X B) = (A kron B^T) vec(X), under
+# generators L(t) = L0 + sum_k f_k(t) L_k whose pieces are short sums of
+# sparse Kronecker products.  Every generator here preserves Hermiticity,
+# L(X^dag) = L(X)^dag, and every state the routes evolve is Hermitian (the
+# ladder's nodes in the sense X_nm = X_mn^dag), so the routes propagate the
+# real coordinates r = T^H x of _real_basis: n^2 reals for an n x n matrix
+# instead of n^2 complex values.  The generators are written in the complex
+# x and carried over by Generator.real_form.  The diagonal entries keep
+# their positions, so trace and population indices read r as they read x;
+# the qubit rotations and the read-outs go through T.
 
 
 def _spre(op) -> sparse.csr_matrix:
@@ -251,6 +261,45 @@ def _lindblad_superop(h, c_ops) -> sparse.csr_matrix:
     return out.tocsr()
 
 
+def _adjoint_swap(n: int, n_nodes: int = 1) -> np.ndarray:
+    """Index involution of X -> X^dag on an n_nodes x n_nodes grid of
+    n x n matrices: node (m, k) entry (i, j) <-> node (k, m) entry (j, i).
+    With one node it is the transpose of one matrix."""
+    size = n_nodes * n_nodes * n * n
+    return np.arange(size).reshape(n_nodes, n_nodes, n, n).transpose(1, 0, 3, 2).ravel()
+
+
+def _real_basis(swap: np.ndarray) -> sparse.csr_matrix:
+    """Unitary T mapping real coordinates r to the Hermitian vectors x = T r.
+
+    swap is the index involution of X -> X^dag.  A fixed index i keeps
+    e_i; a pair i < j = swap[i] takes (e_i + e_j)/sqrt(2) at column i and
+    i (e_i - e_j)/sqrt(2) at column j, so r_i = sqrt(2) Re x_i and
+    r_j = sqrt(2) Im x_i.
+    """
+    idx = np.arange(swap.size)
+    fixed = idx[swap == idx]
+    lo = idx[idx < swap]
+    hi = swap[lo]
+    s = math.sqrt(0.5)
+    rows = np.concatenate([fixed, lo, hi, lo, hi])
+    cols = np.concatenate([fixed, lo, lo, hi, hi])
+    vals = np.concatenate([
+        np.ones(fixed.size), np.full(2 * lo.size, s), np.full(lo.size, 1j * s),
+        np.full(lo.size, -1j * s),
+    ])
+    return sparse.csr_matrix((vals, (rows, cols)), shape=(swap.size, swap.size))
+
+
+def _trimmed(values: np.ndarray, m: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The CSR matrix of m's pattern with the real entries values, its
+    zeros dropped into arrays of their own size (eliminate_zeros keeps the
+    old arrays)."""
+    keep = values != 0
+    kept = np.concatenate([[0], np.cumsum(keep)])  # entries kept before each position
+    return sparse.csr_matrix((values[keep], m.indices[keep], kept[m.indptr]), shape=m.shape)
+
+
 class Generator:
     """L(t) = L0 + sum_k f_k(t) L_k acting on vectorised n x n matrices.
 
@@ -258,17 +307,56 @@ class Generator:
     sparse product yields every L_k x and a short dense product weights
     them.  x is one vector of length n^2 or an (n^2, m) array whose
     columns are independent members, each with its own coefficients.
+    basis is T when x holds the real coordinates r = T^H x of Hermitian
+    matrices (see real_form), and None when x holds the matrices.
     """
 
-    def __init__(self, l0: sparse.csr_matrix, pieces) -> None:
+    def __init__(self, l0: sparse.csr_matrix, pieces, basis=None) -> None:
         self.n_pieces = len(pieces)
         self.blocks = sparse.vstack([l0, *pieces], format="csr")
+        self.basis = basis
+
+    @classmethod
+    def real_form(cls, blocks, swap: np.ndarray) -> "Generator":
+        """The generator in the real coordinates r = T^H x, T = _real_basis(swap).
+
+        blocks yields the complex L0, then the pieces as conjugate pairs
+        (P, J P J), J X = X^dag, with coefficients (c, conj(c)), then at
+        most one self-conjugate piece with a real coefficient.  T^H L0 T is
+        real, and with M = T^H P T a pair adds Re c (2 Re M) + Im c (-2 Im M),
+        so the real form has as many pieces, with coefficients (Re c, Im c)
+        per pair and the self-conjugate piece's own.  Each block is
+        converted as it is drawn and kept without its zeros, so the complex
+        blocks are never stacked.
+        """
+        t = _real_basis(swap)
+        t_h = t.conj().T.tocsr()
+        blocks = iter(blocks)
+        m = (t_h @ next(blocks) @ t).tocsr()
+        out = [_trimmed(m.data.real, m)]
+        for piece in blocks:
+            m = (t_h @ piece @ t).tocsr()
+            if next(blocks, None) is None:  # no partner J P J: self-conjugate
+                out.append(_trimmed(m.data.real, m))
+            else:
+                out += [_trimmed(2 * m.data.real, m), _trimmed(-2 * m.data.imag, m)]
+        del m, t_h  # free before the real pieces are stacked
+        return cls(out[0], out[1:], t)
+
+    def matrix(self, x: np.ndarray) -> np.ndarray:
+        """x as vectorised matrices (T x in real coordinates)."""
+        return x if self.basis is None else self.basis @ x
+
+    def coords(self, x: np.ndarray) -> np.ndarray:
+        """Vectorised Hermitian matrices x in this generator's coordinates
+        (Re T^H x in real coordinates)."""
+        return x if self.basis is None else (self.basis.conj().T @ x).real
 
     def apply(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """L x for weights (1, f_1, ..., f_K); with m columns in x, weights
         is (K + 1, m), one column per member."""
         y = (self.blocks @ x).reshape(self.n_pieces + 1, *x.shape)
-        if x.ndim == 1:  # one BLAS gemv, ~5x faster than the einsum on the oracle state
+        if x.ndim == 1:  # one BLAS gemv: 25 us against the einsum's 37 us on the oracle state
             return weights @ y
         return np.einsum("kj,knj->nj", weights, y)
 
@@ -276,7 +364,7 @@ class Generator:
         """The generator with only the pieces whose indices are in keep."""
         n = self.blocks.shape[1]
         rows = [self.blocks[k * n:(k + 1) * n] for k in (0, *(i + 1 for i in keep))]
-        return Generator(rows[0], rows[1:])
+        return Generator(rows[0], rows[1:], self.basis)
 
 
 class Propagation(NamedTuple):
@@ -301,8 +389,10 @@ def propagate(
 ) -> Propagation:
     """Fixed-step RK4 of x' = L(t) x over len(nsub) steps of size dt.
 
-    coeffs has one column per piece; with x0 of shape (n^2, m) it is
-    (rows, K, m), one coefficient set per member column.  Step i takes
+    x keeps the dtype of x0 when the generator and coeffs are real, as
+    for a real form in real coordinates.  coeffs has one column per piece;
+    with x0 of shape (n^2, m) it is (rows, K, m), one coefficient set per
+    member column.  Step i takes
     nsub[i] equal substeps and reads rows o_i .. o_i + 2 nsub[i], its
     half-substep grid, with o_i = 2 (nsub[0] + ... + nsub[i-1]):
     consecutive steps share their boundary row, and with one substep per
@@ -316,7 +406,7 @@ def propagate(
     live = np.flatnonzero(np.any(coeffs.reshape(n_rows, n_pieces, -1) != 0, axis=(0, 2)))
     if live.size < generator.n_pieces:  # pieces off in every member cost nothing
         generator, coeffs = generator.restricted(live), coeffs[:, live]
-    x = np.array(x0, dtype=complex)
+    x = np.array(x0)
     rows = np.concatenate([np.ones((n_rows, 1, *coeffs.shape[2:])), coeffs], axis=1)
     snapshots = []
     max_tr = np.zeros(x.shape[1:])
@@ -348,10 +438,30 @@ def _drive_pieces(a: sparse.csr_matrix) -> tuple:
     return _spre(ad) - _spost(ad), _spost(a) - _spre(a)
 
 
+def _lindblad_blocks(h, c_ops, a) -> tuple:
+    """L0 and the drive pieces of lindblad_generator."""
+    a = sparse.csr_matrix(a, dtype=complex)
+    return (_lindblad_superop(h, c_ops), *_drive_pieces(a))
+
+
 def lindblad_generator(h, c_ops, a) -> Generator:
     """Generator of the driven master equation, with the drive as pieces."""
+    l0, *pieces = _lindblad_blocks(h, c_ops, a)
+    return Generator(l0, pieces)
+
+
+def _ladder_blocks(h, c_ops, a) -> tuple:
+    """L0 and the pieces eps, conj(eps), w and conj(w) of ladder_generator."""
     a = sparse.csr_matrix(a, dtype=complex)
-    return Generator(_lindblad_superop(h, c_ops), _drive_pieces(a))
+    nodes = sparse.identity((MOMENT_ORDER + 1) ** 2, dtype=complex, format="csr")
+    eye = sparse.identity(MOMENT_ORDER + 1)
+    lower = sparse.eye(MOMENT_ORDER + 1, k=-1)  # index i - 1 -> i
+    return (
+        sparse.kron(nodes, _lindblad_superop(h, c_ops), format="csr"),
+        *(sparse.kron(nodes, piece, format="csr") for piece in _drive_pieces(a)),
+        sparse.kron(sparse.kron(eye, lower), _spre(a), format="csr"),
+        sparse.kron(sparse.kron(lower, eye), _spost(a.conj().T), format="csr"),
+    )
 
 
 def ladder_generator(h, c_ops, a) -> Generator:
@@ -360,20 +470,11 @@ def ladder_generator(h, c_ops, a) -> Generator:
     The state holds (K + 1)^2 nodes, node (m, n) at offset ((K + 1) m + n) n^2
     for m, n <= K, each driven like lindblad_generator's state.  Node (m, n)
     is sourced by w a X_{m,n-1} and conj(w) X_{m-1,n} a^dag, adding the
-    pieces w and conj(w) to a block-lower-triangular generator.
+    pieces w and conj(w) to a block-lower-triangular generator.  The
+    ladder is Hermitian in the sense X_{n,m} = X_{m,n}^dag.
     """
-    a = sparse.csr_matrix(a, dtype=complex)
-    nodes = sparse.identity((MOMENT_ORDER + 1) ** 2, dtype=complex, format="csr")
-    eye = sparse.identity(MOMENT_ORDER + 1)
-    lower = sparse.eye(MOMENT_ORDER + 1, k=-1)  # index i - 1 -> i
-    return Generator(
-        sparse.kron(nodes, _lindblad_superop(h, c_ops), format="csr"),
-        tuple(sparse.kron(nodes, piece, format="csr") for piece in _drive_pieces(a))
-        + (
-            sparse.kron(sparse.kron(eye, lower), _spre(a), format="csr"),
-            sparse.kron(sparse.kron(lower, eye), _spost(a.conj().T), format="csr"),
-        ),
-    )
+    l0, *pieces = _ladder_blocks(h, c_ops, a)
+    return Generator(l0, pieces)
 
 
 def _monitor_indices(model: LindbladModel):
@@ -385,8 +486,9 @@ def _monitor_indices(model: LindbladModel):
 
 
 def _conj_pairs(*samples: np.ndarray) -> np.ndarray:
-    """Coefficient rows (s_1, conj(s_1), s_2, conj(s_2), ...) per sample."""
-    return np.stack([f(s) for s in samples for f in (np.asarray, np.conjugate)], axis=1)
+    """Real-form coefficient rows (Re s_1, Im s_1, Re s_2, Im s_2, ...) of
+    the conjugate pairs with complex coefficients s_k."""
+    return np.stack([f(s) for s in samples for f in (np.real, np.imag)], axis=1)
 
 
 def _breach(value, limit: float):
@@ -430,10 +532,10 @@ def _run_schedule(
     longer than dt; coeffs_for(t0, nsteps, dt_seg, in_window) returns the
     segment's coefficient rows and substep counts for propagate, with
     in_window set when the segment ends after t_i.  x may hold one member
-    per column (see propagate).  Qubit rotations of the d x d blocks of x
-    fire at t_i and t_g when schedule.ramsey_gates is set.  The monitors
-    are maximised per member over all segments.  With
-    store_every > 0 the snapshots are (time, x) pairs: the start, every
+    per column (see propagate), in gen's coordinates.  Qubit rotations of
+    the d x d blocks of the matrices fire at t_i and t_g when
+    schedule.ramsey_gates is set.  The monitors are maximised per member
+    over all segments.  With store_every > 0 the snapshots are (time, x) pairs: the start, every
     store_every-th step, each segment end not already stored, and the
     state after each rotation.
     """
@@ -456,7 +558,7 @@ def _run_schedule(
             if store_every and nsteps % store_every:
                 snaps.append((t1, x.copy()))
         if gate is not None and schedule.ramsey_gates:
-            x = _apply_gate(x, gate, d)
+            x = gen.coords(_apply_gate(gen.matrix(x), gate, d))
             if store_every:
                 snaps.append((t1, x.copy()))
     return Propagation(x, snaps, max_tr, max_watched)
@@ -518,7 +620,9 @@ def _evolve(model, members, x0, drive, dt, store_every) -> list:
     if dt is None:
         dt = default_timestep(model.params, schedule.mode)
     d = model.dim
-    gen = lindblad_generator(model.H, model.collapse, model.a)
+    gen = Generator.real_form(
+        _lindblad_blocks(model.H, model.collapse, model.a), _adjoint_swap(d)
+    )
     diag, top = _monitor_indices(model)
     _require(store_every >= 1, "store_every must be at least 1")
 
@@ -527,11 +631,12 @@ def _evolve(model, members, x0, drive, dt, store_every) -> list:
         eps = np.stack([_drive_samples(model.params, s, tt, drive) for s in members], axis=-1)
         return _conj_pairs(eps.reshape(len(tt), *x0.shape[1:])), np.ones(nsteps, dtype=np.int64)
 
+    x0 = gen.coords(x0)
     run = _run_schedule(gen, x0, schedule, dt, coeffs_for, d, diag, (top,), store_every)
     _check_monitors(run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "evolve")
     times, states = zip(*run.snapshots)
     times = np.array(times)
-    rhos = np.array(states).reshape(len(times), d, d, -1)
+    rhos = np.array([gen.matrix(x) for x in states]).reshape(len(times), d, d, -1)
     max_tr, max_top = np.ravel(run.max_trace_defect), np.ravel(run.max_watched[0])
     return [
         Trajectory(
@@ -671,10 +776,13 @@ def output_mode_moments(
     output_mode = _resolve_output_mode(p, schedule, output_mode, delay)
     d = model.dim
     n_k = MOMENT_ORDER + 1  # nodes per ladder axis
-    gen = ladder_generator(model.H, model.collapse, model.a)
+    gen = Generator.real_form(
+        _ladder_blocks(model.H, model.collapse, model.a), _adjoint_swap(d, n_k)
+    )
     diag, top = _monitor_indices(model)
     x = np.zeros(n_k * n_k * d * d, dtype=complex)
     x[: d * d] = model.ground_state().rho.reshape(-1)
+    x = gen.coords(x)
     sqrt_kex = math.sqrt(p.kappa_ex) if p.kappa_ex > 0 else 0.0
 
     def coeffs_for(t0, nsteps, dt_seg, in_window):
@@ -693,7 +801,7 @@ def output_mode_moments(
     # <sigma_pq Adag^m A^n> = m! n! Tr[sigma_pq X_mn], sigma_pq = |p><q| x 1
     n_c = model.n_max + 1
     fac = np.array([math.factorial(m) for m in range(n_k)], dtype=float)
-    mb = np.einsum("mnqkpk->pqmn", run.state.reshape(n_k, n_k, 2, n_c, 2, n_c))
+    mb = np.einsum("mnqkpk->pqmn", gen.matrix(run.state).reshape(n_k, n_k, 2, n_c, 2, n_c))
     tt = np.linspace(
         schedule.t_i, schedule.t_f, 4 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
     )
@@ -707,7 +815,27 @@ def output_mode_moments(
 # capture-mode oracle
 
 
-def capture_generator(model: LindbladModel, db: int):
+def _capture_blocks(model: LindbladModel, db: int):
+    """Yield L0 and the pieces of capture_generator one at a time."""
+
+    def extend(op):
+        return sparse.kron(sparse.csr_matrix(op), sparse.identity(db), format="csr")
+
+    a = extend(model.a)
+    b = sparse.kron(sparse.identity(model.dim), sparse.csr_matrix(destroy(db)), format="csr")
+    ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
+    sqrt_kex = math.sqrt(model.params.kappa_ex)
+    yield _lindblad_superop(extend(model.H), [extend(c) for c in model.collapse])
+    yield (-1j * sqrt_kex * (_spre(ad) - _spost(ad))).tocsr()
+    yield (-1j * sqrt_kex * (_spre(a) - _spost(a))).tocsr()
+    yield (_spre(b) - _spost(b)).tocsr()
+    yield (_spost(bd) - _spre(bd)).tocsr()
+    yield (1j * sqrt_kex * (_spre(bd @ a) - _sprepost(a, bd))).tocsr()
+    yield (1j * sqrt_kex * (_sprepost(b, ad) - _spost(ad @ b))).tocsr()
+    yield (_sprepost(b, bd) - 0.5 * (_spre(bd @ b) + _spost(bd @ b))).tocsr()
+
+
+def capture_generator(model: LindbladModel, db: int) -> Generator:
     """Generator of the system cascaded into a capture mode b of db levels.
 
     With the input amplitude beta(t) and the capture coupling g(t), the
@@ -721,27 +849,8 @@ def capture_generator(model: LindbladModel, db: int):
     loss kin D[a] and the output's g-free part kex D[a] sum to its
     kappa_tot D[a].
     """
-
-    def extend(op):
-        return sparse.kron(sparse.csr_matrix(op), sparse.identity(db), format="csr")
-
-    a = extend(model.a)
-    b = sparse.kron(sparse.identity(model.dim), sparse.csr_matrix(destroy(db)), format="csr")
-    ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
-    sqrt_kex = math.sqrt(model.params.kappa_ex)
-    pieces = (
-        -1j * sqrt_kex * (_spre(ad) - _spost(ad)),
-        -1j * sqrt_kex * (_spre(a) - _spost(a)),
-        _spre(b) - _spost(b),
-        _spost(bd) - _spre(bd),
-        1j * sqrt_kex * (_spre(bd @ a) - _sprepost(a, bd)),
-        1j * sqrt_kex * (_sprepost(b, ad) - _spost(ad @ b)),
-        _sprepost(b, bd) - 0.5 * (_spre(bd @ b) + _spost(bd @ b)),
-    )
-    return Generator(
-        _lindblad_superop(extend(model.H), [extend(c) for c in model.collapse]),
-        tuple(piece.tocsr() for piece in pieces),
-    )
+    l0, *pieces = _capture_blocks(model, db)
+    return Generator(l0, pieces)
 
 
 def capture_mode_oracle(
@@ -769,9 +878,9 @@ def capture_mode_oracle(
     n_c = model.n_max + 1
     db = dim_b
     d = 2 * n_c * db
-    gen = capture_generator(model, db)
-    x = np.zeros(d * d, dtype=complex)
-    x[0] = 1.0
+    gen = Generator.real_form(_capture_blocks(model, db), _adjoint_swap(d))
+    x = np.zeros(d * d)
+    x[0] = 1.0  # |g, 0, 0><g, 0, 0| is its own real coordinate vector
 
     # fine-grid mode energy and coupling magnitude inside the window
     n_fine = 64 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
@@ -796,7 +905,12 @@ def capture_mode_oracle(
                 lo = np.searchsorted(t_fine, edges[k] - 1e-15)
                 hi = np.searchsorted(t_fine, edges[k + 1] + 1e-15)
                 gmax = float(g2_fine[lo:hi].max()) if hi > lo else 0.0
-                nsub[k] = min(256, max(1, int(math.ceil(dt_seg * gmax / 2.0))))
+                nsub[k] = max(1, int(math.ceil(dt_seg * gmax / 2.0)))
+                if nsub[k] > CAPTURE_MAX_SUBSTEPS:
+                    raise RuntimeError(
+                        f"capture_mode_oracle: step {k} from t = {edges[k]:.6e} s needs "
+                        f"{nsub[k]} substeps (cap {CAPTURE_MAX_SUBSTEPS})"
+                    )
         ts = np.concatenate([
             t0 + k * dt_seg + np.arange(2 * ns) * (dt_seg / (2 * ns))
             for k, ns in enumerate(nsub.tolist())
@@ -807,12 +921,8 @@ def capture_mode_oracle(
             beta = schedule.alpha_in * _mode_u(schedule.mode, ts)
         if in_window:
             gt = -_mode_u(output_mode, ts) / np.sqrt(np.interp(ts, t_fine, f_fine))
-        gb = np.conjugate(gt)
-        coeffs = np.stack([
-            beta, np.conjugate(beta), gt * np.conjugate(beta), gb * beta,
-            gb, gt, gt.real**2 + gt.imag**2,
-        ], axis=1)
-        return coeffs, nsub
+        pairs = _conj_pairs(beta, gt * np.conjugate(beta), np.conjugate(gt))
+        return np.column_stack([pairs, gt.real**2 + gt.imag**2]), nsub
 
     diag = np.arange(d) * (d + 1)
     cav_idx = diag[[(q * n_c + (n_c - 1)) * db + m for q in range(2) for m in range(db)]]
@@ -829,7 +939,7 @@ def capture_mode_oracle(
 
     # <sigma_pq b^dag^m b^n> from the qubit-capture state (cavity traced out)
     scale = math.sqrt(CAPTURE_EPS_FLOOR * energy + energy)
-    rho_qb = np.einsum("qnjpni->qjpi", run.state.reshape(2, n_c, db, 2, n_c, db))
+    rho_qb = np.einsum("qnjpni->qjpi", gen.matrix(run.state).reshape(2, n_c, db, 2, n_c, db))
     k = range(MOMENT_ORDER + 1)
     b_pow = [np.linalg.matrix_power(destroy(db), n) for n in k]
     ops = np.array([[dag(b_pow[m]) @ b_pow[n] for n in k] for m in k])

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from qndsim import dynamics
 from qndsim.dynamics import (
     GATE_Y90,
     GATE_YM90,
@@ -363,6 +364,18 @@ class TestCaptureOracle:
         tau = optimize_delay(p, MODE)
         ms = capture_mode_oracle(m, sched, delay=tau)
         assert ms.mean_photon > 0.99 * N_IN
+
+    def test_substep_cap_raises(self, monkeypatch):
+        # the first in-window step of this window needs 5 substeps; a cap
+        # below that must refuse the run, not clamp the count
+        p = ideal_qubit(default_params())
+        m = build_model(p)
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=0.0, ramsey_gates=False)
+        monkeypatch.setattr(dynamics, "CAPTURE_MAX_SUBSTEPS", 4)
+        with pytest.raises(
+            RuntimeError, match=r"step 0 from t = -4\.000000e-07 s needs 5 substeps \(cap 4\)"
+        ):
+            capture_mode_oracle(m, sched, delay=108e-9, dim_b=4)
 
     def test_matches_regression_route(self, table_delay):
         p = default_params()

@@ -9,12 +9,13 @@ substeps.  The MLE fixed-point iteration is checked on exact data.
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 from scipy import sparse
 from scipy.linalg import expm
 
 from qndsim import dynamics
 from qndsim.linalg import dag, destroy
-from qndsim.model import SystemParams, build_model
+from qndsim.model import SystemParams, build_model, gaussian_input_mode
 from qndsim.tomography import mle_iterations
 
 
@@ -400,6 +401,117 @@ class TestCaptureRK4:
         npt.assert_allclose(run.state.reshape(d, d), expected, atol=1e-8)
         assert run.max_trace_defect < 1e-9
         assert len(run.max_watched) == 2
+
+
+class TestRealCoordinates:
+    """The real form of each generator against the complex one it comes from."""
+
+    @staticmethod
+    def _real_weights(pairs, singles=()):
+        """Complex weights (1, c_1, conj(c_1), ..., s) and the real form's
+        (1, Re c_1, Im c_1, ..., s)."""
+        complex_w = [1.0] + [f(c) for c in pairs for f in (np.asarray, np.conjugate)]
+        real_w = [1.0] + [f(c) for c in pairs for f in (np.real, np.imag)]
+        return np.array(complex_w + list(singles)), np.array(real_w + list(singles))
+
+    @pytest.mark.parametrize("n, n_nodes", [(5, 1), (4, 3)])
+    def test_basis_is_unitary_and_fixes_the_diagonal(self, n, n_nodes):
+        swap = dynamics._adjoint_swap(n, n_nodes)
+        t = dynamics._real_basis(swap).toarray()
+        npt.assert_allclose(dag(t) @ t, np.eye(swap.size), rtol=0, atol=1e-15)
+        # fixed points: the diagonal entries of the diagonal nodes
+        diag_nodes = np.arange(n_nodes) * (n_nodes + 1)
+        want = (diag_nodes[:, None] * n * n + np.arange(n) * (n + 1)).ravel()
+        fixed = np.flatnonzero(swap == np.arange(swap.size))
+        npt.assert_array_equal(fixed, want)
+        npt.assert_array_equal(t[:, fixed], np.eye(swap.size)[:, fixed])
+        # a real r maps to a Hermitian ladder: node (k, m) = node (m, k)^dag
+        x = t @ np.random.default_rng(n).normal(size=swap.size)
+        x = x.reshape(n_nodes, n_nodes, n, n)
+        npt.assert_array_equal(x, np.conjugate(x.transpose(1, 0, 3, 2)))
+
+    def _check_real_form(self, gen, blocks, swap, pairs, singles=()):
+        rng = np.random.default_rng(swap.size)
+        real = dynamics.Generator.real_form(blocks, swap)
+        assert real.n_pieces == gen.n_pieces
+        t = real.basis
+        w_complex, w_real = self._real_weights(pairs, singles)
+        for _ in range(3):
+            r = rng.normal(size=swap.size)
+            want = dag(t.toarray()) @ gen.apply(t @ r, w_complex)
+            got = real.apply(r, w_real)
+            assert got.dtype == np.float64
+            scale = np.abs(want).max()
+            npt.assert_allclose(got, want.real, rtol=0, atol=1e-14 * scale)
+            npt.assert_allclose(want.imag, 0.0, rtol=0, atol=1e-14 * scale)
+
+    def test_real_form_is_the_conjugated_generator(self):
+        rng = np.random.default_rng(16)
+        d = 5
+        h0 = random_hermitian(rng, d)
+        a_op = random_matrix(rng, d, 0.5)
+        c_list = [random_matrix(rng, d, 0.3) for _ in range(2)]
+        eps, w = 0.3 - 0.7j, -0.4 + 0.2j
+        self._check_real_form(
+            dynamics.lindblad_generator(h0, c_list, a_op),
+            dynamics._lindblad_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d), [eps],
+        )
+        assert dynamics.MOMENT_ORDER == 2
+        self._check_real_form(
+            dynamics.ladder_generator(h0, c_list, a_op),
+            dynamics._ladder_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d, 3),
+            [eps, w],
+        )
+        model = capture_model()
+        db = 4
+        g, beta = 0.8 - 0.5j, 0.25 + 0.15j
+        self._check_real_form(
+            dynamics.capture_generator(model, db), dynamics._capture_blocks(model, db),
+            dynamics._adjoint_swap(model.dim * db),
+            [beta, g * np.conjugate(beta), np.conjugate(g)], [abs(g) ** 2],
+        )
+
+    def test_run_schedule_matches_complex_route(self):
+        # three members, both rotations on, snapshots along the way
+        rng = np.random.default_rng(17)
+        model = capture_model()
+        d = model.dim
+        blocks = dynamics._lindblad_blocks(model.H, model.collapse, model.a)
+        complex_gen = dynamics.lindblad_generator(model.H, model.collapse, model.a)
+        real_gen = dynamics.Generator.real_form(blocks, dynamics._adjoint_swap(d))
+        sched = dynamics.PulseSchedule(
+            0.0, 1.0, 1.6, gaussian_input_mode(500e-9), alpha_in=0.0, ramsey_gates=True
+        )
+        rates = np.array([0.7, 1.9, 3.1])
+
+        def eps(t0, nsteps, dt_seg):
+            tt = dynamics._half_grid(t0, nsteps, dt_seg)[:, None]
+            return 0.4 * np.exp(1j * rates * tt) * np.cos(2 * tt + rates)
+
+        def complex_coeffs(t0, nsteps, dt_seg, in_window):
+            e = eps(t0, nsteps, dt_seg)
+            return np.stack([e, np.conjugate(e)], axis=1), ones(nsteps)
+
+        def real_coeffs(t0, nsteps, dt_seg, in_window):
+            return dynamics._conj_pairs(eps(t0, nsteps, dt_seg)), ones(nsteps)
+
+        x0 = np.stack([random_density(rng, d).reshape(-1) for _ in range(3)], axis=1)
+        diag, top = dynamics._monitor_indices(model)
+        want = dynamics._run_schedule(
+            complex_gen, x0, sched, 0.01, complex_coeffs, d, diag, (top,), store_every=25
+        )
+        got = dynamics._run_schedule(
+            real_gen, real_gen.coords(x0), sched, 0.01, real_coeffs, d, diag, (top,),
+            store_every=25,
+        )
+        assert got.state.dtype == np.float64
+        npt.assert_allclose(real_gen.matrix(got.state), want.state, rtol=0, atol=1e-14)
+        assert len(got.snapshots) == len(want.snapshots)
+        for (t_got, x_got), (t_want, x_want) in zip(got.snapshots, want.snapshots):
+            assert t_got == t_want
+            npt.assert_allclose(real_gen.matrix(x_got), x_want, rtol=0, atol=1e-14)
+        npt.assert_allclose(got.max_trace_defect, want.max_trace_defect, rtol=0, atol=1e-14)
+        npt.assert_allclose(got.max_watched[0], want.max_watched[0], rtol=0, atol=1e-14)
 
 
 def dense_map(stack):
