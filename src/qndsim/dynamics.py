@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import minimize_scalar
 
-from .linalg import QuantumState, dag, destroy
+from .linalg import QuantumState, coherent, dag, destroy, fock
 from .model import LindbladModel, SystemParams, TemporalMode
 
 # qubit basis ordering (|g>, |e>)
@@ -29,7 +29,6 @@ GATE_YM90 = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
 TRACE_DRIFT_MAX = 1e-8
 TOP_LEVEL_MAX = 1e-7
 CAPTURE_TOP_MAX = 1e-5
-EARLY_TAIL_MASS = 1e-5
 # highest power of A and of Adag in the output-mode moments; the regression
 # ladder holds one node per moment, (MOMENT_ORDER + 1)^2 in all
 MOMENT_ORDER = 2
@@ -168,18 +167,6 @@ def default_timestep(params: SystemParams, mode: TemporalMode) -> float:
     return dt
 
 
-def _start_time(schedule: PulseSchedule) -> float:
-    """Earliest time to propagate from so the leading pulse tail is covered."""
-    if schedule.alpha_in == 0:
-        return schedule.t_i
-    mode = schedule.mode
-    intensity = np.abs(mode.f) ** 2 * mode.dt
-    trailing = np.cumsum(intensity[::-1])[::-1]
-    late = mode.t[trailing <= EARLY_TAIL_MASS]
-    s_star = float(late[0]) if late.size else float(mode.t[-1])
-    return min(schedule.t_i, -s_star)
-
-
 def _segment_steps(span: float, dt: float) -> int:
     return max(1, int(math.ceil(span / dt - 1e-12)))
 
@@ -209,14 +196,6 @@ def _mode_u(mode: TemporalMode, times: np.ndarray) -> np.ndarray:
     if off != 0.0:
         amp = amp * np.exp(-1j * off * times)
     return amp
-
-
-def _segments(schedule: PulseSchedule, t_start: float) -> list:
-    return [
-        (t_start, schedule.t_i, "y90"),
-        (schedule.t_i, schedule.t_g, "ym90"),
-        (schedule.t_g, schedule.t_f, None),
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -526,29 +505,34 @@ def _run_schedule(
     watch: tuple = (),
     store_every: int = 0,
 ) -> Propagation:
-    """Propagate x from the start of the pulse window to t_f.
+    """Propagate x, the state at t_i, to t_f.
 
-    Each of the schedule's three segments is cut into equal steps no
-    longer than dt; coeffs_for(t0, nsteps, dt_seg, in_window) returns the
-    segment's coefficient rows and substep counts for propagate, with
-    in_window set when the segment ends after t_i.  x may hold one member
-    per column (see propagate), in gen's coordinates.  Qubit rotations of
-    the d x d blocks of the matrices fire at t_i and t_g when
-    schedule.ramsey_gates is set.  The monitors are maximised per member
-    over all segments.  With store_every > 0 the snapshots are (time, x) pairs: the start, every
-    store_every-th step, each segment end not already stored, and the
-    state after each rotation.
+    The schedule has two segments, t_i to t_g and t_g to t_f, each opened
+    by a qubit rotation of the d x d blocks of the matrices (+90 deg, then
+    -90 deg) when schedule.ramsey_gates is set.  Each segment is cut into
+    equal steps no longer than dt; coeffs_for(t0, nsteps, dt_seg) returns
+    its coefficient rows and substep counts for propagate.  x may hold one
+    member per column (see propagate), in gen's coordinates.  The monitors
+    are maximised per member over both segments.  With store_every > 0 the
+    snapshots are (time, x) pairs: the start, the state after each
+    rotation, every store_every-th step and each segment end not already
+    stored.
     """
-    t_start = _start_time(schedule)
-    snaps = [(t_start, x.copy())] if store_every else []
+    snaps = [(schedule.t_i, x.copy())] if store_every else []
     max_tr = np.zeros(x.shape[1:])
     max_watched = (max_tr,) * len(watch)
-    for t0, t1, gate in _segments(schedule, t_start):
+    for gate, t0, t1 in (
+        ("y90", schedule.t_i, schedule.t_g), ("ym90", schedule.t_g, schedule.t_f)
+    ):
+        if schedule.ramsey_gates:
+            x = gen.coords(_apply_gate(gen.matrix(x), gate, d))
+            if store_every:
+                snaps.append((t0, x.copy()))
         span = t1 - t0
         if span > 1e-15:
             nsteps = _segment_steps(span, dt)
             dt_seg = span / nsteps
-            coeffs, nsub = coeffs_for(t0, nsteps, dt_seg, t1 > schedule.t_i + 1e-15)
+            coeffs, nsub = coeffs_for(t0, nsteps, dt_seg)
             run = propagate(gen, x, coeffs, dt_seg, nsub, trace_idx, watch, store_every)
             x = run.state
             max_tr = np.maximum(max_tr, run.max_trace_defect)
@@ -557,11 +541,25 @@ def _run_schedule(
                 snaps.append((t0 + dt_seg * store_every * k, snap))
             if store_every and nsteps % store_every:
                 snaps.append((t1, x.copy()))
-        if gate is not None and schedule.ramsey_gates:
-            x = gen.coords(_apply_gate(gen.matrix(x), gate, d))
-            if store_every:
-                snaps.append((t1, x.copy()))
     return Propagation(x, snaps, max_tr, max_watched)
+
+
+def _prepared_states(
+    model: LindbladModel, schedule: PulseSchedule, alphas, dt: float, db: int = 1
+) -> np.ndarray:
+    """The states at t_i of members with input amplitudes alphas, one
+    column vec(|g><g| x |a_j><a_j| x |0><0|_b) per member.
+
+    Until t_i the qubit is held in |g> and no channel heats the cavity, so
+    the cavity holds the coherent amplitude a_j of the ground-pinned linear
+    cavity; a_j is linear in alphas[j] and is integrated once, at unit
+    input.  |0>_b is the empty capture mode of db levels (none for db = 1).
+    """
+    unit = _prepared_amplitude(model.params, schedule, dt) if any(alphas) else 0.0
+    # coherent(n, 0) is the vacuum
+    kets = [np.kron([1.0, 0.0], np.kron(coherent(model.n_max + 1, a * unit), fock(db, 0)))
+            for a in alphas]
+    return np.stack([np.outer(k, np.conjugate(k)).ravel() for k in kets], axis=1)
 
 
 def evolve(
@@ -573,52 +571,46 @@ def evolve(
     store_every: int = 1,
     drive: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Trajectory:
-    """Propagate from the start of the pulse window to t_f.
+    """Propagate the state at t_i to t_f.
 
-    Propagation begins before t_i when the leading tail of the input
-    envelope would otherwise be clipped.  Qubit rotations fire at t_i and
-    t_g when schedule.ramsey_gates is set.  The trajectory stores every
+    initial is the state at t_i; it defaults to the prepared state: the
+    qubit in |g> and the cavity in the coherent state that the pulse has
+    built up by t_i (see _prepared_states).  drive, when given, replaces
+    the pulse's drive after t_i.  Qubit rotations fire at t_i and t_g when
+    schedule.ramsey_gates is set.  The trajectory stores every
     store_every-th step plus segment boundaries (pre- and post-rotation).
     """
-    state = initial if initial is not None else model.ground_state()
-    _require(state.rho.shape[0] == model.dim, "initial state dimension mismatch")
-    x0 = state.rho.astype(complex).reshape(-1)
+    if dt is None:
+        dt = default_timestep(model.params, schedule.mode)
+    if initial is None:
+        x0 = _prepared_states(model, schedule, [schedule.alpha_in], dt)[:, 0]
+    else:
+        _require(initial.rho.shape[0] == model.dim, "initial state dimension mismatch")
+        x0 = initial.rho.astype(complex).reshape(-1)
     return _evolve(model, [schedule], x0, drive, dt, store_every)[0]
 
 
-def evolve_members(
-    model: LindbladModel,
-    schedule: PulseSchedule,
-    alphas,
-) -> list:
-    """evolve from the ground state for each input amplitude in alphas.
+def evolve_members(model: LindbladModel, schedule: PulseSchedule, alphas) -> list:
+    """evolve from the prepared state for each input amplitude in alphas.
 
     Member j runs schedule with alpha_in = alphas[j].  The members are the
-    columns of one RK4 run, so they must share the propagation window
-    (all amplitudes nonzero, or all zero).  Each trajectory stores the
-    segment boundaries only; it and its monitors equal those of the
-    member's own evolve up to round-off, and a monitor breach in any
+    columns of one RK4 run over the schedule's window.  Each trajectory
+    stores the segment boundaries only; it and its monitors equal those of
+    the member's own evolve up to round-off, and a monitor breach in any
     member raises.
     """
     members = [replace(schedule, alpha_in=a) for a in alphas]
     if not members:
         return []
-    t_start = _start_time(members[0])
-    _require(
-        all(_start_time(s) == t_start for s in members),
-        "members must share the propagation window",
-    )
-    x0 = np.repeat(model.ground_state().rho.astype(complex).reshape(-1, 1), len(members), axis=1)
+    dt = default_timestep(model.params, schedule.mode)
+    x0 = _prepared_states(model, schedule, [s.alpha_in for s in members], dt)
     # a stride longer than any segment stores its boundaries only
-    return _evolve(model, members, x0, None, None, 10**9)
+    return _evolve(model, members, x0, None, dt, 10**9)
 
 
 def _evolve(model, members, x0, drive, dt, store_every) -> list:
-    """Trajectories of the member schedules, started from the columns of x0
-    (from x0 itself when it is one vector), over the first member's window."""
-    schedule = members[0]
-    if dt is None:
-        dt = default_timestep(model.params, schedule.mode)
+    """Trajectories of the member schedules, started at t_i from the columns
+    of x0 (from x0 itself when it is one vector)."""
     d = model.dim
     gen = Generator.real_form(
         _lindblad_blocks(model.H, model.collapse, model.a), _adjoint_swap(d)
@@ -626,13 +618,13 @@ def _evolve(model, members, x0, drive, dt, store_every) -> list:
     diag, top = _monitor_indices(model)
     _require(store_every >= 1, "store_every must be at least 1")
 
-    def coeffs_for(t0, nsteps, dt_seg, in_window):
+    def coeffs_for(t0, nsteps, dt_seg):
         tt = _half_grid(t0, nsteps, dt_seg)
         eps = np.stack([_drive_samples(model.params, s, tt, drive) for s in members], axis=-1)
         return _conj_pairs(eps.reshape(len(tt), *x0.shape[1:])), np.ones(nsteps, dtype=np.int64)
 
     x0 = gen.coords(x0)
-    run = _run_schedule(gen, x0, schedule, dt, coeffs_for, d, diag, (top,), store_every)
+    run = _run_schedule(gen, x0, members[0], dt, coeffs_for, d, diag, (top,), store_every)
     _check_monitors(run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "evolve")
     times, states = zip(*run.snapshots)
     times = np.array(times)
@@ -651,16 +643,19 @@ def _evolve(model, members, x0, drive, dt, store_every) -> list:
 # linear (ground-pinned) reference and delay choice
 
 
-def _linear_output(params: SystemParams, schedule: PulseSchedule, t0: float, t1: float, dt: float):
-    """Output field psi_out = beta - i sqrt(kex) alpha of the ground-pinned
-    linear cavity (empty at t0) on the RK4 step grid from t0 to t1."""
+def _linear_cavity(
+    params: SystemParams, schedule: PulseSchedule, t0: float, t1: float, dt: float,
+    a0: complex = 0.0,
+):
+    """RK4 step grid from t0 to t1 and the amplitude alpha on it of the
+    ground-pinned linear cavity alpha' = -(i chi + kappa_tot/2) alpha + eps,
+    with alpha(t0) = a0."""
     nsteps = _segment_steps(t1 - t0, dt)
     dt_seg = (t1 - t0) / nsteps
     eps = _drive_samples(params, schedule, _half_grid(t0, nsteps, dt_seg), None)
     lam = -(1j * params.chi + params.kappa_tot / 2.0)
     alpha = np.empty(nsteps + 1, dtype=complex)
-    alpha[0] = 0.0
-    a = 0.0 + 0.0j
+    alpha[0] = a = complex(a0)
     for k in range(nsteps):
         j = 2 * k
         k1 = lam * a + eps[j]
@@ -669,7 +664,25 @@ def _linear_output(params: SystemParams, schedule: PulseSchedule, t0: float, t1:
         k4 = lam * (a + dt_seg * k3) + eps[j + 2]
         a = a + dt_seg / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         alpha[k + 1] = a
-    t_full = t0 + np.arange(nsteps + 1) * dt_seg
+    return t0 + np.arange(nsteps + 1) * dt_seg, alpha
+
+
+def _prepared_amplitude(params: SystemParams, schedule: PulseSchedule, dt: float) -> complex:
+    """Linear-cavity amplitude at t_i per unit input amplitude, the cavity
+    empty at the pulse's start -mode.t[-1] (0 when the pulse starts later)."""
+    t0 = -float(schedule.mode.t[-1])
+    if schedule.t_i - t0 <= 1e-15:
+        return 0j
+    alpha = _linear_cavity(params, replace(schedule, alpha_in=1.0), t0, schedule.t_i, dt)[1]
+    return complex(alpha[-1])
+
+
+def _linear_output(params: SystemParams, schedule: PulseSchedule, dt: float):
+    """Output field psi_out = beta - i sqrt(kex) alpha of the ground-pinned
+    linear cavity, driven from the pulse's start, on the RK4 step grid from
+    t_i to t_f."""
+    a0 = schedule.alpha_in * _prepared_amplitude(params, schedule, dt)
+    t_full, alpha = _linear_cavity(params, schedule, schedule.t_i, schedule.t_f, dt, a0)
     beta = schedule.alpha_in * _mode_u(schedule.mode, t_full)
     return t_full, beta - 1j * math.sqrt(params.kappa_ex) * alpha
 
@@ -682,13 +695,13 @@ def linear_reference(
     dt: Optional[float] = None,
 ) -> complex:
     """Windowed projection a_ref = <u, psi_out> over [t_i, t_f] of the mean
-    output field of the ground-pinned linear cavity."""
+    output field of the ground-pinned linear cavity, driven from the
+    pulse's start."""
     if dt is None:
         dt = default_timestep(params, schedule.mode)
-    t_full, psi_out = _linear_output(params, schedule, _start_time(schedule), schedule.t_f, dt)
-    sel = t_full >= schedule.t_i - 1e-15
-    uu = _mode_u(output_mode, t_full[sel])
-    return complex(np.trapezoid(np.conjugate(uu) * psi_out[sel], t_full[sel]))
+    t_full, psi_out = _linear_output(params, schedule, dt)
+    uu = _mode_u(output_mode, t_full)
+    return complex(np.trapezoid(np.conjugate(uu) * psi_out, t_full))
 
 
 def optimize_delay(params: SystemParams, mode: TemporalMode) -> float:
@@ -703,7 +716,7 @@ def optimize_delay(params: SystemParams, mode: TemporalMode) -> float:
     t0 = float(mode.t[0])
     t1 = float(mode.t[-1]) + 5.0 / params.kappa_ex
     sched = PulseSchedule(t0, (t0 + t1) / 2, t1, mode, alpha_in=1.0, ramsey_gates=False)
-    t_full, psi_out = _linear_output(params, sched, t0, t1, dt)
+    t_full, psi_out = _linear_output(params, sched, dt)
 
     def negative_capture(tau: float) -> float:
         uu = _mode_u(mode, t_full - tau)
@@ -749,8 +762,6 @@ def _gauge_phase(
     params: SystemParams, schedule: PulseSchedule, output_mode: TemporalMode, dt: float
 ) -> float:
     """Argument of the linear reference's projection (0 without a pulse)."""
-    if schedule.alpha_in == 0:
-        return 0.0
     a_ref = linear_reference(params, schedule, output_mode, dt=dt)
     return float(np.angle(a_ref)) if abs(a_ref) > 1e-300 else 0.0
 
@@ -766,7 +777,8 @@ def output_mode_moments(
     """Qubit-resolved moments of the reflected temporal mode at t_f.
 
     Propagates a ladder of matrices sourced by ladder-operator insertions
-    weighted with the projection-mode waveform (regression route), then
+    weighted with the projection-mode waveform (regression route), its node
+    (0, 0) started at t_i from the prepared state (see evolve), then
     shifts by the classical amplitude c = alpha_in o_f, where o_f is the
     overlap of the projection mode with the input envelope over [t_i, t_f].
     """
@@ -781,17 +793,14 @@ def output_mode_moments(
     )
     diag, top = _monitor_indices(model)
     x = np.zeros(n_k * n_k * d * d, dtype=complex)
-    x[: d * d] = model.ground_state().rho.reshape(-1)
+    x[: d * d] = _prepared_states(model, schedule, [schedule.alpha_in], dt)[:, 0]
     x = gen.coords(x)
     sqrt_kex = math.sqrt(p.kappa_ex) if p.kappa_ex > 0 else 0.0
 
-    def coeffs_for(t0, nsteps, dt_seg, in_window):
+    def coeffs_for(t0, nsteps, dt_seg):
         tt = _half_grid(t0, nsteps, dt_seg)
         eps = _drive_samples(p, schedule, tt, None)
-        if in_window:
-            w = -1j * sqrt_kex * np.conjugate(_mode_u(output_mode, tt))
-        else:
-            w = np.zeros(tt.shape, dtype=complex)
+        w = -1j * sqrt_kex * np.conjugate(_mode_u(output_mode, tt))
         return _conj_pairs(eps, w), np.ones(nsteps, dtype=np.int64)
 
     run = _run_schedule(gen, x, schedule, dt, coeffs_for, d, diag, (top,))
@@ -865,10 +874,11 @@ def capture_mode_oracle(
 
     Augments the system with an auxiliary resonator whose time-dependent
     coupling is shaped so it absorbs exactly the projection mode of the
-    reflected field; at t_f the auxiliary-mode moments are read directly
-    from the joint state.  The coupling denominator is floored at
-    CAPTURE_EPS_FLOOR of the windowed mode energy to regularize the leading
-    tail.
+    reflected field; the joint state starts at t_i as the prepared state
+    (see evolve) with the capture mode empty, and at t_f the
+    auxiliary-mode moments are read directly from it.  The coupling
+    denominator is floored at CAPTURE_EPS_FLOOR of the windowed mode
+    energy to regularize the leading tail.
     """
     _require(dim_b >= 4, "capture mode needs at least 4 levels")
     p = model.params
@@ -879,8 +889,7 @@ def capture_mode_oracle(
     db = dim_b
     d = 2 * n_c * db
     gen = Generator.real_form(_capture_blocks(model, db), _adjoint_swap(d))
-    x = np.zeros(d * d)
-    x[0] = 1.0  # |g, 0, 0><g, 0, 0| is its own real coordinate vector
+    x = gen.coords(_prepared_states(model, schedule, [schedule.alpha_in], dt, db)[:, 0])
 
     # fine-grid mode energy and coupling magnitude inside the window
     n_fine = 64 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
@@ -896,31 +905,26 @@ def capture_mode_oracle(
     g2_fine = inten / f_fine
     del u_fine, inten, cum  # the fine grid is large; keep only what the stages read
 
-    def coeffs_for(t0, nsteps, dt_seg, in_window):
+    def coeffs_for(t0, nsteps, dt_seg):
         """Substep counts and the coefficient rows of every substep grid."""
         nsub = np.ones(nsteps, dtype=np.int64)
-        if in_window:
-            edges = t0 + np.arange(nsteps + 1) * dt_seg
-            for k in range(nsteps):
-                lo = np.searchsorted(t_fine, edges[k] - 1e-15)
-                hi = np.searchsorted(t_fine, edges[k + 1] + 1e-15)
-                gmax = float(g2_fine[lo:hi].max()) if hi > lo else 0.0
-                nsub[k] = max(1, int(math.ceil(dt_seg * gmax / 2.0)))
-                if nsub[k] > CAPTURE_MAX_SUBSTEPS:
-                    raise RuntimeError(
-                        f"capture_mode_oracle: step {k} from t = {edges[k]:.6e} s needs "
-                        f"{nsub[k]} substeps (cap {CAPTURE_MAX_SUBSTEPS})"
-                    )
+        edges = t0 + np.arange(nsteps + 1) * dt_seg
+        for k in range(nsteps):
+            lo = np.searchsorted(t_fine, edges[k] - 1e-15)
+            hi = np.searchsorted(t_fine, edges[k + 1] + 1e-15)
+            gmax = float(g2_fine[lo:hi].max()) if hi > lo else 0.0
+            nsub[k] = max(1, int(math.ceil(dt_seg * gmax / 2.0)))
+            if nsub[k] > CAPTURE_MAX_SUBSTEPS:
+                raise RuntimeError(
+                    f"capture_mode_oracle: step {k} from t = {edges[k]:.6e} s needs "
+                    f"{nsub[k]} substeps (cap {CAPTURE_MAX_SUBSTEPS})"
+                )
         ts = np.concatenate([
             t0 + k * dt_seg + np.arange(2 * ns) * (dt_seg / (2 * ns))
             for k, ns in enumerate(nsub.tolist())
         ] + [[t0 + nsteps * dt_seg]])
-        beta = np.zeros(ts.shape, dtype=complex)
-        gt = np.zeros(ts.shape, dtype=complex)
-        if schedule.alpha_in != 0:
-            beta = schedule.alpha_in * _mode_u(schedule.mode, ts)
-        if in_window:
-            gt = -_mode_u(output_mode, ts) / np.sqrt(np.interp(ts, t_fine, f_fine))
+        beta = schedule.alpha_in * _mode_u(schedule.mode, ts)
+        gt = -_mode_u(output_mode, ts) / np.sqrt(np.interp(ts, t_fine, f_fine))
         pairs = _conj_pairs(beta, gt * np.conjugate(beta), np.conjugate(gt))
         return np.column_stack([pairs, gt.real**2 + gt.imag**2]), nsub
 

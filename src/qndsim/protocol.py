@@ -8,7 +8,6 @@ sweeps.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,6 @@ from .dynamics import (
     MOMENT_ORDER,
     MomentSet,
     PulseSchedule,
-    evolve,
     evolve_members,
     optimize_delay,
     output_mode_moments,
@@ -312,10 +310,9 @@ def efficiency_scan(
     extrapolation (saturation strength); it is NaN when the grid does not
     extend meaningfully past the fit window.
 
-    The driven grid points differ only in the input amplitude, so they are
-    propagated as the columns of one RK4 run (``evolve_members``).  The
-    dark run stays a separate ``evolve``: with no pulse its window starts at
-    t_i, later than the driven members' window.
+    The grid points differ only in the input amplitude, so they are
+    propagated as the columns of one RK4 run (``evolve_members``), the dark
+    run first; every member starts at t_i from its prepared state.
     """
     if schedule_template is None:
         schedule_template = default_schedule(gate_interval=800e-9)
@@ -332,12 +329,10 @@ def efficiency_scan(
         p_e = float(np.real(traj.expect(model.sigma_ee)[-1]))
         return dressed_flip_probability(p_e, params)
 
-    dark_sched = dataclasses.replace(schedule_template, alpha_in=0.0)
-    dark = flip(evolve(model, dark_sched, store_every=10**9))
     driven = [math.sqrt(x) for x in grid if x > 0]
-    members = evolve_members(model, schedule_template, driven)
+    dark, *members = map(flip, evolve_members(model, schedule_template, [0.0] + driven))
     # the grid is sorted, so its zero points come first
-    p_flip = np.array([dark] * (grid.size - len(driven)) + [flip(t) for t in members])
+    p_flip = np.array([dark] * (grid.size - len(driven)) + members)
 
     sel = grid <= fit_window
     if np.count_nonzero(sel) < 3:

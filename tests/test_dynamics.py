@@ -110,7 +110,8 @@ class TestEvolve:
         m = build_model(p)
         sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA, ramsey_gates=False)
         traj = evolve(m, sched, store_every=100)
-        t0 = traj.times[0]
+        assert traj.times[0] == sched.t_i
+        t0 = -MODE.t[-1]  # the cavity is empty before the pulse starts
         mean_a = traj.expect(m.a)
         kex, ktot = p.kappa_ex, p.kappa_tot
         for idx in range(2, len(traj.times), 3):

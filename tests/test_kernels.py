@@ -488,11 +488,11 @@ class TestRealCoordinates:
             tt = dynamics._half_grid(t0, nsteps, dt_seg)[:, None]
             return 0.4 * np.exp(1j * rates * tt) * np.cos(2 * tt + rates)
 
-        def complex_coeffs(t0, nsteps, dt_seg, in_window):
+        def complex_coeffs(t0, nsteps, dt_seg):
             e = eps(t0, nsteps, dt_seg)
             return np.stack([e, np.conjugate(e)], axis=1), ones(nsteps)
 
-        def real_coeffs(t0, nsteps, dt_seg, in_window):
+        def real_coeffs(t0, nsteps, dt_seg):
             return dynamics._conj_pairs(eps(t0, nsteps, dt_seg)), ones(nsteps)
 
         x0 = np.stack([random_density(rng, d).reshape(-1) for _ in range(3)], axis=1)
