@@ -1,6 +1,7 @@
 """Shared fixtures: the flagship detection run is computed once per session."""
 
 import os
+import warnings
 
 # One BLAS thread, set before numpy loads: at two threads the MLE's small
 # products slow down about 30x whenever another process holds a core.
@@ -60,7 +61,9 @@ def composite_tomo():
     record = tomography.sample_composite(
         state, tomography.phase_settings(100), 10_000, eta=0.43, seed=21
     )
-    return state, record, tomography.composite_mle(record)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a fit cut at the iteration cap fails
+        return state, record, tomography.composite_mle(record)
 
 
 @pytest.fixture(scope="session")
@@ -69,4 +72,6 @@ def composite_uncorrected(composite_tomo):
     from qndsim import tomography
 
     _, record, _ = composite_tomo
-    return tomography.composite_mle(record, correct_efficiency=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return tomography.composite_mle(record, correct_efficiency=False)

@@ -542,7 +542,7 @@ class TestMLEIterations:
         truth = random_density(rng, d)
         freqs = np.real(np.einsum("sij,ji->s", povm, truth))
         rho0 = np.eye(d, dtype=complex) / d
-        rho, logliks, n_iter = mle_iterations(
+        rho, logliks, n_iter, _ = mle_iterations(
             *dense_map(povm), freqs, rho0, float(n_settings), 20000, 1e-14, 1e-12
         )
         npt.assert_allclose(rho, truth, atol=5e-6)
@@ -556,7 +556,7 @@ class TestMLEIterations:
         truth = random_density(rng, d)
         freqs = np.real(np.einsum("sij,ji->s", povm, truth))
         rho0 = np.eye(d, dtype=complex) / d
-        rho, logliks, n_iter = mle_iterations(
+        rho, logliks, n_iter, _ = mle_iterations(
             *dense_map(povm), freqs, rho0, 3.0, 5000, 1e-10, 1e-12
         )
         assert n_iter < 5000
