@@ -4,8 +4,10 @@ Subcommands: spectrum | efficiency | protocol | tomo-selftest | sweep.
 Every run resolves its configuration (YAML file over built-in defaults,
 unknown keys rejected), writes a manifest echoing the full resolution, and
 emits CSV/JSON outputs that are byte-identical for identical config + seed
-at the same BLAS thread count (the MLE's stopping iteration, and so the
-tomography figures' last digits, can move with the thread count).
+at the same BLAS thread count.  Another thread count may round a product
+differently and so move a figure's last digits; the MLE stops on a step
+gain summed term by term, so at the defaults and seed 7 `tomo-selftest`
+writes the same bytes at one and at two threads (README, Determinism).
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 

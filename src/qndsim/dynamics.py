@@ -208,9 +208,9 @@ def _mode_u(mode: TemporalMode, times: np.ndarray) -> np.ndarray:
 # ladder's nodes in the sense X_nm = X_mn^dag), so the routes propagate the
 # real coordinates r = T^H x of _real_basis: n^2 reals for an n x n matrix
 # instead of n^2 complex values.  The generators are written in the complex
-# x and carried over by Generator.real_form.  The diagonal entries keep
-# their positions, so trace and population indices read r as they read x;
-# the qubit rotations and the read-outs go through T.
+# x; _run_schedule carries them over once per run (Generator.real_form) and
+# owns T: states enter and leave it as matrices.  The diagonal entries keep
+# their positions, so trace and population indices read r as they read x.
 
 
 def _spre(op) -> sparse.csr_matrix:
@@ -286,50 +286,40 @@ class Generator:
     sparse product yields every L_k x and a short dense product weights
     them.  x is one vector of length n^2 or an (n^2, m) array whose
     columns are independent members, each with its own coefficients.
-    basis is T when x holds the real coordinates r = T^H x of Hermitian
-    matrices (see real_form), and None when x holds the matrices.
     """
 
-    def __init__(self, l0: sparse.csr_matrix, pieces, basis=None) -> None:
+    def __init__(self, l0: sparse.csr_matrix, pieces) -> None:
         self.n_pieces = len(pieces)
         self.blocks = sparse.vstack([l0, *pieces], format="csr")
-        self.basis = basis
 
     @classmethod
-    def real_form(cls, blocks, swap: np.ndarray) -> "Generator":
-        """The generator in the real coordinates r = T^H x, T = _real_basis(swap).
+    def real_form(cls, blocks, t: sparse.csr_matrix, live) -> "Generator":
+        """The generator in the real coordinates r = T^H x of the unitary
+        t = T of _real_basis, with only its live pieces.
 
         blocks yields the complex L0, then the pieces as conjugate pairs
         (P, J P J), J X = X^dag, with coefficients (c, conj(c)), then at
         most one self-conjugate piece with a real coefficient.  T^H L0 T is
         real, and with M = T^H P T a pair adds Re c (2 Re M) + Im c (-2 Im M),
         so the real form has as many pieces, with coefficients (Re c, Im c)
-        per pair and the self-conjugate piece's own.  Each block is
-        converted as it is drawn and kept without its zeros, so the complex
-        blocks are never stacked.
+        per pair and the self-conjugate piece's own.  live flags each of
+        these real pieces; the ones flagged off are dropped before the
+        stack is built.  Each block is converted as it is drawn and kept
+        without its zeros, so the complex blocks are never stacked.
         """
-        t = _real_basis(swap)
         t_h = t.conj().T.tocsr()
         blocks = iter(blocks)
         m = (t_h @ next(blocks) @ t).tocsr()
-        out = [_trimmed(m.data.real, m)]
+        l0 = _trimmed(m.data.real, m)
+        pieces = []
         for piece in blocks:
             m = (t_h @ piece @ t).tocsr()
             if next(blocks, None) is None:  # no partner J P J: self-conjugate
-                out.append(_trimmed(m.data.real, m))
+                pieces.append(_trimmed(m.data.real, m))
             else:
-                out += [_trimmed(2 * m.data.real, m), _trimmed(-2 * m.data.imag, m)]
+                pieces += [_trimmed(2 * m.data.real, m), _trimmed(-2 * m.data.imag, m)]
         del m, t_h  # free before the real pieces are stacked
-        return cls(out[0], out[1:], t)
-
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        """x as vectorised matrices (T x in real coordinates)."""
-        return x if self.basis is None else self.basis @ x
-
-    def coords(self, x: np.ndarray) -> np.ndarray:
-        """Vectorised Hermitian matrices x in this generator's coordinates
-        (Re T^H x in real coordinates)."""
-        return x if self.basis is None else (self.basis.conj().T @ x).real
+        return cls(l0, [p for p, on in zip(pieces, live, strict=True) if on])
 
     def apply(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """L x for weights (1, f_1, ..., f_K); with m columns in x, weights
@@ -338,12 +328,6 @@ class Generator:
         if x.ndim == 1:  # one BLAS gemv: 25 us against the einsum's 37 us on the oracle state
             return weights @ y
         return np.einsum("kj,knj->nj", weights, y)
-
-    def restricted(self, keep) -> "Generator":
-        """The generator with only the pieces whose indices are in keep."""
-        n = self.blocks.shape[1]
-        rows = [self.blocks[k * n:(k + 1) * n] for k in (0, *(i + 1 for i in keep))]
-        return Generator(rows[0], rows[1:], self.basis)
 
 
 class Propagation(NamedTuple):
@@ -360,47 +344,36 @@ def propagate(
     generator: Generator,
     x0: np.ndarray,
     coeffs: np.ndarray,
-    dt: float,
-    nsub: np.ndarray,
+    steps: np.ndarray,
     trace_idx: np.ndarray,
     watch: tuple = (),
     store_every: int = 0,
 ) -> Propagation:
-    """Fixed-step RK4 of x' = L(t) x over len(nsub) steps of size dt.
+    """Fixed-step RK4 of x' = L(t) x over len(steps) steps.
 
-    x keeps the dtype of x0 when the generator and coeffs are real, as
-    for a real form in real coordinates.  coeffs has one column per piece;
-    with x0 of shape (n^2, m) it is (rows, K, m), one coefficient set per
-    member column.  Step i takes
-    nsub[i] equal substeps and reads rows o_i .. o_i + 2 nsub[i], its
-    half-substep grid, with o_i = 2 (nsub[0] + ... + nsub[i-1]):
-    consecutive steps share their boundary row, and with one substep per
-    step the rows are the half-step grid.  After every step the monitors
-    are updated per member: |trace - 1| of the entries trace_idx of x, and
-    the summed real part of x over each index array in watch.  A NaN
-    stays in its running maximum.  With store_every > 0, x is also stored
-    after every store_every-th step.
+    Step i has length steps[i] and reads the coefficient rows 2i, 2i + 1
+    and 2i + 2: its start, midpoint and end, so consecutive steps share
+    their boundary row.  coeffs has one column per piece of the
+    generator; with x0 of shape (n^2, m) it is (rows, K, m), one
+    coefficient set per member column.  x keeps the dtype of x0 when the
+    generator and coeffs are real, as for a real form in real
+    coordinates.  After every step the monitors are updated per member:
+    |trace - 1| of the entries trace_idx of x, and the summed real part of
+    x over each index array in watch.  A NaN stays in its running maximum.
+    With store_every > 0, x is also stored after every store_every-th step.
     """
-    n_rows, n_pieces = coeffs.shape[:2]
-    live = np.flatnonzero(np.any(coeffs.reshape(n_rows, n_pieces, -1) != 0, axis=(0, 2)))
-    if live.size < generator.n_pieces:  # pieces off in every member cost nothing
-        generator, coeffs = generator.restricted(live), coeffs[:, live]
     x = np.array(x0)
-    rows = np.concatenate([np.ones((n_rows, 1, *coeffs.shape[2:])), coeffs], axis=1)
+    rows = np.concatenate([np.ones((len(coeffs), 1, *coeffs.shape[2:])), coeffs], axis=1)
     snapshots = []
     max_tr = np.zeros(x.shape[1:])
     max_watched = [np.zeros(x.shape[1:])] * len(watch)
-    o = 0
-    for i, ns in enumerate(np.asarray(nsub).tolist()):
-        h = dt / ns
-        for s in range(ns):
-            j = o + 2 * s
-            k1 = generator.apply(x, rows[j])
-            k2 = generator.apply(x + (h / 2) * k1, rows[j + 1])
-            k3 = generator.apply(x + (h / 2) * k2, rows[j + 1])
-            k4 = generator.apply(x + h * k3, rows[j + 2])
-            x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
-        o += 2 * ns
+    for i, h in enumerate(np.asarray(steps).tolist()):
+        j = 2 * i
+        k1 = generator.apply(x, rows[j])
+        k2 = generator.apply(x + (h / 2) * k1, rows[j + 1])
+        k3 = generator.apply(x + (h / 2) * k2, rows[j + 1])
+        k4 = generator.apply(x + h * k3, rows[j + 2])
+        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         tr = x[trace_idx].sum(axis=0)
         max_tr = np.maximum(max_tr, abs(tr.real - 1.0) + abs(tr.imag))
         for w, idx in enumerate(watch):
@@ -495,7 +468,8 @@ def _check_monitors(max_tr, max_top, top_limit: float, label: str) -> None:
 
 
 def _run_schedule(
-    gen: Generator,
+    blocks,
+    swap: np.ndarray,
     x: np.ndarray,
     schedule: PulseSchedule,
     dt: float,
@@ -505,43 +479,56 @@ def _run_schedule(
     watch: tuple = (),
     store_every: int = 0,
 ) -> Propagation:
-    """Propagate x, the state at t_i, to t_f.
+    """Propagate the Hermitian matrices x, the state at t_i, to t_f.
 
-    The schedule has two segments, t_i to t_g and t_g to t_f, each opened
-    by a qubit rotation of the d x d blocks of the matrices (+90 deg, then
-    -90 deg) when schedule.ramsey_gates is set.  Each segment is cut into
+    blocks yields the complex generator in Generator.real_form's order
+    and swap is the index involution of X -> X^dag on x.  The schedule has
+    two segments, t_i to t_g and t_g to t_f, each opened by a qubit
+    rotation of the d x d blocks of the matrices (+90 deg, then -90 deg)
+    when schedule.ramsey_gates is set.  Each segment is cut into nsteps
     equal steps no longer than dt; coeffs_for(t0, nsteps, dt_seg) returns
-    its coefficient rows and substep counts for propagate.  x may hold one
-    member per column (see propagate), in gen's coordinates.  The monitors
-    are maximised per member over both segments.  With store_every > 0 the
-    snapshots are (time, x) pairs: the start, the state after each
-    rotation, every store_every-th step and each segment end not already
-    stored.
+    its real-form coefficient rows and step lengths for propagate.  A
+    piece is live when its coefficient is nonzero in some row, member or
+    segment; the run builds its real form once, from the live pieces only,
+    and propagates the real coordinates r = T^H x, T = _real_basis(swap).
+    x may hold one member per column (see propagate).  The monitors are
+    maximised per member over both segments.  The state and the snapshots
+    are returned as matrices.  With store_every > 0 the snapshots are
+    (time, x) pairs: the start, the state after each rotation, every
+    store_every-th step (timed as steps of dt_seg) and each segment end
+    not already stored.
     """
-    snaps = [(schedule.t_i, x.copy())] if store_every else []
-    max_tr = np.zeros(x.shape[1:])
-    max_watched = (max_tr,) * len(watch)
+    segments = []
     for gate, t0, t1 in (
         ("y90", schedule.t_i, schedule.t_g), ("ym90", schedule.t_g, schedule.t_f)
     ):
+        nsteps = _segment_steps(t1 - t0, dt) if t1 - t0 > 1e-15 else 0
+        dt_seg = (t1 - t0) / max(nsteps, 1)
+        segments.append((gate, t0, t1, dt_seg, *coeffs_for(t0, nsteps, dt_seg)))
+    live = np.any(
+        [np.any(c.reshape(*c.shape[:2], -1) != 0, axis=(0, 2)) for *_, c, _ in segments], axis=0
+    )
+    t = _real_basis(swap)
+    gen = Generator.real_form(blocks, t, live)
+    t_h = t.conj().T.tocsr()
+    r = (t_h @ x).real
+    snaps = [(schedule.t_i, r)] if store_every else []
+    max_tr = np.zeros(x.shape[1:])
+    max_watched = (max_tr,) * len(watch)
+    for gate, t0, t1, dt_seg, coeffs, steps in segments:
         if schedule.ramsey_gates:
-            x = gen.coords(_apply_gate(gen.matrix(x), gate, d))
+            r = (t_h @ _apply_gate(t @ r, gate, d)).real
             if store_every:
-                snaps.append((t0, x.copy()))
-        span = t1 - t0
-        if span > 1e-15:
-            nsteps = _segment_steps(span, dt)
-            dt_seg = span / nsteps
-            coeffs, nsub = coeffs_for(t0, nsteps, dt_seg)
-            run = propagate(gen, x, coeffs, dt_seg, nsub, trace_idx, watch, store_every)
-            x = run.state
-            max_tr = np.maximum(max_tr, run.max_trace_defect)
-            max_watched = tuple(map(np.maximum, max_watched, run.max_watched))
-            for k, snap in enumerate(run.snapshots, start=1):
-                snaps.append((t0 + dt_seg * store_every * k, snap))
-            if store_every and nsteps % store_every:
-                snaps.append((t1, x.copy()))
-    return Propagation(x, snaps, max_tr, max_watched)
+                snaps.append((t0, r))
+        run = propagate(gen, r, coeffs[:, live], steps, trace_idx, watch, store_every)
+        r = run.state
+        max_tr = np.maximum(max_tr, run.max_trace_defect)
+        max_watched = tuple(map(np.maximum, max_watched, run.max_watched))
+        for k, snap in enumerate(run.snapshots, start=1):
+            snaps.append((t0 + dt_seg * store_every * k, snap))
+        if store_every and len(steps) % store_every:
+            snaps.append((t1, r))
+    return Propagation(t @ r, [(time, t @ y) for time, y in snaps], max_tr, max_watched)
 
 
 def _prepared_states(
@@ -612,23 +599,22 @@ def _evolve(model, members, x0, drive, dt, store_every) -> list:
     """Trajectories of the member schedules, started at t_i from the columns
     of x0 (from x0 itself when it is one vector)."""
     d = model.dim
-    gen = Generator.real_form(
-        _lindblad_blocks(model.H, model.collapse, model.a), _adjoint_swap(d)
-    )
     diag, top = _monitor_indices(model)
     _require(store_every >= 1, "store_every must be at least 1")
 
     def coeffs_for(t0, nsteps, dt_seg):
         tt = _half_grid(t0, nsteps, dt_seg)
         eps = np.stack([_drive_samples(model.params, s, tt, drive) for s in members], axis=-1)
-        return _conj_pairs(eps.reshape(len(tt), *x0.shape[1:])), np.ones(nsteps, dtype=np.int64)
+        return _conj_pairs(eps.reshape(len(tt), *x0.shape[1:])), np.full(nsteps, dt_seg)
 
-    x0 = gen.coords(x0)
-    run = _run_schedule(gen, x0, members[0], dt, coeffs_for, d, diag, (top,), store_every)
+    run = _run_schedule(
+        _lindblad_blocks(model.H, model.collapse, model.a), _adjoint_swap(d), x0, members[0],
+        dt, coeffs_for, d, diag, (top,), store_every,
+    )
     _check_monitors(run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "evolve")
     times, states = zip(*run.snapshots)
     times = np.array(times)
-    rhos = np.array([gen.matrix(x) for x in states]).reshape(len(times), d, d, -1)
+    rhos = np.array(states).reshape(len(times), d, d, -1)
     max_tr, max_top = np.ravel(run.max_trace_defect), np.ravel(run.max_watched[0])
     return [
         Trajectory(
@@ -788,29 +774,28 @@ def output_mode_moments(
     output_mode = _resolve_output_mode(p, schedule, output_mode, delay)
     d = model.dim
     n_k = MOMENT_ORDER + 1  # nodes per ladder axis
-    gen = Generator.real_form(
-        _ladder_blocks(model.H, model.collapse, model.a), _adjoint_swap(d, n_k)
-    )
     diag, top = _monitor_indices(model)
     x = np.zeros(n_k * n_k * d * d, dtype=complex)
     x[: d * d] = _prepared_states(model, schedule, [schedule.alpha_in], dt)[:, 0]
-    x = gen.coords(x)
     sqrt_kex = math.sqrt(p.kappa_ex) if p.kappa_ex > 0 else 0.0
 
     def coeffs_for(t0, nsteps, dt_seg):
         tt = _half_grid(t0, nsteps, dt_seg)
         eps = _drive_samples(p, schedule, tt, None)
         w = -1j * sqrt_kex * np.conjugate(_mode_u(output_mode, tt))
-        return _conj_pairs(eps, w), np.ones(nsteps, dtype=np.int64)
+        return _conj_pairs(eps, w), np.full(nsteps, dt_seg)
 
-    run = _run_schedule(gen, x, schedule, dt, coeffs_for, d, diag, (top,))
+    run = _run_schedule(
+        _ladder_blocks(model.H, model.collapse, model.a), _adjoint_swap(d, n_k), x, schedule,
+        dt, coeffs_for, d, diag, (top,),
+    )
     _check_monitors(
         run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "output_mode_moments"
     )
     # <sigma_pq Adag^m A^n> = m! n! Tr[sigma_pq X_mn], sigma_pq = |p><q| x 1
     n_c = model.n_max + 1
     fac = np.array([math.factorial(m) for m in range(n_k)], dtype=float)
-    mb = np.einsum("mnqkpk->pqmn", gen.matrix(run.state).reshape(n_k, n_k, 2, n_c, 2, n_c))
+    mb = np.einsum("mnqkpk->pqmn", run.state.reshape(n_k, n_k, 2, n_c, 2, n_c))
     tt = np.linspace(
         schedule.t_i, schedule.t_f, 4 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
     )
@@ -888,8 +873,7 @@ def capture_mode_oracle(
     n_c = model.n_max + 1
     db = dim_b
     d = 2 * n_c * db
-    gen = Generator.real_form(_capture_blocks(model, db), _adjoint_swap(d))
-    x = gen.coords(_prepared_states(model, schedule, [schedule.alpha_in], dt, db)[:, 0])
+    x = _prepared_states(model, schedule, [schedule.alpha_in], dt, db)[:, 0]
 
     # fine-grid mode energy and coupling magnitude inside the window
     n_fine = 64 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
@@ -906,7 +890,7 @@ def capture_mode_oracle(
     del u_fine, inten, cum  # the fine grid is large; keep only what the stages read
 
     def coeffs_for(t0, nsteps, dt_seg):
-        """Substep counts and the coefficient rows of every substep grid."""
+        """Coefficient rows and lengths of the substeps of every step."""
         nsub = np.ones(nsteps, dtype=np.int64)
         edges = t0 + np.arange(nsteps + 1) * dt_seg
         for k in range(nsteps):
@@ -926,12 +910,15 @@ def capture_mode_oracle(
         beta = schedule.alpha_in * _mode_u(schedule.mode, ts)
         gt = -_mode_u(output_mode, ts) / np.sqrt(np.interp(ts, t_fine, f_fine))
         pairs = _conj_pairs(beta, gt * np.conjugate(beta), np.conjugate(gt))
-        return np.column_stack([pairs, gt.real**2 + gt.imag**2]), nsub
+        return np.column_stack([pairs, gt.real**2 + gt.imag**2]), np.repeat(dt_seg / nsub, nsub)
 
     diag = np.arange(d) * (d + 1)
     cav_idx = diag[[(q * n_c + (n_c - 1)) * db + m for q in range(2) for m in range(db)]]
     b_idx = diag[[(q * n_c + n) * db + (db - 1) for q in range(2) for n in range(n_c)]]
-    run = _run_schedule(gen, x, schedule, dt, coeffs_for, d, diag, (cav_idx, b_idx))
+    run = _run_schedule(
+        _capture_blocks(model, db), _adjoint_swap(d), x, schedule, dt, coeffs_for, d, diag,
+        (cav_idx, b_idx),
+    )
     max_cav, max_b = run.max_watched
     _check_monitors(run.max_trace_defect, max_cav, TOP_LEVEL_MAX, "capture_mode_oracle")
     worst = _breach(max_b, CAPTURE_TOP_MAX)
@@ -943,7 +930,7 @@ def capture_mode_oracle(
 
     # <sigma_pq b^dag^m b^n> from the qubit-capture state (cavity traced out)
     scale = math.sqrt(CAPTURE_EPS_FLOOR * energy + energy)
-    rho_qb = np.einsum("qnjpni->qjpi", gen.matrix(run.state).reshape(2, n_c, db, 2, n_c, db))
+    rho_qb = np.einsum("qnjpni->qjpi", run.state.reshape(2, n_c, db, 2, n_c, db))
     k = range(MOMENT_ORDER + 1)
     b_pow = [np.linalg.matrix_power(destroy(db), n) for n in k]
     ops = np.array([[dag(b_pow[m]) @ b_pow[n] for n in k] for m in k])

@@ -159,6 +159,8 @@ def default_schedule(
     the extra span after the peak, where the delayed reflected mode
     actually lives.
     """
+    if not n_in >= 0:
+        raise ValueError(f"n_in must be non-negative, got {n_in}")
     mode = gaussian_input_mode(pulse_fwhm)
     t_i = -min(gate_interval / 2, MAX_ENTRY_MARGIN)
     t_g = t_i + gate_interval

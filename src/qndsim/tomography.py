@@ -489,6 +489,10 @@ def _fit(record: MeasurementRecord, iterations, correct_efficiency) -> QuantumSt
         raise ValueError(
             f"need at least {MIN_PHASES} distinct phases for a complete set"
         )
+    empty = np.flatnonzero(record.shots == 0)
+    if empty.size:
+        k = int(empty[0])
+        raise ValueError(f"setting {k} (phase {record.thetas[k]:.6g} rad) has no shots")
     eta = record.eta if correct_efficiency else 1.0
     bins = _bin_set(eta, record.n_tomo, record.x_centers)
     rotated = _RotatedBins(bins.elements, record.thetas, record.qubit_basis)

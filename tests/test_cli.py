@@ -266,6 +266,13 @@ class TestProtocol:
         assert report["negativity"] < 1e-12
         assert (out / "wigner_excited.csv").exists()
 
+    def test_negative_photon_number_is_config_error(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "c.yaml", "schedule:\n  n_in: -0.1\n")
+        out = tmp_path / "out"
+        assert run_cli("protocol", "--config", cfg, "--out", str(out)) == 2
+        assert "n_in must be non-negative, got -0.1" in capsys.readouterr().err
+        assert not (out / "report.json").exists()
+
     def test_certain_misread_is_numerical_failure(self, tmp_path, capsys):
         cfg = write_yaml(
             tmp_path / "c.yaml", "params:\n  eps_rg: 1.0\n  eps_re: 0.0\n"

@@ -4,7 +4,9 @@ Every generator is checked against the Lindblad formula written densely
 here, and `propagate` against dense matrix-exponential propagation of the
 vectorized generator (row-major convention: vec(A U B) = (A kron B^T)
 vec(U)), including the regression ladder and the capture mode with
-substeps.  The MLE fixed-point iteration is checked on exact data.
+unequal steps.  The schedule driver is checked against a complex walk
+written here, and for the live pieces it keeps.  The MLE fixed-point
+iteration is checked on exact data.
 """
 
 import numpy as np
@@ -15,7 +17,7 @@ from scipy.linalg import expm
 
 from qndsim import dynamics
 from qndsim.linalg import dag, destroy
-from qndsim.model import SystemParams, build_model, gaussian_input_mode
+from qndsim.model import SystemParams, build_model, default_params, gaussian_input_mode
 from qndsim.tomography import mle_iterations
 
 
@@ -61,10 +63,6 @@ def liouvillian(h_nh, c_list, d):
 def expm_prop(sup, rho0, t):
     d = rho0.shape[0]
     return (expm(sup * t) @ rho0.reshape(-1)).reshape(d, d)
-
-
-def ones(nsteps):
-    return np.ones(nsteps, dtype=np.int64)
 
 
 def capture_model():
@@ -115,6 +113,19 @@ def capture_rhs(model, db, x, g, beta):
 def capture_coeffs(g, beta):
     gc, bc = np.conjugate(g), np.conjugate(beta)
     return np.array([beta, bc, g * bc, gc * beta, gc, g, abs(g) ** 2])
+
+
+def spy_real_form(monkeypatch):
+    """Record (live pieces, real pieces) of every Generator.real_form call."""
+    calls = []
+    real_form = dynamics.Generator.real_form
+
+    def spy(blocks, t, live):
+        calls.append((int(np.sum(live)), len(live)))
+        return real_form(blocks, t, live)
+
+    monkeypatch.setattr(dynamics.Generator, "real_form", spy)
+    return calls
 
 
 class TestGenerators:
@@ -187,47 +198,59 @@ class TestGenerators:
             assert getattr(got, field).dtype == want.dtype
             npt.assert_array_equal(getattr(got, field), want, err_msg=field)
 
-    def test_pieces_switched_off_are_dropped_exactly(self):
+    def test_pieces_switched_off_are_dropped_exactly(self, monkeypatch):
         # a ladder whose w pieces stay zero evolves node 0 like the plain
         # generator and leaves the other nodes empty
+        calls = spy_real_form(monkeypatch)
         rng = np.random.default_rng(6)
         d = 4
         h0 = random_hermitian(rng, d)
         a_op = random_matrix(rng, d, 0.5)
         c_list = [random_matrix(rng, d, 0.3)]
         rho0 = random_density(rng, d)
-        nsteps = 50
-        eps = 0.3 * np.exp(1j * np.linspace(0, 2, 2 * nsteps + 1))
-        zeros = np.zeros_like(eps)
+        sched = dynamics.PulseSchedule(
+            0.0, 0.6, 1.0, gaussian_input_mode(500e-9), alpha_in=0.0, ramsey_gates=False
+        )
+
+        def eps(t0, nsteps, dt_seg):
+            return 0.3 * np.exp(1j * dynamics._half_grid(t0, nsteps, dt_seg))
+
+        def plain_coeffs(t0, nsteps, dt_seg):
+            return dynamics._conj_pairs(eps(t0, nsteps, dt_seg)), np.full(nsteps, dt_seg)
+
+        def ladder_coeffs(t0, nsteps, dt_seg):
+            e = eps(t0, nsteps, dt_seg)
+            return dynamics._conj_pairs(e, np.zeros_like(e)), np.full(nsteps, dt_seg)
+
         diag = np.arange(d) * (d + 1)
-        plain = dynamics.propagate(
-            dynamics.lindblad_generator(h0, c_list, a_op), rho0.reshape(-1),
-            np.stack([eps, np.conjugate(eps)], axis=1), 0.02, ones(nsteps), diag,
+        plain = dynamics._run_schedule(
+            dynamics._lindblad_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d),
+            rho0.reshape(-1), sched, 0.02, plain_coeffs, d, diag,
         )
         x0 = np.zeros(9 * d * d, dtype=complex)
         x0[: d * d] = rho0.reshape(-1)
-        ladder = dynamics.propagate(
-            dynamics.ladder_generator(h0, c_list, a_op), x0,
-            np.stack([eps, np.conjugate(eps), zeros, zeros], axis=1), 0.02,
-            ones(nsteps), diag,
+        ladder = dynamics._run_schedule(
+            dynamics._ladder_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d, 3), x0,
+            sched, 0.02, ladder_coeffs, d, diag,
         )
+        assert calls == [(2, 2), (2, 4)]
         npt.assert_allclose(ladder.state[: d * d], plain.state, rtol=0, atol=1e-15)
         assert not np.any(ladder.state[d * d:])
 
 
 class TestColumns:
     def test_columns_equal_single_runs(self):
-        # members in the columns of one run, one of them undriven: the
-        # drive pieces stay in the batch (they are live in the other
-        # columns) but are dropped from that member's single run
+        # members in the columns of one run, one of them undriven, over
+        # steps of three lengths
         rng = np.random.default_rng(11)
         d = 5
         h0 = random_hermitian(rng, d)
         a_op = random_matrix(rng, d, 0.5)
         c_list = [random_matrix(rng, d, 0.3) for _ in range(2)]
         gen = dynamics.lindblad_generator(h0, c_list, a_op)
-        nsub = np.array([2, 1, 3] * 20, dtype=np.int64)
-        tt = np.linspace(0.0, 1.0, 2 * int(nsub.sum()) + 1)
+        nsub = np.array([2, 1, 3] * 20)
+        steps = np.repeat(0.02 / nsub, nsub)
+        tt = np.linspace(0.0, 1.0, 2 * steps.size + 1)
         eps = np.stack(
             [0.4 * np.exp(1j * (0.7 + k) * tt) * np.cos(2 * tt) for k in range(4)], axis=1
         )
@@ -236,14 +259,14 @@ class TestColumns:
         diag = np.arange(d) * (d + 1)
         watch = (diag[-2:], diag[:1])
         batch = dynamics.propagate(
-            gen, x0, np.stack([eps, np.conjugate(eps)], axis=1), 0.02, nsub, diag,
+            gen, x0, np.stack([eps, np.conjugate(eps)], axis=1), steps, diag,
             watch, store_every=7,
         )
         assert batch.state.shape == x0.shape
         for j in range(4):
             single = dynamics.propagate(
                 gen, x0[:, j], np.stack([eps[:, j], np.conjugate(eps[:, j])], axis=1),
-                0.02, nsub, diag, watch, store_every=7,
+                steps, diag, watch, store_every=7,
             )
             scale = np.abs(single.state).max()
             npt.assert_allclose(batch.state[:, j], single.state, rtol=0, atol=1e-15 * scale)
@@ -275,7 +298,7 @@ class TestLindbladRK4:
         coeffs = np.tile([eps0, np.conjugate(eps0)], (2 * nsteps + 1, 1))
         run = dynamics.propagate(
             dynamics.lindblad_generator(h0, c_list, a_op), rho0.reshape(-1), coeffs,
-            tspan / nsteps, ones(nsteps), np.arange(d) * (d + 1), store_every=nsteps,
+            np.full(nsteps, tspan / nsteps), np.arange(d) * (d + 1), store_every=nsteps,
         )
         sup = liouvillian(driven_h_nh(h0, c_list, a_op, eps0), c_list, d)
         expected = expm_prop(sup, rho0, tspan)
@@ -294,7 +317,7 @@ class TestLindbladRK4:
         eps = 0.2 * np.exp(1j * np.linspace(0, 3, 2 * nsteps + 1))
         run = dynamics.propagate(
             dynamics.lindblad_generator(h0, [c], a_op), rho0.reshape(-1),
-            np.stack([eps, np.conjugate(eps)], axis=1), 0.01, ones(nsteps),
+            np.stack([eps, np.conjugate(eps)], axis=1), np.full(nsteps, 0.01),
             np.arange(d) * (d + 1),
         )
         out = run.state.reshape(d, d)
@@ -324,7 +347,7 @@ class TestLindbladRK4:
         )
         run = dynamics.propagate(
             dynamics.ladder_generator(h0, [c], a_op), x0, coeffs,
-            tspan / nsteps, ones(nsteps), np.arange(d) * (d + 1),
+            np.full(nsteps, tspan / nsteps), np.arange(d) * (d + 1),
         )
         out = run.state.reshape(9, d, d)
         sup = liouvillian(driven_h_nh(h0, [c], a_op, eps0), [c], d)
@@ -363,7 +386,7 @@ class TestLindbladRK4:
             eps = 0.5 * np.exp(-((tt - 0.5) ** 2) / 0.05) * np.exp(0.7j * tt)
             out = dynamics.propagate(
                 gen, rho0.reshape(-1), np.stack([eps, np.conjugate(eps)], axis=1),
-                tspan / nsteps, ones(nsteps), np.arange(d) * (d + 1),
+                np.full(nsteps, tspan / nsteps), np.arange(d) * (d + 1),
             )
             return out.state
 
@@ -385,12 +408,13 @@ class TestCaptureRK4:
         rho0 = random_density(rng, d)
         tspan = 1.2
         nsteps = 300
-        nsub = np.array([3, 1] * (nsteps // 2), dtype=np.int64)
-        coeffs = np.tile(capture_coeffs(g0, beta0), (2 * int(nsub.sum()) + 1, 1))
+        nsub = np.array([3, 1] * (nsteps // 2))
+        steps = np.repeat(tspan / nsteps / nsub, nsub)
+        coeffs = np.tile(capture_coeffs(g0, beta0), (2 * steps.size + 1, 1))
         diag = np.arange(d) * (d + 1)
         run = dynamics.propagate(
             dynamics.capture_generator(model, db), rho0.reshape(-1), coeffs,
-            tspan / nsteps, nsub, diag, (diag[:1], diag[1:2]),
+            steps, diag, (diag[:1], diag[1:2]),
         )
         sup = np.stack(
             [capture_rhs(model, db, e.reshape(d, d), g0, beta0).reshape(-1)
@@ -432,9 +456,17 @@ class TestRealCoordinates:
 
     def _check_real_form(self, gen, blocks, swap, pairs, singles=()):
         rng = np.random.default_rng(swap.size)
-        real = dynamics.Generator.real_form(blocks, swap)
+        t = dynamics._real_basis(swap)
+        blocks = list(blocks)
+        real = dynamics.Generator.real_form(blocks, t, np.ones(gen.n_pieces, dtype=bool))
         assert real.n_pieces == gen.n_pieces
-        t = real.basis
+        # a piece flagged off is dropped: the other blocks stay as they are
+        live = np.arange(gen.n_pieces) % 2 == 0
+        kept = dynamics.Generator.real_form(blocks, t, live)
+        n = swap.size
+        rows = [real.blocks[k * n:(k + 1) * n] for k in (0, *(np.flatnonzero(live) + 1))]
+        assert kept.n_pieces == int(live.sum())
+        assert (kept.blocks != sparse.vstack(rows, format="csr")).nnz == 0
         w_complex, w_real = self._real_weights(pairs, singles)
         for _ in range(3):
             r = rng.normal(size=swap.size)
@@ -472,46 +504,73 @@ class TestRealCoordinates:
         )
 
     def test_run_schedule_matches_complex_route(self):
-        # three members, both rotations on, snapshots along the way
+        # three members, both rotations on, snapshots along the way; the
+        # reference walks the segments in the complex matrices
         rng = np.random.default_rng(17)
         model = capture_model()
         d = model.dim
-        blocks = dynamics._lindblad_blocks(model.H, model.collapse, model.a)
-        complex_gen = dynamics.lindblad_generator(model.H, model.collapse, model.a)
-        real_gen = dynamics.Generator.real_form(blocks, dynamics._adjoint_swap(d))
         sched = dynamics.PulseSchedule(
             0.0, 1.0, 1.6, gaussian_input_mode(500e-9), alpha_in=0.0, ramsey_gates=True
         )
         rates = np.array([0.7, 1.9, 3.1])
+        dt, every = 0.01, 25
 
         def eps(t0, nsteps, dt_seg):
             tt = dynamics._half_grid(t0, nsteps, dt_seg)[:, None]
             return 0.4 * np.exp(1j * rates * tt) * np.cos(2 * tt + rates)
 
-        def complex_coeffs(t0, nsteps, dt_seg):
-            e = eps(t0, nsteps, dt_seg)
-            return np.stack([e, np.conjugate(e)], axis=1), ones(nsteps)
-
         def real_coeffs(t0, nsteps, dt_seg):
-            return dynamics._conj_pairs(eps(t0, nsteps, dt_seg)), ones(nsteps)
+            return dynamics._conj_pairs(eps(t0, nsteps, dt_seg)), np.full(nsteps, dt_seg)
 
         x0 = np.stack([random_density(rng, d).reshape(-1) for _ in range(3)], axis=1)
         diag, top = dynamics._monitor_indices(model)
-        want = dynamics._run_schedule(
-            complex_gen, x0, sched, 0.01, complex_coeffs, d, diag, (top,), store_every=25
-        )
         got = dynamics._run_schedule(
-            real_gen, real_gen.coords(x0), sched, 0.01, real_coeffs, d, diag, (top,),
-            store_every=25,
+            dynamics._lindblad_blocks(model.H, model.collapse, model.a),
+            dynamics._adjoint_swap(d), x0, sched, dt, real_coeffs, d, diag, (top,),
+            store_every=every,
         )
-        assert got.state.dtype == np.float64
-        npt.assert_allclose(real_gen.matrix(got.state), want.state, rtol=0, atol=1e-14)
-        assert len(got.snapshots) == len(want.snapshots)
-        for (t_got, x_got), (t_want, x_want) in zip(got.snapshots, want.snapshots):
+
+        gen = dynamics.lindblad_generator(model.H, model.collapse, model.a)
+        x, snaps = x0, [(sched.t_i, x0)]
+        max_tr, max_top = np.zeros(3), np.zeros(3)
+        for gate, t0, t1 in (("y90", sched.t_i, sched.t_g), ("ym90", sched.t_g, sched.t_f)):
+            x = dynamics._apply_gate(x, gate, d)
+            snaps.append((t0, x))
+            nsteps = dynamics._segment_steps(t1 - t0, dt)
+            dt_seg = (t1 - t0) / nsteps
+            e = eps(t0, nsteps, dt_seg)
+            run = dynamics.propagate(
+                gen, x, np.stack([e, np.conjugate(e)], axis=1), np.full(nsteps, dt_seg),
+                diag, (top,), every,
+            )
+            x = run.state
+            max_tr = np.maximum(max_tr, run.max_trace_defect)
+            max_top = np.maximum(max_top, run.max_watched[0])
+            snaps += [(t0 + dt_seg * every * k, y) for k, y in enumerate(run.snapshots, 1)]
+            if nsteps % every:
+                snaps.append((t1, x))
+
+        npt.assert_allclose(got.state, x, rtol=0, atol=1e-14)
+        assert len(got.snapshots) == len(snaps)
+        for (t_got, x_got), (t_want, x_want) in zip(got.snapshots, snaps):
             assert t_got == t_want
-            npt.assert_allclose(real_gen.matrix(x_got), x_want, rtol=0, atol=1e-14)
-        npt.assert_allclose(got.max_trace_defect, want.max_trace_defect, rtol=0, atol=1e-14)
-        npt.assert_allclose(got.max_watched[0], want.max_watched[0], rtol=0, atol=1e-14)
+            npt.assert_allclose(x_got, x_want, rtol=0, atol=1e-14)
+        npt.assert_allclose(got.max_trace_defect, max_tr, rtol=0, atol=1e-14)
+        npt.assert_allclose(got.max_watched[0], max_top, rtol=0, atol=1e-14)
+
+    def test_routes_keep_the_pieces_a_real_amplitude_drives(self, monkeypatch):
+        # a real input amplitude and real envelopes switch off Re eps, Re w
+        # and the Im parts of beta, g conj(beta) and conj(g)
+        calls = spy_real_form(monkeypatch)
+        model = build_model(default_params(), n_max=5)
+        mode = gaussian_input_mode(500e-9)
+        sched = dynamics.PulseSchedule(-400e-9, 700e-9, 800e-9, mode, alpha_in=0.2)
+        dynamics.evolve(model, sched, store_every=10**9)
+        assert calls == [(1, 2)]
+        dynamics.output_mode_moments(model, sched, delay=108e-9)
+        assert calls[1:] == [(2, 4)]
+        dynamics.capture_mode_oracle(model, sched, delay=108e-9, dim_b=5)
+        assert calls[2:] == [(4, 7)]
 
 
 def dense_map(stack):

@@ -448,6 +448,18 @@ class TestMleReconstruct:
         with pytest.raises(ValueError, match="phases"):
             tg.mle_reconstruct(rec)
 
+    def test_empty_setting_rejected(self):
+        # 0/0 frequencies would stop the fit at its first iteration and
+        # return the maximally mixed start
+        rec = tg.sample(VACUUM, tg.phase_settings(20), 200, seed=3)
+        counts = rec.counts.copy()
+        counts[3] = 0
+        empty = tg.MeasurementRecord(
+            rec.thetas, counts, rec.x_centers, rec.width, rec.eta, rec.n_tomo
+        )
+        with pytest.raises(ValueError, match=r"setting 3 \(phase 0\.471239 rad\) has no shots"):
+            tg.mle_reconstruct(empty)
+
     def test_composite_record_rejected(self):
         state = ideal_composite(0.165)
         rec = tg.sample_composite(state, tg.phase_settings(20), 50, seed=1)
