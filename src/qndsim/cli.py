@@ -479,6 +479,14 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
 
 
 def cmd_sweep(cfg: dict, outdir: Path, seed) -> None:
+    # every sweep point starts from protocol.sweep's own schedule
+    defaults = default_config()["schedule"]
+    for key, value in cfg["schedule"].items():
+        if value != defaults[key]:
+            raise ConfigError(
+                f"sweep reads only the params and sweep sections; "
+                f"schedule.{key} = {value!r} would be ignored"
+            )
     params = _build_params(cfg)
     points = sweep(params, cfg["sweep"]["axis"], cfg["sweep"]["values"])
     _write_csv(

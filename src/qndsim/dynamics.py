@@ -17,7 +17,6 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
-from scipy.optimize import minimize_scalar
 
 from .linalg import QuantumState, coherent, dag, destroy, fock
 from .model import LindbladModel, SystemParams, TemporalMode
@@ -38,6 +37,9 @@ CAPTURE_EPS_FLOOR = 1e-6
 # most RK4 substeps the capture coupling may take within one step; a step
 # that needs more raises instead of running under-resolved
 CAPTURE_MAX_SUBSTEPS = 256
+# most objective evaluations the delay search may spend (scipy's default for
+# its bounded scalar search); one that needs more raises
+DELAY_MAX_EVALS = 500
 
 _QIDX = {"g": 0, "e": 1}
 
@@ -690,11 +692,95 @@ def linear_reference(
     return complex(np.trapezoid(np.conjugate(uu) * psi_out, t_full))
 
 
+def _bounded_brent(f: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:
+    """Minimizer of f on [lo, hi] by Brent's bounded method.
+
+    A step-for-step port of scipy.optimize's _minimize_scalar_bounded
+    (BSD-licensed): golden-section steps with parabolic interpolation, the
+    same tolerance terms and bracket updates, so it evaluates f at the same
+    points and returns the same x.  Raises RuntimeError on a NaN value of f
+    or when DELAY_MAX_EVALS evaluations do not converge.
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+
+    def value(x: float) -> float:
+        fx = f(x)
+        if math.isnan(fx):
+            raise RuntimeError(f"delay search met a NaN objective at tau = {x:.6g} s")
+        return fx
+
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = value(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        parabolic = False
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+            if parabolic:
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if not parabolic:  # golden-section step into the larger part
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0 else xf + step
+        fu = value(x)
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= DELAY_MAX_EVALS:
+            raise RuntimeError(
+                f"delay search did not converge in {DELAY_MAX_EVALS} evaluations"
+            )
+    return xf
+
+
 def optimize_delay(params: SystemParams, mode: TemporalMode) -> float:
     """Delay of the projection mode maximizing captured reflected energy.
 
     Maximizes |<f(. - tau), psi_out>|^2 for the ground-pinned linear cavity
-    over tau in [0, 5/kappa_ex] (bounded scalar search, ~1 ns resolution).
+    over tau in [0, 5/kappa_ex] by Brent's bounded search to 1 ns
+    (_bounded_brent, a port of scipy's minimize_scalar(method="bounded")
+    that gives the same tau bit for bit).  Raises RuntimeError when the
+    search meets a NaN objective or spends DELAY_MAX_EVALS evaluations.
     """
     if params.kappa_ex <= 0:
         return 0.0
@@ -708,13 +794,7 @@ def optimize_delay(params: SystemParams, mode: TemporalMode) -> float:
         uu = _mode_u(mode, t_full - tau)
         return -abs(np.trapezoid(np.conjugate(uu) * psi_out, t_full)) ** 2
 
-    res = minimize_scalar(
-        negative_capture,
-        bounds=(0.0, 5.0 / params.kappa_ex),
-        method="bounded",
-        options={"xatol": 1e-9},
-    )
-    return float(res.x)
+    return float(_bounded_brent(negative_capture, 0.0, 5.0 / params.kappa_ex, xatol=1e-9))
 
 
 # ---------------------------------------------------------------------------

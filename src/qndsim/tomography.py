@@ -691,11 +691,15 @@ def read_record(csv_path, json_path) -> MeasurementRecord:
 
 
 def write_wigner(path, grid: np.ndarray, values: np.ndarray) -> None:
-    """Write a Wigner array as (x, p, W) CSV rows ready for plotting."""
-    grid = np.asarray(grid, dtype=float)
+    """Write a Wigner array as (x, p, W) CSV rows ready for plotting.
+
+    The text is csv.writer's for the same rows (no field needs quoting),
+    built in one pass: each grid value is formatted once.
+    """
+    coords = [f"{v:.17g}" for v in np.asarray(grid, dtype=float).tolist()]
+    rows = ["x,p,W"]
+    for x, row in zip(coords, np.asarray(values, dtype=float).tolist()):
+        rows.extend(f"{x},{p},{w:.17g}" for p, w in zip(coords, row))
+    rows.append("")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "p", "W"])
-        for i, x in enumerate(grid):
-            for j, p in enumerate(grid):
-                writer.writerow([f"{x:.17g}", f"{p:.17g}", f"{values[i, j]:.17g}"])
+        fh.write("\r\n".join(rows))

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qndsim import cli, protocol
+from qndsim import cli, dynamics, protocol
 
 
 def run_cli(*argv):
@@ -291,6 +295,13 @@ class TestProtocol:
         assert code == 3
         assert "numerical failure" in err and "eigenvalue defect" in err
 
+    def test_delay_search_failure_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(dynamics, "DELAY_MAX_EVALS", 3)
+        code = run_cli("protocol", "--out", str(tmp_path / "o"))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert "numerical failure: delay search did not converge in 3 evaluations" in err
+
 
 TINY_TOMO_YAML = (
     "tomography:\n  phases: 21\n  shots: 300\n  iterations: 400\n"
@@ -378,12 +389,40 @@ class TestSweep:
         assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "axis" in capsys.readouterr().err
 
+    def test_schedule_setting_is_config_error(self, tmp_path, capsys):
+        # every point starts from protocol.sweep's own schedule, so a
+        # schedule value the run would ignore is refused
+        cfg = write_yaml(tmp_path / "c.yaml", "schedule:\n  n_in: 0.05\n")
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 2
+        assert "schedule.n_in = 0.05 would be ignored" in capsys.readouterr().err
+        assert not (out / "sweep.csv").exists()
+
 
 class TestPlumbing:
     def test_nested_output_directory_created(self, tmp_path):
         out = tmp_path / "deep" / "er" / "dir"
         assert run_cli("spectrum", "--out", str(out)) == 0
         assert (out / "spectrum.csv").exists()
+
+    def test_protocol_run_imports_no_dense_scipy(self, tmp_path):
+        # a fresh process: this test session has loaded scipy.linalg itself
+        code = (
+            "import sys\n"
+            "from qndsim import cli\n"
+            "heavy = ('scipy.optimize', 'scipy.linalg', 'scipy.spatial')\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+            "assert cli.main(['protocol', '--out', sys.argv[1]]) == 0\n"
+            "print([m for m in heavy if m in sys.modules])\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "o")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.splitlines() == ["[]", "[]"]
 
     def test_unknown_subcommand_exits_with_usage_error(self):
         with pytest.raises(SystemExit) as exc:

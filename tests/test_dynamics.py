@@ -29,6 +29,7 @@ from qndsim.model import (
     default_params,
     drive_induced_dephasing,
     gaussian_input_mode,
+    ideal_params,
     reflected_photon_number,
 )
 
@@ -219,6 +220,95 @@ class TestDelayChoice:
         p = default_params()
         fast = p.replace(kappa_ex=3 * p.kappa_ex)
         assert optimize_delay(fast, MODE) < table_delay
+
+
+def _seeded_params(seed):
+    """The reference set with chi and both cavity rates jittered."""
+    rng = np.random.default_rng([seed, 15])
+    p = default_params()
+    return p.replace(
+        chi=p.chi * rng.uniform(0.8, 1.25),
+        kappa_ex=p.kappa_ex * rng.uniform(0.5, 2.0),
+        kappa_in=p.kappa_in * rng.uniform(0.5, 2.0),
+    )
+
+
+def _traced(f, xs):
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return g
+
+
+def _scipy_bounded(f, lo, hi):
+    from scipy.optimize import minimize_scalar
+
+    xs = []
+    res = minimize_scalar(
+        _traced(f, xs), bounds=(lo, hi), method="bounded", options={"xatol": 1e-9}
+    )
+    assert res.success
+    return float(res.x), xs
+
+
+class TestBoundedBrent:
+    """_bounded_brent against scipy's minimize_scalar(method="bounded")."""
+
+    @pytest.mark.parametrize(
+        "params",
+        [default_params(), ideal_params(), *(_seeded_params(s) for s in (1, 2, 3))],
+        ids=["reference", "ideal", "seed1", "seed2", "seed3"],
+    )
+    @pytest.mark.parametrize("fwhm", [300e-9, 500e-9, 800e-9])
+    def test_delay_objective_matches_scipy_bit_for_bit(self, monkeypatch, params, fwhm):
+        calls = []
+        search = dynamics._bounded_brent
+
+        def spy(f, lo, hi, xatol):
+            calls.append((f, lo, hi, xatol))
+            return search(f, lo, hi, xatol)
+
+        monkeypatch.setattr(dynamics, "_bounded_brent", spy)
+        tau = optimize_delay(params, gaussian_input_mode(fwhm))
+        [(f, lo, hi, xatol)] = calls
+        assert xatol == 1e-9
+        xs = []
+        ours = search(_traced(f, xs), lo, hi, xatol)
+        ref, ref_xs = _scipy_bounded(f, lo, hi)
+        assert xs == ref_xs
+        assert tau == ours == ref
+
+    @pytest.mark.parametrize(
+        "f, lo, hi",
+        [
+            (lambda x: math.cos(3.0 * x) + 0.1 * x, 0.0, 2.0),  # interior minimum
+            (lambda x: (x + 1.0) ** 2, 0.0, 1.0),  # minimum at the lower bound
+        ],
+        ids=["interior", "at_bound"],
+    )
+    def test_analytic_functions_match_scipy_bit_for_bit(self, f, lo, hi):
+        xs = []
+        ours = dynamics._bounded_brent(_traced(f, xs), lo, hi, 1e-9)
+        ref, ref_xs = _scipy_bounded(f, lo, hi)
+        assert xs == ref_xs
+        assert ours == ref
+
+    def test_nan_objective_raises(self, monkeypatch):
+        linear_output = dynamics._linear_output
+
+        def nan_output(*args):
+            t_full, psi_out = linear_output(*args)
+            return t_full, np.full_like(psi_out, np.nan)
+
+        monkeypatch.setattr(dynamics, "_linear_output", nan_output)
+        with pytest.raises(RuntimeError, match="delay search met a NaN objective"):
+            optimize_delay(default_params(), MODE)
+
+    def test_evaluation_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "DELAY_MAX_EVALS", 5)
+        with pytest.raises(RuntimeError, match="did not converge in 5 evaluations"):
+            optimize_delay(default_params(), MODE)
 
 
 class TestOutputMoments:

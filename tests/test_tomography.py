@@ -1,5 +1,7 @@
 """Tests for quadrature POVMs, sampling, MLE reconstruction, and Wigner maps."""
 
+import csv
+import io
 import math
 import warnings
 
@@ -685,6 +687,19 @@ class TestSerialization:
         x, p, val = lines[1].split(",")
         assert (float(x), float(p)) == (-1.0, -1.0)
         np.testing.assert_allclose(float(val), w[0, 0])
+
+    def test_wigner_csv_bytes_match_csv_writer(self, tmp_path):
+        grid = np.linspace(-3, 3, 13)
+        w = tg.wigner(VACUUM, grid)
+        path = tmp_path / "wigner.csv"
+        tg.write_wigner(path, grid, w)
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["x", "p", "W"])
+        for i, x in enumerate(grid):
+            for j, p in enumerate(grid):
+                writer.writerow([f"{x:.17g}", f"{p:.17g}", f"{w[i, j]:.17g}"])
+        assert path.read_bytes() == ref.getvalue().encode()
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="negative"):
