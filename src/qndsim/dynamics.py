@@ -77,20 +77,14 @@ class PulseSchedule:
 
 @dataclass
 class Trajectory:
-    """States stored along one propagation, qubit rotations included."""
+    """The state at t_f of one propagation and its monitors."""
 
-    times: np.ndarray
-    rhos: np.ndarray
-    dims: tuple
+    rho: np.ndarray
     max_trace_defect: float
     max_top_population: float
 
-    def expect(self, op: np.ndarray) -> np.ndarray:
-        return np.einsum("ij,tji->t", op, self.rhos)
-
-    @property
-    def final_state(self) -> QuantumState:
-        return QuantumState(self.rhos[-1].copy(), self.dims)
+    def expect(self, op: np.ndarray) -> complex:
+        return complex(np.einsum("ij,ji->", op, self.rho))
 
 
 @dataclass
@@ -144,13 +138,7 @@ def gate_matrix(which: str) -> np.ndarray:
         raise ValueError(f"unknown gate {which!r}; expected 'y90' or 'ym90'") from None
 
 
-def apply_gate(state: QuantumState, which: str) -> QuantumState:
-    """Conjugate the qubit (first subsystem) by a +/-90 degree y rotation."""
-    d = state.dim
-    return QuantumState(_apply_gate(state.rho.reshape(-1), which, d).reshape(d, d), state.dims)
-
-
-def _apply_gate(x: np.ndarray, which: str, d: int) -> np.ndarray:
+def _rotate_qubit(x: np.ndarray, which: str, d: int) -> np.ndarray:
     """Rotate the qubit of every d x d block of each column of x."""
     u = np.kron(gate_matrix(which), np.eye(d // 2, dtype=complex))
     cols = np.moveaxis(x, 0, -1)  # (m, n^2); x itself when it is one vector
@@ -209,10 +197,11 @@ def _mode_u(mode: TemporalMode, times: np.ndarray) -> np.ndarray:
 # L(X^dag) = L(X)^dag, and every state the routes evolve is Hermitian (the
 # ladder's nodes in the sense X_nm = X_mn^dag), so the routes propagate the
 # real coordinates r = T^H x of _real_basis: n^2 reals for an n x n matrix
-# instead of n^2 complex values.  The generators are written in the complex
-# x; _run_schedule carries them over once per run (Generator.real_form) and
-# owns T: states enter and leave it as matrices.  The diagonal entries keep
-# their positions, so trace and population indices read r as they read x.
+# instead of n^2 complex values.  Each route writes its generator in the
+# complex x, one piece per conjugate pair (see Generator.real_form);
+# _run_schedule carries it over once per run and owns T: states enter and
+# leave it as matrices.  The diagonal entries keep their positions, so trace
+# and population indices read r as they read x.
 
 
 def _spre(op) -> sparse.csr_matrix:
@@ -299,15 +288,16 @@ class Generator:
         """The generator in the real coordinates r = T^H x of the unitary
         t = T of _real_basis, with only its live pieces.
 
-        blocks yields the complex L0, then the pieces as conjugate pairs
-        (P, J P J), J X = X^dag, with coefficients (c, conj(c)), then at
-        most one self-conjugate piece with a real coefficient.  T^H L0 T is
-        real, and with M = T^H P T a pair adds Re c (2 Re M) + Im c (-2 Im M),
-        so the real form has as many pieces, with coefficients (Re c, Im c)
-        per pair and the self-conjugate piece's own.  live flags each of
-        these real pieces; the ones flagged off are dropped before the
-        stack is built.  Each block is converted as it is drawn and kept
-        without its zeros, so the complex blocks are never stacked.
+        blocks yields the complex L0, then one piece P per conjugate pair:
+        the complex generator holds P with coefficient c and its partner
+        J P J, J X = X^dag, with conj(c).  A self-conjugate piece with a
+        real coefficient s enters as half of it, its own partner, with
+        c = s.  T^H L0 T is real, and with M = T^H P T a pair adds
+        Re c (2 Re M) + Im c (-2 Im M), so the real form has two pieces per
+        P, with coefficients (Re c, Im c).  live flags each of these real
+        pieces; the ones flagged off are dropped before the stack is built.
+        Each block is converted as it is drawn and kept without its zeros,
+        so the complex blocks are never stacked.
         """
         t_h = t.conj().T.tocsr()
         blocks = iter(blocks)
@@ -316,10 +306,7 @@ class Generator:
         pieces = []
         for piece in blocks:
             m = (t_h @ piece @ t).tocsr()
-            if next(blocks, None) is None:  # no partner J P J: self-conjugate
-                pieces.append(_trimmed(m.data.real, m))
-            else:
-                pieces += [_trimmed(2 * m.data.real, m), _trimmed(-2 * m.data.imag, m)]
+            pieces += [_trimmed(2 * m.data.real, m), _trimmed(-2 * m.data.imag, m)]
         del m, t_h  # free before the real pieces are stacked
         return cls(l0, [p for p, on in zip(pieces, live, strict=True) if on])
 
@@ -333,11 +320,10 @@ class Generator:
 
 
 class Propagation(NamedTuple):
-    """Final state, snapshots and monitors; each monitor has one value per
-    member column (a 0-d array for a single vector)."""
+    """Final state and monitors; each monitor has one value per member
+    column (a 0-d array for a single vector)."""
 
     state: np.ndarray
-    snapshots: list
     max_trace_defect: np.ndarray
     max_watched: tuple
 
@@ -349,7 +335,6 @@ def propagate(
     steps: np.ndarray,
     trace_idx: np.ndarray,
     watch: tuple = (),
-    store_every: int = 0,
 ) -> Propagation:
     """Fixed-step RK4 of x' = L(t) x over len(steps) steps.
 
@@ -362,11 +347,9 @@ def propagate(
     coordinates.  After every step the monitors are updated per member:
     |trace - 1| of the entries trace_idx of x, and the summed real part of
     x over each index array in watch.  A NaN stays in its running maximum.
-    With store_every > 0, x is also stored after every store_every-th step.
     """
     x = np.array(x0)
     rows = np.concatenate([np.ones((len(coeffs), 1, *coeffs.shape[2:])), coeffs], axis=1)
-    snapshots = []
     max_tr = np.zeros(x.shape[1:])
     max_watched = [np.zeros(x.shape[1:])] * len(watch)
     for i, h in enumerate(np.asarray(steps).tolist()):
@@ -380,55 +363,40 @@ def propagate(
         max_tr = np.maximum(max_tr, abs(tr.real - 1.0) + abs(tr.imag))
         for w, idx in enumerate(watch):
             max_watched[w] = np.maximum(max_watched[w], x[idx].real.sum(axis=0))
-        if store_every and (i + 1) % store_every == 0:
-            snapshots.append(x.copy())
-    return Propagation(x, snapshots, max_tr, tuple(max_watched))
+    return Propagation(x, max_tr, tuple(max_watched))
 
 
-def _drive_pieces(a: sparse.csr_matrix) -> tuple:
-    """The pieces eps and conj(eps) of the drive term
-    -i[i eps a^dag - i conj(eps) a, X]."""
+def _drive_piece(a: sparse.csr_matrix) -> sparse.csr_matrix:
+    """The piece eps of the drive term -i[i eps a^dag - i conj(eps) a, X]."""
     ad = a.conj().T
-    return _spre(ad) - _spost(ad), _spost(a) - _spre(a)
+    return _spre(ad) - _spost(ad)
 
 
 def _lindblad_blocks(h, c_ops, a) -> tuple:
-    """L0 and the drive pieces of lindblad_generator."""
+    """L0 and the drive piece eps of the driven master equation."""
     a = sparse.csr_matrix(a, dtype=complex)
-    return (_lindblad_superop(h, c_ops), *_drive_pieces(a))
-
-
-def lindblad_generator(h, c_ops, a) -> Generator:
-    """Generator of the driven master equation, with the drive as pieces."""
-    l0, *pieces = _lindblad_blocks(h, c_ops, a)
-    return Generator(l0, pieces)
+    return _lindblad_superop(h, c_ops), _drive_piece(a)
 
 
 def _ladder_blocks(h, c_ops, a) -> tuple:
-    """L0 and the pieces eps, conj(eps), w and conj(w) of ladder_generator."""
+    """L0 and the pieces eps and w of the regression ladder of order
+    K = MOMENT_ORDER.
+
+    The state holds (K + 1)^2 nodes, node (m, n) at offset ((K + 1) m + n) n^2
+    for m, n <= K, each driven like the state of _lindblad_blocks.  Node
+    (m, n) is sourced by w a X_{m,n-1} and conj(w) X_{m-1,n} a^dag: the piece
+    w and its partner in a block-lower-triangular generator.  The ladder is
+    Hermitian in the sense X_{n,m} = X_{m,n}^dag.
+    """
     a = sparse.csr_matrix(a, dtype=complex)
     nodes = sparse.identity((MOMENT_ORDER + 1) ** 2, dtype=complex, format="csr")
     eye = sparse.identity(MOMENT_ORDER + 1)
     lower = sparse.eye(MOMENT_ORDER + 1, k=-1)  # index i - 1 -> i
     return (
         sparse.kron(nodes, _lindblad_superop(h, c_ops), format="csr"),
-        *(sparse.kron(nodes, piece, format="csr") for piece in _drive_pieces(a)),
+        sparse.kron(nodes, _drive_piece(a), format="csr"),
         sparse.kron(sparse.kron(eye, lower), _spre(a), format="csr"),
-        sparse.kron(sparse.kron(lower, eye), _spost(a.conj().T), format="csr"),
     )
-
-
-def ladder_generator(h, c_ops, a) -> Generator:
-    """Generator of the regression ladder of order K = MOMENT_ORDER.
-
-    The state holds (K + 1)^2 nodes, node (m, n) at offset ((K + 1) m + n) n^2
-    for m, n <= K, each driven like lindblad_generator's state.  Node (m, n)
-    is sourced by w a X_{m,n-1} and conj(w) X_{m-1,n} a^dag, adding the
-    pieces w and conj(w) to a block-lower-triangular generator.  The
-    ladder is Hermitian in the sense X_{n,m} = X_{m,n}^dag.
-    """
-    l0, *pieces = _ladder_blocks(h, c_ops, a)
-    return Generator(l0, pieces)
 
 
 def _monitor_indices(model: LindbladModel):
@@ -441,7 +409,7 @@ def _monitor_indices(model: LindbladModel):
 
 def _conj_pairs(*samples: np.ndarray) -> np.ndarray:
     """Real-form coefficient rows (Re s_1, Im s_1, Re s_2, Im s_2, ...) of
-    the conjugate pairs with complex coefficients s_k."""
+    the pieces with coefficients s_k (see Generator.real_form)."""
     return np.stack([f(s) for s in samples for f in (np.real, np.imag)], axis=1)
 
 
@@ -479,34 +447,30 @@ def _run_schedule(
     d: int,
     trace_idx: np.ndarray,
     watch: tuple = (),
-    store_every: int = 0,
 ) -> Propagation:
     """Propagate the Hermitian matrices x, the state at t_i, to t_f.
 
-    blocks yields the complex generator in Generator.real_form's order
-    and swap is the index involution of X -> X^dag on x.  The schedule has
-    two segments, t_i to t_g and t_g to t_f, each opened by a qubit
-    rotation of the d x d blocks of the matrices (+90 deg, then -90 deg)
-    when schedule.ramsey_gates is set.  Each segment is cut into nsteps
-    equal steps no longer than dt; coeffs_for(t0, nsteps, dt_seg) returns
-    its real-form coefficient rows and step lengths for propagate.  A
-    piece is live when its coefficient is nonzero in some row, member or
-    segment; the run builds its real form once, from the live pieces only,
-    and propagates the real coordinates r = T^H x, T = _real_basis(swap).
-    x may hold one member per column (see propagate).  The monitors are
-    maximised per member over both segments.  The state and the snapshots
-    are returned as matrices.  With store_every > 0 the snapshots are
-    (time, x) pairs: the start, the state after each rotation, every
-    store_every-th step (timed as steps of dt_seg) and each segment end
-    not already stored.
+    blocks yields the complex L0 and one piece per conjugate pair, as
+    Generator.real_form reads them, and swap is the index involution of
+    X -> X^dag on x.  The schedule has two segments, t_i to t_g and t_g to
+    t_f, each opened by a qubit rotation of the d x d blocks of the
+    matrices (+90 deg, then -90 deg) when schedule.ramsey_gates is set.
+    Each segment is cut into nsteps equal steps no longer than dt;
+    coeffs_for(t0, nsteps, dt_seg) returns its real-form coefficient rows
+    and step lengths for propagate.  A piece is live when its coefficient
+    is nonzero in some row, member or segment; the run builds its real form
+    once, from the live pieces only, and propagates the real coordinates
+    r = T^H x, T = _real_basis(swap).  x may hold one member per column
+    (see propagate).  The monitors are maximised per member over both
+    segments.  Only the state at t_f is kept, and it is returned as
+    matrices.
     """
     segments = []
     for gate, t0, t1 in (
         ("y90", schedule.t_i, schedule.t_g), ("ym90", schedule.t_g, schedule.t_f)
     ):
         nsteps = _segment_steps(t1 - t0, dt) if t1 - t0 > 1e-15 else 0
-        dt_seg = (t1 - t0) / max(nsteps, 1)
-        segments.append((gate, t0, t1, dt_seg, *coeffs_for(t0, nsteps, dt_seg)))
+        segments.append((gate, *coeffs_for(t0, nsteps, (t1 - t0) / max(nsteps, 1))))
     live = np.any(
         [np.any(c.reshape(*c.shape[:2], -1) != 0, axis=(0, 2)) for *_, c, _ in segments], axis=0
     )
@@ -514,23 +478,16 @@ def _run_schedule(
     gen = Generator.real_form(blocks, t, live)
     t_h = t.conj().T.tocsr()
     r = (t_h @ x).real
-    snaps = [(schedule.t_i, r)] if store_every else []
     max_tr = np.zeros(x.shape[1:])
     max_watched = (max_tr,) * len(watch)
-    for gate, t0, t1, dt_seg, coeffs, steps in segments:
+    for gate, coeffs, steps in segments:
         if schedule.ramsey_gates:
-            r = (t_h @ _apply_gate(t @ r, gate, d)).real
-            if store_every:
-                snaps.append((t0, r))
-        run = propagate(gen, r, coeffs[:, live], steps, trace_idx, watch, store_every)
+            r = (t_h @ _rotate_qubit(t @ r, gate, d)).real
+        run = propagate(gen, r, coeffs[:, live], steps, trace_idx, watch)
         r = run.state
         max_tr = np.maximum(max_tr, run.max_trace_defect)
         max_watched = tuple(map(np.maximum, max_watched, run.max_watched))
-        for k, snap in enumerate(run.snapshots, start=1):
-            snaps.append((t0 + dt_seg * store_every * k, snap))
-        if store_every and len(steps) % store_every:
-            snaps.append((t1, r))
-    return Propagation(t @ r, [(time, t @ y) for time, y in snaps], max_tr, max_watched)
+    return Propagation(t @ r, max_tr, max_watched)
 
 
 def _prepared_states(
@@ -557,7 +514,6 @@ def evolve(
     *,
     initial: Optional[QuantumState] = None,
     dt: Optional[float] = None,
-    store_every: int = 1,
     drive: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> Trajectory:
     """Propagate the state at t_i to t_f.
@@ -566,8 +522,7 @@ def evolve(
     qubit in |g> and the cavity in the coherent state that the pulse has
     built up by t_i (see _prepared_states).  drive, when given, replaces
     the pulse's drive after t_i.  Qubit rotations fire at t_i and t_g when
-    schedule.ramsey_gates is set.  The trajectory stores every
-    store_every-th step plus segment boundaries (pre- and post-rotation).
+    schedule.ramsey_gates is set.  The trajectory holds the state at t_f.
     """
     if dt is None:
         dt = default_timestep(model.params, schedule.mode)
@@ -576,33 +531,30 @@ def evolve(
     else:
         _require(initial.rho.shape[0] == model.dim, "initial state dimension mismatch")
         x0 = initial.rho.astype(complex).reshape(-1)
-    return _evolve(model, [schedule], x0, drive, dt, store_every)[0]
+    return _evolve(model, [schedule], x0, drive, dt)[0]
 
 
 def evolve_members(model: LindbladModel, schedule: PulseSchedule, alphas) -> list:
     """evolve from the prepared state for each input amplitude in alphas.
 
     Member j runs schedule with alpha_in = alphas[j].  The members are the
-    columns of one RK4 run over the schedule's window.  Each trajectory
-    stores the segment boundaries only; it and its monitors equal those of
-    the member's own evolve up to round-off, and a monitor breach in any
-    member raises.
+    columns of one RK4 run over the schedule's window.  Each trajectory and
+    its monitors equal those of the member's own evolve up to round-off,
+    and a monitor breach in any member raises.
     """
     members = [replace(schedule, alpha_in=a) for a in alphas]
     if not members:
         return []
     dt = default_timestep(model.params, schedule.mode)
     x0 = _prepared_states(model, schedule, [s.alpha_in for s in members], dt)
-    # a stride longer than any segment stores its boundaries only
-    return _evolve(model, members, x0, None, dt, 10**9)
+    return _evolve(model, members, x0, None, dt)
 
 
-def _evolve(model, members, x0, drive, dt, store_every) -> list:
+def _evolve(model, members, x0, drive, dt) -> list:
     """Trajectories of the member schedules, started at t_i from the columns
     of x0 (from x0 itself when it is one vector)."""
     d = model.dim
     diag, top = _monitor_indices(model)
-    _require(store_every >= 1, "store_every must be at least 1")
 
     def coeffs_for(t0, nsteps, dt_seg):
         tt = _half_grid(t0, nsteps, dt_seg)
@@ -611,18 +563,13 @@ def _evolve(model, members, x0, drive, dt, store_every) -> list:
 
     run = _run_schedule(
         _lindblad_blocks(model.H, model.collapse, model.a), _adjoint_swap(d), x0, members[0],
-        dt, coeffs_for, d, diag, (top,), store_every,
+        dt, coeffs_for, d, diag, (top,),
     )
     _check_monitors(run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "evolve")
-    times, states = zip(*run.snapshots)
-    times = np.array(times)
-    rhos = np.array(states).reshape(len(times), d, d, -1)
+    rhos = run.state.reshape(d, d, -1)
     max_tr, max_top = np.ravel(run.max_trace_defect), np.ravel(run.max_watched[0])
     return [
-        Trajectory(
-            times, np.ascontiguousarray(rhos[..., j]), model.dims,
-            float(max_tr[j]), float(max_top[j]),
-        )
+        Trajectory(np.ascontiguousarray(rhos[..., j]), float(max_tr[j]), float(max_top[j]))
         for j in range(rhos.shape[-1])
     ]
 
@@ -890,7 +837,21 @@ def output_mode_moments(
 
 
 def _capture_blocks(model: LindbladModel, db: int):
-    """Yield L0 and the pieces of capture_generator one at a time."""
+    """Yield L0 and the pieces of the system cascaded into a capture mode b
+    of db levels, one at a time.
+
+    With the input amplitude beta(t) and the capture coupling g(t), the
+    effective Hamiltonian is
+    K + sqrt(kex) (beta a^dag + conj(beta) a) + i g conj(beta) b
+    - i conj(g) beta b^dag - sqrt(kex) conj(g) b^dag a - (i/2) |g|^2 b^dag b
+    (K the constant non-Hermitian part) and the output collapse operator is
+    -i sqrt(kex) a + g b.  Expanding both gives the pieces beta,
+    g conj(beta) and conj(g), each standing for its conjugate pair, and
+    half the self-conjugate |g|^2 piece (see Generator.real_form).  The
+    constant part keeps the model's own collapse operators: the internal
+    loss kin D[a] and the output's g-free part kex D[a] sum to its
+    kappa_tot D[a].
+    """
 
     def extend(op):
         return sparse.kron(sparse.csr_matrix(op), sparse.identity(db), format="csr")
@@ -901,30 +862,9 @@ def _capture_blocks(model: LindbladModel, db: int):
     sqrt_kex = math.sqrt(model.params.kappa_ex)
     yield _lindblad_superop(extend(model.H), [extend(c) for c in model.collapse])
     yield (-1j * sqrt_kex * (_spre(ad) - _spost(ad))).tocsr()
-    yield (-1j * sqrt_kex * (_spre(a) - _spost(a))).tocsr()
     yield (_spre(b) - _spost(b)).tocsr()
-    yield (_spost(bd) - _spre(bd)).tocsr()
     yield (1j * sqrt_kex * (_spre(bd @ a) - _sprepost(a, bd))).tocsr()
-    yield (1j * sqrt_kex * (_sprepost(b, ad) - _spost(ad @ b))).tocsr()
-    yield (_sprepost(b, bd) - 0.5 * (_spre(bd @ b) + _spost(bd @ b))).tocsr()
-
-
-def capture_generator(model: LindbladModel, db: int) -> Generator:
-    """Generator of the system cascaded into a capture mode b of db levels.
-
-    With the input amplitude beta(t) and the capture coupling g(t), the
-    effective Hamiltonian is
-    K + sqrt(kex) (beta a^dag + conj(beta) a) + i g conj(beta) b
-    - i conj(g) beta b^dag - sqrt(kex) conj(g) b^dag a - (i/2) |g|^2 b^dag b
-    (K the constant non-Hermitian part) and the output collapse operator is
-    -i sqrt(kex) a + g b.  Expanding both gives one piece per coefficient:
-    beta, conj(beta), g conj(beta), conj(g) beta, conj(g), g and |g|^2.
-    The constant part keeps the model's own collapse operators: the internal
-    loss kin D[a] and the output's g-free part kex D[a] sum to its
-    kappa_tot D[a].
-    """
-    l0, *pieces = _capture_blocks(model, db)
-    return Generator(l0, pieces)
+    yield (0.5 * (_sprepost(b, bd) - 0.5 * (_spre(bd @ b) + _spost(bd @ b)))).tocsr()
 
 
 def capture_mode_oracle(
@@ -989,8 +929,10 @@ def capture_mode_oracle(
         ] + [[t0 + nsteps * dt_seg]])
         beta = schedule.alpha_in * _mode_u(schedule.mode, ts)
         gt = -_mode_u(output_mode, ts) / np.sqrt(np.interp(ts, t_fine, f_fine))
-        pairs = _conj_pairs(beta, gt * np.conjugate(beta), np.conjugate(gt))
-        return np.column_stack([pairs, gt.real**2 + gt.imag**2]), np.repeat(dt_seg / nsub, nsub)
+        coeffs = _conj_pairs(
+            beta, gt * np.conjugate(beta), np.conjugate(gt), gt.real**2 + gt.imag**2
+        )
+        return coeffs, np.repeat(dt_seg / nsub, nsub)
 
     diag = np.arange(d) * (d + 1)
     cav_idx = diag[[(q * n_c + (n_c - 1)) * db + m for q in range(2) for m in range(db)]]

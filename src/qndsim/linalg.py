@@ -21,7 +21,7 @@ TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
 
 
-class NumericalError(ValueError):
+class NumericalError(RuntimeError):
     """A computed state broke down numerically beyond what repair allows."""
 
 
@@ -92,9 +92,9 @@ class QuantumState:
     """Density matrix over an ordered tensor product of subsystems.
 
     Validates hermiticity, unit trace, and positivity on construction.
-    Eigenvalues in [EIGENVALUE_FLOOR, 0) are clipped to zero (with a
-    renormalization and a warning); anything more negative raises
-    NumericalError.
+    Eigenvalues in [EIGENVALUE_FLOOR, 0) are clipped to zero by
+    clip_and_renormalize (warning below -1e-14); anything more negative
+    raises NumericalError.
     """
 
     __slots__ = ("rho", "dims")
@@ -117,21 +117,11 @@ class QuantumState:
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"trace {tr!r} deviates from 1 beyond tolerance")
         rho = rho / tr
-        evals, evecs = np.linalg.eigh(rho)
-        min_eval = float(evals[0])
-        if min_eval < EIGENVALUE_FLOOR:
-            raise NumericalError(f"negative eigenvalue {min_eval:.3e} below repair floor")
-        if min_eval < 0:
-            if min_eval < -1e-14:  # below that it is bare round-off; clip silently
-                warnings.warn(
-                    f"clipping negative eigenvalue {min_eval:.3e} of a density matrix",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            clipped = np.clip(evals, 0.0, None)
-            rho = (evecs * clipped) @ evecs.conj().T
-            rho = (rho + rho.conj().T) / 2
-            rho = rho / np.real(np.trace(rho))
+        # eigh, not eigvalsh: the two LAPACK paths can disagree on the sign of
+        # a round-off eigenvalue, and the repair below redoes this same eigh
+        if np.linalg.eigh(rho)[0][0] < 0:
+            # a defect up to 1e-14 is bare round-off and is clipped silently
+            rho = clip_and_renormalize(rho, warn_above=1e-14, error_above=-EIGENVALUE_FLOOR)
         self.rho = rho
         self.dims = dims
 

@@ -328,7 +328,7 @@ def efficiency_scan(
     model = build_model(params, n_max=n_max)
 
     def flip(traj) -> float:
-        p_e = float(np.real(traj.expect(model.sigma_ee)[-1]))
+        p_e = float(np.real(traj.expect(model.sigma_ee)))
         return dressed_flip_probability(p_e, params)
 
     driven = [math.sqrt(x) for x in grid if x > 0]

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qndsim import cli, dynamics, protocol
+from qndsim.linalg import NumericalError
 
 
 def run_cli(*argv):
@@ -210,6 +211,16 @@ class TestEfficiency:
         assert "finite" in capsys.readouterr().err
         assert not (out / "efficiency.json").exists()
 
+    def test_numerical_error_in_scan_is_numerical_failure(self, tmp_path, capsys, monkeypatch):
+        def breaks_down(*args, **kwargs):
+            raise NumericalError("eigenvalue defect 1.000e-01 exceeds 1.0e-09")
+
+        monkeypatch.setattr(cli, "efficiency_scan", breaks_down)
+        out = tmp_path / "out"
+        assert run_cli("efficiency", "--out", str(out)) == 3
+        assert "numerical failure: eigenvalue defect" in capsys.readouterr().err
+        assert not (out / "efficiency.json").exists()
+
     def test_zero_gate_interval_is_config_error(self, tmp_path, capsys):
         cfg = write_yaml(
             tmp_path / "c.yaml",
@@ -404,6 +415,15 @@ class TestPlumbing:
         out = tmp_path / "deep" / "er" / "dir"
         assert run_cli("spectrum", "--out", str(out)) == 0
         assert (out / "spectrum.csv").exists()
+
+    def test_manifest_written_only_after_success(self, tmp_path):
+        cfg = write_yaml(tmp_path / "c.yaml", "schedule:\n  n_in: 0.05\n")
+        failed = tmp_path / "failed"
+        assert run_cli("sweep", "--config", cfg, "--out", str(failed)) == 2
+        assert not (failed / "manifest.json").exists()
+        done = tmp_path / "done"
+        assert run_cli("spectrum", "--out", str(done)) == 0
+        assert json.loads((done / "manifest.json").read_text())["subcommand"] == "spectrum"
 
     def test_protocol_run_imports_no_dense_scipy(self, tmp_path):
         # a fresh process: this test session has loaded scipy.linalg itself

@@ -87,7 +87,7 @@ class TestQuantumState:
 
     def test_rejects_large_negative_eigenvalue(self):
         rho = np.diag([1.0 + 1e-6, -1e-6]).astype(complex)
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError):
             QuantumState(rho, (2,))
 
     def test_clip_and_renormalize_windows(self):

@@ -200,7 +200,7 @@ class TestRunProtocolReference:
         red = np.einsum("qaQa->qQ", r.comp_assembled.reshape(2, dim, 2, dim))
         p = default_params()
         m = build_model(p)
-        rho_f = evolve(m, default_schedule(), store_every=10**9).final_state.rho
+        rho_f = evolve(m, default_schedule()).rho
         rq = partial_trace(QuantumState(rho_f, (2, m.n_max + 1)), keep=(0,)).rho
         z = np.diag([1.0, -1.0])
         npt.assert_allclose(red, z @ rq @ z, atol=1e-8)
@@ -255,8 +255,8 @@ class TestEfficiencyScan:
         p = default_params()
         model = build_model(p)
         sched = default_schedule(0.0, gate_interval=800e-9)
-        traj = evolve(model, sched, store_every=10**9)
-        p_e = float(np.real(traj.expect(model.sigma_ee)[-1]))
+        traj = evolve(model, sched)
+        p_e = float(np.real(traj.expect(model.sigma_ee)))
         direct = dressed_flip_probability(p_e, p)
         assert abs(direct - table_efficiency.dark_count) < 1e-6
 
@@ -313,8 +313,8 @@ class TestEfficiencyScan:
         single = []
         for x in CLI_GRID:
             member = dataclasses.replace(sched, alpha_in=math.sqrt(x))
-            traj = evolve(model, member, store_every=10**9)
-            p_e = float(np.real(traj.expect(model.sigma_ee)[-1]))
+            traj = evolve(model, member)
+            p_e = float(np.real(traj.expect(model.sigma_ee)))
             single.append(dressed_flip_probability(p_e, p))
         npt.assert_allclose(rep.p_flip, single, rtol=1e-15, atol=0)
         # without a zero point the dark run is still the batch's first member
