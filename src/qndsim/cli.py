@@ -266,12 +266,17 @@ def _write_state(path: Path, state: QuantumState | None) -> None:
     _write_csv(path, ["row", "col", "real", "imag"], rows)
 
 
+# the config sections of a subcommand that reads fewer than all of them;
+# its manifest echoes only these
+_SECTIONS_READ = {"sweep": ("params", "sweep")}
+
+
 def _write_manifest(outdir: Path, command: str, cfg: dict, seed) -> None:
     _write_json(
         outdir / "manifest.json",
         {
             "subcommand": command,
-            "config": cfg,
+            "config": {key: cfg[key] for key in _SECTIONS_READ.get(command, cfg)},
             "seed": seed,
             "version": __version__,
         },

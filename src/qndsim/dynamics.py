@@ -147,14 +147,50 @@ def _rotate_qubit(x: np.ndarray, which: str, d: int) -> np.ndarray:
 
 
 def default_timestep(params: SystemParams, mode: TemporalMode) -> float:
-    """Fixed RK4 step: resolves both the linewidth and the envelope."""
+    """Fixed RK4 step: the shorter of 1/(10 kappa_tot) and 1/(40 max|f|^2).
+
+    The linewidth term is the longest whole multiple of 1/(40 kappa_tot)
+    that meets this error target on the reference set and the ideal
+    preset (500 ns pulse; t_i, t_g, t_f = -400, 700, 800 ns), each gap
+    taken against a run at a quarter of the step; the envelope term keeps
+    its ratio to it:
+    - output_mode_moments: largest gap at most 2e-9 of the largest moment;
+    - phase_ref: gap at most 2e-8 rad;
+    - evolve: gap of the final p_e at most 1e-9.
+    The first two bounds hold for second-order (trapezoid) read-outs at a
+    quarter of this step: 1.3e-9 and 1.1e-8 rad on the reference set,
+    1.8e-9 and 1.4e-8 rad on the ideal preset.  Every route and read-out
+    is fourth order, so each gap grows as the fourth power of the step.
+    At this step, where the linewidth term sets it, the three gaps are
+    6.7e-10, 1.2e-8 rad and 1.3e-10 on the reference set and 1.4e-9,
+    1.5e-8 rad and 3.0e-10 on the ideal preset.  1/(8 kappa_tot) breaks
+    the target: 3.4e-9 on the ideal preset's moments and 2.9e-8 rad
+    on the reference set's phase_ref.  phase_ref's gap is the RK4 error
+    of the linear cavity; its quadrature adds 4e-11 rad.
+    """
     peak2 = float(np.max(np.abs(mode.f) ** 2))
     _require(peak2 > 0, "mode envelope is identically zero")
-    dt = (1.0 / peak2) / 160.0
+    dt = (1.0 / peak2) / 40.0
     kappa = params.kappa_tot
     if np.isfinite(kappa) and kappa > 0:
-        dt = min(dt, 1.0 / (40.0 * kappa))
+        dt = min(dt, 1.0 / (10.0 * kappa))
     return dt
+
+
+def _uniform_integral(y: np.ndarray, span: float) -> complex:
+    """Integral of the samples y of a uniform grid over span: composite
+    Simpson, with the 3/8 rule over the last three intervals when the
+    interval count is odd.  Fourth order; needs at least two intervals."""
+    n = len(y) - 1
+    _require(n >= 2, "a fourth-order integral needs at least two intervals")
+    m = n - 3 if n % 2 else n  # intervals under Simpson's rule
+    w = np.zeros(n + 1)
+    w[1:m:2], w[2:m:2] = 4.0 / 3.0, 2.0 / 3.0
+    if m:
+        w[[0, m]] += 1.0 / 3.0
+    if m < n:
+        w[m:] += (3.0 / 8.0, 9.0 / 8.0, 9.0 / 8.0, 3.0 / 8.0)
+    return (span / n) * (y @ w)
 
 
 def _segment_steps(span: float, dt: float) -> int:
@@ -584,8 +620,9 @@ def _linear_cavity(
 ):
     """RK4 step grid from t0 to t1 and the amplitude alpha on it of the
     ground-pinned linear cavity alpha' = -(i chi + kappa_tot/2) alpha + eps,
-    with alpha(t0) = a0."""
-    nsteps = _segment_steps(t1 - t0, dt)
+    with alpha(t0) = a0.  The grid has at least the two intervals that
+    _uniform_integral needs."""
+    nsteps = max(2, _segment_steps(t1 - t0, dt))
     dt_seg = (t1 - t0) / nsteps
     eps = _drive_samples(params, schedule, _half_grid(t0, nsteps, dt_seg), None)
     lam = -(1j * params.chi + params.kappa_tot / 2.0)
@@ -636,7 +673,7 @@ def linear_reference(
         dt = default_timestep(params, schedule.mode)
     t_full, psi_out = _linear_output(params, schedule, dt)
     uu = _mode_u(output_mode, t_full)
-    return complex(np.trapezoid(np.conjugate(uu) * psi_out, t_full))
+    return complex(_uniform_integral(np.conjugate(uu) * psi_out, schedule.t_f - schedule.t_i))
 
 
 def _bounded_brent(f: Callable[[float], float], lo: float, hi: float, xatol: float) -> float:
@@ -739,7 +776,7 @@ def optimize_delay(params: SystemParams, mode: TemporalMode) -> float:
 
     def negative_capture(tau: float) -> float:
         uu = _mode_u(mode, t_full - tau)
-        return -abs(np.trapezoid(np.conjugate(uu) * psi_out, t_full)) ** 2
+        return -abs(_uniform_integral(np.conjugate(uu) * psi_out, t1 - t0)) ** 2
 
     return float(_bounded_brent(negative_capture, 0.0, 5.0 / params.kappa_ex, xatol=1e-9))
 
@@ -826,8 +863,8 @@ def output_mode_moments(
     tt = np.linspace(
         schedule.t_i, schedule.t_f, 4 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
     )
-    uu = _mode_u(output_mode, tt)
-    o_f = complex(np.trapezoid(np.conjugate(uu) * _mode_u(schedule.mode, tt), tt))
+    overlap = np.conjugate(_mode_u(output_mode, tt)) * _mode_u(schedule.mode, tt)
+    o_f = complex(_uniform_integral(overlap, schedule.t_f - schedule.t_i))
     moments = _classical_shift(mb * np.outer(fac, fac), schedule.alpha_in * o_f)
     return MomentSet(moments, _gauge_phase(p, schedule, output_mode, dt))
 

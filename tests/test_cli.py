@@ -395,6 +395,14 @@ class TestSweep:
         np.testing.assert_allclose(table["eta"], 0.821826, atol=2e-3)
         np.testing.assert_allclose(table["dark_count"], 0.0165076, atol=2e-4)
 
+    def test_manifest_echoes_only_the_sections_read(self, tmp_path):
+        cfg = write_yaml(tmp_path / "c.yaml", "sweep:\n  values: [800e-9]\n")
+        out = tmp_path / "out"
+        assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert sorted(config) == ["params", "sweep"]
+        assert config["sweep"] == {"axis": "gate_interval", "values": [8e-7]}
+
     def test_unknown_axis_is_config_error(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "c.yaml", "sweep:\n  axis: warp\n")
         assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path)) == 2

@@ -200,6 +200,41 @@ class TestEvolve:
         npt.assert_allclose(val, expected, atol=1e-8)
 
 
+class TestUniformIntegral:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 11])
+    def test_cubics_are_exact(self, n):
+        c = np.array([0.3 - 1.0j, -2.0, 1.5 + 0.5j, 0.7j])  # c_k t^k
+        t0, t1 = -0.4, 1.3
+        t = np.linspace(t0, t1, n + 1)
+        exact = sum(ck * (t1 ** (k + 1) - t0 ** (k + 1)) / (k + 1) for k, ck in enumerate(c))
+        got = dynamics._uniform_integral(np.polyval(c[::-1], t), t1 - t0)
+        npt.assert_allclose(got, exact, rtol=1e-13)
+
+    def test_convergence_is_fourth_order(self):
+        z = -1.0 + 3.0j
+        exact = (np.exp(2.0 * z) - 1.0) / z  # integral of e^{z t} over [0, 2]
+
+        def err(n):
+            t = np.linspace(0.0, 2.0, n + 1)
+            return abs(dynamics._uniform_integral(np.exp(z * t), 2.0) - exact)
+
+        ratio = err(40) / err(80)
+        assert 12 < ratio < 20, f"halving ratio {ratio}"
+
+    def test_one_interval_is_refused(self):
+        with pytest.raises(ValueError, match="at least two intervals"):
+            dynamics._uniform_integral(np.ones(2), 1.0)
+
+    def test_window_shorter_than_one_step(self):
+        # a 2 ns window is shorter than the default step; the linear
+        # cavity still takes the two steps the integral needs
+        p = default_params()
+        sched = PulseSchedule(0.0, 1e-9, 2e-9, MODE, alpha_in=ALPHA)
+        out = MODE.delayed(100e-9)
+        fine = linear_reference(p, sched, out, dt=1e-11)
+        npt.assert_allclose(linear_reference(p, sched, out), fine, rtol=1e-7)
+
+
 class TestDelayChoice:
     def test_table_parameters_delay(self, table_delay):
         assert 90e-9 < table_delay < 120e-9
@@ -446,14 +481,14 @@ class TestCaptureOracle:
         assert ms.mean_photon > 0.99 * N_IN
 
     def test_substep_cap_raises(self, monkeypatch):
-        # the first in-window step of this window needs 5 substeps; a cap
+        # the first in-window step of this window needs 20 substeps; a cap
         # below that must refuse the run, not clamp the count
         p = ideal_qubit(default_params())
         m = build_model(p)
         sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=0.0, ramsey_gates=False)
-        monkeypatch.setattr(dynamics, "CAPTURE_MAX_SUBSTEPS", 4)
+        monkeypatch.setattr(dynamics, "CAPTURE_MAX_SUBSTEPS", 19)
         with pytest.raises(
-            RuntimeError, match=r"step 0 from t = -4\.000000e-07 s needs 5 substeps \(cap 4\)"
+            RuntimeError, match=r"step 0 from t = -4\.000000e-07 s needs 20 substeps \(cap 19\)"
         ):
             capture_mode_oracle(m, sched, delay=108e-9, dim_b=4)
 
@@ -469,6 +504,31 @@ class TestCaptureOracle:
         )
         assert err.max() < 1e-3
         npt.assert_allclose(ms_cap.mean_photon, ms_reg.mean_photon, rtol=1e-4)
+
+
+class TestStepAccuracy:
+    """default_timestep's error target, each gap against a quarter-step run."""
+
+    @pytest.mark.parametrize(
+        "params", [default_params(), ideal_params()], ids=["reference", "ideal"]
+    )
+    def test_default_step_meets_target(self, params):
+        m = build_model(params)
+        tau = optimize_delay(params, MODE)
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
+        dt = default_timestep(params, MODE)
+
+        def figures(step):
+            ms = output_mode_moments(m, sched, output_mode=MODE.delayed(tau), dt=step)
+            rho = evolve(m, sched, dt=step).rho
+            p_e = float(np.trace(rho[m.dim // 2:, m.dim // 2:]).real)
+            return ms.moments, ms.phase_ref, p_e
+
+        moments, phase, p_e = figures(dt)
+        moments_q, phase_q, p_e_q = figures(dt / 4)
+        assert np.abs(moments - moments_q).max() < 2e-9 * np.abs(moments_q).max()
+        assert abs(phase - phase_q) < 2e-8
+        assert abs(p_e - p_e_q) < 1e-9
 
 
 class TestMeasurementBackaction:
