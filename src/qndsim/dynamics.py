@@ -331,20 +331,24 @@ class Generator:
         c = s.  T^H L0 T is real, and with M = T^H P T a pair adds
         Re c (2 Re M) + Im c (-2 Im M), so the real form has two pieces per
         P, with coefficients (Re c, Im c).  live flags each of these real
-        pieces; the ones flagged off are dropped before the stack is built.
-        Each block is converted as it is drawn and kept without its zeros,
-        so the complex blocks are never stacked.
+        pieces; only the live ones are converted, and a P with no live half
+        is never conjugated.  Each block is converted as it is drawn and
+        kept without its zeros, so the complex blocks are never stacked.
         """
         t_h = t.conj().T.tocsr()
         blocks = iter(blocks)
         m = (t_h @ next(blocks) @ t).tocsr()
         l0 = _trimmed(m.data.real, m)
         pieces = []
-        for piece in blocks:
-            m = (t_h @ piece @ t).tocsr()
-            pieces += [_trimmed(2 * m.data.real, m), _trimmed(-2 * m.data.imag, m)]
+        for piece, (re_on, im_on) in zip(blocks, np.reshape(live, (-1, 2)), strict=True):
+            if re_on or im_on:
+                m = (t_h @ piece @ t).tocsr()
+                if re_on:
+                    pieces.append(_trimmed(2 * m.data.real, m))
+                if im_on:
+                    pieces.append(_trimmed(-2 * m.data.imag, m))
         del m, t_h  # free before the real pieces are stacked
-        return cls(l0, [p for p, on in zip(pieces, live, strict=True) if on])
+        return cls(l0, pieces)
 
     def apply(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """L x for weights (1, f_1, ..., f_K); with m columns in x, weights
@@ -873,9 +877,20 @@ def output_mode_moments(
 # capture-mode oracle
 
 
+def _capture_pairs(n_c: int, db: int) -> np.ndarray:
+    """Positions, in the product of the qubit, the cavity (n_c levels) and
+    the capture mode (db levels), of the states whose cavity and capture
+    levels n and m keep n + m <= max(n_c, db) - 1: qubit-major, in product
+    order.  Each mode keeps its full range; only the corners that neither
+    mode's own truncation reaches are cut."""
+    n, m = np.divmod(np.arange(n_c * db), db)
+    pairs = np.flatnonzero(n + m < max(n_c, db))
+    return np.concatenate([pairs, n_c * db + pairs])
+
+
 def _capture_blocks(model: LindbladModel, db: int):
     """Yield L0 and the pieces of the system cascaded into a capture mode b
-    of db levels, one at a time.
+    of db levels, one at a time, on the states of _capture_pairs.
 
     With the input amplitude beta(t) and the capture coupling g(t), the
     effective Hamiltonian is
@@ -888,13 +903,23 @@ def _capture_blocks(model: LindbladModel, db: int):
     constant part keeps the model's own collapse operators: the internal
     loss kin D[a] and the output's g-free part kex D[a] sum to its
     kappa_tot D[a].
+
+    Every operator is the product-space one restricted to the kept states.
+    The cascaded coupling b^dag a keeps n + m; only the drives a^dag and
+    b^dag leave the cap, and the restriction drops those transitions as the
+    per-mode truncation drops level n_max + 1.  The lowering operators map
+    kept states to kept states, so products of restricted operators equal
+    the restricted products.
     """
+    keep = _capture_pairs(model.n_max + 1, db)
 
     def extend(op):
-        return sparse.kron(sparse.csr_matrix(op), sparse.identity(db), format="csr")
+        return sparse.kron(sparse.csr_matrix(op), sparse.identity(db), format="csr")[keep][:, keep]
 
     a = extend(model.a)
-    b = sparse.kron(sparse.identity(model.dim), sparse.csr_matrix(destroy(db)), format="csr")
+    b = sparse.kron(
+        sparse.identity(model.dim), sparse.csr_matrix(destroy(db)), format="csr"
+    )[keep][:, keep]
     ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
     sqrt_kex = math.sqrt(model.params.kappa_ex)
     yield _lindblad_superop(extend(model.H), [extend(c) for c in model.collapse])
@@ -921,6 +946,14 @@ def capture_mode_oracle(
     auxiliary-mode moments are read directly from it.  The coupling
     denominator is floored at CAPTURE_EPS_FLOOR of the windowed mode
     energy to regularize the leading tail.
+
+    The joint state keeps only the cavity and capture levels n, m with
+    n + m <= N = max(n_max, dim_b - 1) (_capture_pairs): 35 of the 56
+    pairs at the defaults, so d = 70 in place of 112.  Three monitors
+    guard the truncation: the top cavity level and the n + m = N shell
+    against TOP_LEVEL_MAX, the top capture level against CAPTURE_TOP_MAX.
+    At t_f the state is embedded back into the full product for the
+    read-out.
     """
     _require(dim_b >= 4, "capture mode needs at least 4 levels")
     p = model.params
@@ -929,8 +962,10 @@ def capture_mode_oracle(
     output_mode = _resolve_output_mode(p, schedule, output_mode, delay)
     n_c = model.n_max + 1
     db = dim_b
-    d = 2 * n_c * db
-    x = _prepared_states(model, schedule, [schedule.alpha_in], dt, db)[:, 0]
+    keep = _capture_pairs(n_c, db)
+    d, d_full = keep.size, 2 * n_c * db
+    x0 = _prepared_states(model, schedule, [schedule.alpha_in], dt, db)[:, 0]
+    x = x0.reshape(d_full, d_full)[np.ix_(keep, keep)].ravel()
 
     # fine-grid mode energy and coupling magnitude inside the window
     n_fine = 64 * _segment_steps(schedule.t_f - schedule.t_i, dt) + 1
@@ -972,24 +1007,29 @@ def capture_mode_oracle(
         return coeffs, np.repeat(dt_seg / nsub, nsub)
 
     diag = np.arange(d) * (d + 1)
-    cav_idx = diag[[(q * n_c + (n_c - 1)) * db + m for q in range(2) for m in range(db)]]
-    b_idx = diag[[(q * n_c + n) * db + (db - 1) for q in range(2) for n in range(n_c)]]
+    lvl_a, lvl_b = np.divmod(keep % (n_c * db), db)  # cavity and capture level of each state
+    shell = max(n_c, db) - 1
     run = _run_schedule(
         _capture_blocks(model, db), _adjoint_swap(d), x, schedule, dt, coeffs_for, d, diag,
-        (cav_idx, b_idx),
+        (diag[lvl_a == n_c - 1], diag[lvl_b == db - 1], diag[lvl_a + lvl_b == shell]),
     )
-    max_cav, max_b = run.max_watched
+    max_cav, max_b, max_shell = run.max_watched
     _check_monitors(run.max_trace_defect, max_cav, TOP_LEVEL_MAX, "capture_mode_oracle")
-    worst = _breach(max_b, CAPTURE_TOP_MAX)
-    if worst is not None:
-        raise RuntimeError(
-            f"capture_mode_oracle: capture-mode top population {worst:.3e} "
-            f"exceeds {CAPTURE_TOP_MAX:.0e}; raise dim_b"
-        )
+    for value, limit, what, fix in (
+        (max_shell, TOP_LEVEL_MAX, f"n + m = {shell} shell population", "raise n_max or dim_b"),
+        (max_b, CAPTURE_TOP_MAX, "capture-mode top population", "raise dim_b"),
+    ):
+        worst = _breach(value, limit)
+        if worst is not None:
+            raise RuntimeError(
+                f"capture_mode_oracle: {what} {worst:.3e} exceeds {limit:.0e}; {fix}"
+            )
 
     # <sigma_pq b^dag^m b^n> from the qubit-capture state (cavity traced out)
     scale = math.sqrt(CAPTURE_EPS_FLOOR * energy + energy)
-    rho_qb = np.einsum("qnjpni->qjpi", run.state.reshape(2, n_c, db, 2, n_c, db))
+    rho = np.zeros((d_full, d_full), dtype=complex)
+    rho[np.ix_(keep, keep)] = run.state.reshape(d, d)
+    rho_qb = np.einsum("qnjpni->qjpi", rho.reshape(2, n_c, db, 2, n_c, db))
     k = range(MOMENT_ORDER + 1)
     b_pow = [np.linalg.matrix_power(destroy(db), n) for n in k]
     ops = np.array([[dag(b_pow[m]) @ b_pow[n] for n in k] for m in k])

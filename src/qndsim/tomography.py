@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from .linalg import QuantumState
 
@@ -563,6 +562,25 @@ def composite_mle(
     return _fit(record, iterations, correct_efficiency)
 
 
+def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Generalised Laguerre polynomial L_n^(alpha)(x) for integers n, alpha >= 0.
+
+    The three-term recurrence in the differences d_k = p_k - p_(k-1) of
+    p_k = L_k^(alpha) / C(k + alpha, k), the form scipy's eval_genlaguerre
+    takes for an integer degree, so the values agree with it bit for bit.
+    """
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return -x + alpha + 1
+    d = -x / (alpha + 1)
+    p = d + 1
+    for k in range(1, n):
+        d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
+        p = d + p
+    return math.comb(n + alpha, n) * p
+
+
 def wigner(state: QuantumState, grid: np.ndarray | None = None) -> np.ndarray:
     """Wigner function on a square phase-space grid.
 
@@ -587,9 +605,9 @@ def wigner(state: QuantumState, grid: np.ndarray | None = None) -> np.ndarray:
                 continue
             lo, hi = min(n, m), max(n, m)
             k = hi - lo
-            amp = math.exp(
-                0.5 * (gammaln(lo + 1) - gammaln(hi + 1))
-            ) * eval_genlaguerre(lo, k, r) * gauss
+            amp = math.sqrt(
+                math.factorial(lo) / math.factorial(hi)
+            ) * _genlaguerre(lo, k, r) * gauss
             if n >= m:
                 dmat = amp * beta**k
             else:

@@ -438,7 +438,7 @@ class TestPlumbing:
         code = (
             "import sys\n"
             "from qndsim import cli\n"
-            "heavy = ('scipy.optimize', 'scipy.linalg', 'scipy.spatial')\n"
+            "heavy = ('scipy.optimize', 'scipy.linalg', 'scipy.spatial', 'scipy.special')\n"
             "print([m for m in heavy if m in sys.modules])\n"
             "assert cli.main(['protocol', '--out', sys.argv[1]]) == 0\n"
             "print([m for m in heavy if m in sys.modules])\n"

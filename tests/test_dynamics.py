@@ -492,6 +492,36 @@ class TestCaptureOracle:
         ):
             capture_mode_oracle(m, sched, delay=108e-9, dim_b=4)
 
+    def test_shell_population_beyond_limit_raises(self, monkeypatch, table_delay):
+        # the reference point fills the n + m = 7 shell to 8.7e-11 and the
+        # top cavity level to 4.6e-14: a limit between the two trips only
+        # the shell monitor
+        m = build_model(default_params())
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
+        monkeypatch.setattr(dynamics, "TOP_LEVEL_MAX", 1e-11)
+        with pytest.raises(
+            RuntimeError,
+            match=r"n \+ m = 7 shell population 8\.\d+e-11 exceeds 1e-11; raise n_max or dim_b",
+        ):
+            capture_mode_oracle(m, sched, output_mode=MODE.delayed(table_delay), delay=table_delay)
+
+    def test_cap_within_truncation_error(self, table_delay):
+        # one more level in each mode (n_max = 8, dim_b = 8, so n + m <= 8):
+        # the largest relative move is 3.36e-6, the dim_b truncation error;
+        # the cap n + m <= 7 itself moves the moments by 2.3e-8
+        p = default_params()
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
+        out_mode = MODE.delayed(table_delay)
+        a, b = (
+            capture_mode_oracle(
+                build_model(p, n_max=n_max), sched, output_mode=out_mode, delay=table_delay,
+                dim_b=dim_b,
+            ).moments
+            for n_max, dim_b in ((7, 7), (8, 8))
+        )
+        gap = np.abs(a - b) / (np.maximum(np.abs(a), np.abs(b)) + 1e-8)
+        assert gap.max() < 5e-6
+
     def test_matches_regression_route(self, table_delay):
         p = default_params()
         m = build_model(p)

@@ -7,9 +7,12 @@ formula written densely here, which also checks the pair rule that
 Generator.real_form relies on, and `propagate` against dense
 matrix-exponential propagation of the vectorized generator (row-major
 convention: vec(A U B) = (A kron B^T) vec(U)), including the regression
-ladder and the capture mode with unequal steps.  The schedule driver is
-checked against a complex walk written here, and for the live pieces it
-keeps.  The MLE fixed-point iteration is checked on exact data.
+ladder and the capture mode with unequal steps.  The capture references
+restrict the product-space operators to the states the route keeps,
+n + m <= max(n_max, db - 1), chosen here independently (`capture_states`).
+The schedule driver is checked against a complex walk written here, and
+for the live pieces it keeps.  The MLE fixed-point iteration is checked
+on exact data.
 """
 
 import numpy as np
@@ -77,7 +80,20 @@ def capture_model():
     return build_model(params, n_max=3)
 
 
+def capture_states(model, db):
+    """Positions, in the (qubit, cavity n, capture m) product, of the states
+    the capture route keeps: n + m <= max(n_max, db - 1), qubit-major."""
+    n_c = model.n_max + 1
+    cap = max(model.n_max, db - 1)
+    return np.array([
+        (q * n_c + n) * db + m
+        for q in range(2) for n in range(n_c) for m in range(db) if n + m <= cap
+    ])
+
+
 def capture_operators(model, db):
+    """a, b, H and the collapse operators of the capture route, each the
+    product-space operator restricted to capture_states."""
     eye_b = np.eye(db)
     a = np.kron(model.a, eye_b)
     b = np.kron(np.eye(model.dim), destroy(db))
@@ -90,7 +106,8 @@ def capture_operators(model, db):
     ):
         if rate > 0:
             c_list.append(np.sqrt(rate) * np.kron(op, eye_b))
-    return a, b, np.kron(model.H, eye_b), c_list
+    kept = np.ix_(*[capture_states(model, db)] * 2)
+    return a[kept], b[kept], np.kron(model.H, eye_b)[kept], [c[kept] for c in c_list]
 
 
 def capture_rhs(model, db, x, g, beta):
@@ -186,21 +203,30 @@ class TestGenerators:
                 expected = expected + np.conjugate(w) * nodes[k - 3] @ dag(a_op)
             npt.assert_allclose(got[k], expected, atol=1e-12, err_msg=f"node {k}")
 
+        # n_max = 3: the cap n + m <= 3 is the cavity's at db = 3 and the
+        # capture mode's, n + m <= 4, at db = 5
         model = capture_model()
-        db = 3
-        dc = model.dim * db
-        swap = dynamics._adjoint_swap(dc)
-        blocks = list(dynamics._capture_blocks(model, db))
-        # the |g|^2 piece is self-conjugate: half of it is its own partner
-        half = blocks[-1]
-        assert abs(partner(half, swap) - half).max() <= 1e-15 * abs(half).max()
-        gen = complex_generator(blocks, swap)
-        x = random_matrix(rng, dc)
-        g, beta = 0.8 - 0.5j, 0.25 + 0.15j
-        got = gen.apply(x.reshape(-1), np.r_[1.0, with_partners(*capture_coeffs(g, beta))])
-        expected = capture_rhs(model, db, x, g, beta)
-        npt.assert_allclose(got.reshape(dc, dc), expected, atol=1e-11)
+        for db in (3, 5):
+            dc = capture_states(model, db).size
+            swap = dynamics._adjoint_swap(dc)
+            blocks = list(dynamics._capture_blocks(model, db))
+            # the |g|^2 piece is self-conjugate: half of it is its own partner
+            half = blocks[-1]
+            assert abs(partner(half, swap) - half).max() <= 1e-15 * abs(half).max()
+            gen = complex_generator(blocks, swap)
+            x = random_matrix(rng, dc)
+            g, beta = 0.8 - 0.5j, 0.25 + 0.15j
+            got = gen.apply(x.reshape(-1), np.r_[1.0, with_partners(*capture_coeffs(g, beta))])
+            expected = capture_rhs(model, db, x, g, beta)
+            npt.assert_allclose(got.reshape(dc, dc), expected, atol=1e-11, err_msg=f"db {db}")
 
+
+    def test_capture_keeps_the_pairs_under_the_cap(self):
+        # defaults: n_max = 7, db = 7, so n + m <= 7 keeps 35 of the 56 pairs
+        model = build_model(default_params())
+        keep = dynamics._capture_pairs(model.n_max + 1, 7)
+        npt.assert_array_equal(keep, capture_states(model, 7))
+        assert keep.size == 70
 
     def test_ladder_matches_hand_built_nine_nodes(self):
         # reference: the order-2 ladder written out by hand, node 3m + n
@@ -435,7 +461,7 @@ class TestCaptureRK4:
         rng = np.random.default_rng(12)
         model = capture_model()
         db = 2
-        d = model.dim * db
+        d = capture_states(model, db).size
         g0 = 0.8 - 0.5j
         beta0 = 0.25 + 0.15j
         rho0 = random_density(rng, d)
@@ -521,7 +547,8 @@ class TestRealCoordinates:
         model = capture_model()
         db = 4
         self._check_real_form(
-            dynamics._capture_blocks(model, db), dynamics._adjoint_swap(model.dim * db),
+            dynamics._capture_blocks(model, db),
+            dynamics._adjoint_swap(capture_states(model, db).size),
             capture_coeffs(0.8 - 0.5j, 0.25 + 0.15j),
         )
 

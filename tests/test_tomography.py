@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 from scipy.stats import chi2
 
 from qndsim import tomography as tg
@@ -593,6 +594,16 @@ class TestWigner:
         g = np.linspace(-4, 4, 33)
         w = tg.wigner(VACUUM, g)
         assert w.shape == (33, 33)
+
+    def test_laguerre_matches_scipy_bit_for_bit(self):
+        # every (degree, order) a 14-level state reaches, over |2 alpha|^2
+        # on and beyond the default grid
+        r = np.linspace(0.0, 80.0, 401)
+        for n in range(14):
+            for k in range(14 - n):
+                np.testing.assert_array_equal(
+                    tg._genlaguerre(n, k, r), eval_genlaguerre(n, k, r), err_msg=f"n {n}, k {k}"
+                )
 
 
 class TestPhotonDistribution:
