@@ -63,7 +63,7 @@ _PARAM_PLAIN_KEYS = (
 _INFINITE_ALLOWED = ("params.T1", "params.T2_star", "params.T2_echo")
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Invalid or unparseable run configuration."""
 
 
@@ -181,6 +181,8 @@ def _normalize(cfg: dict) -> None:
         )
     if t["shots"] < 1:
         raise ConfigError("tomography.shots must be at least 1")
+    if t["iterations"] < 1:
+        raise ConfigError("tomography.iterations must be at least 1")
     t["seed"] = _as_int(t["seed"], "tomography.seed", allow_none=True)
     sp = cfg["spectrum"]
     sp["span_hz"] = _as_float(sp["span_hz"], "spectrum.span_hz")
@@ -544,10 +546,7 @@ def main(argv=None) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         args.handler(cfg, outdir, seed)
         _write_manifest(outdir, args.command, cfg, seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RuntimeError as exc:

@@ -131,16 +131,10 @@ class MomentSet:
 # gates and grids
 
 
-def gate_matrix(which: str) -> np.ndarray:
-    try:
-        return {"y90": GATE_Y90, "ym90": GATE_YM90}[which]
-    except KeyError:
-        raise ValueError(f"unknown gate {which!r}; expected 'y90' or 'ym90'") from None
-
-
-def _rotate_qubit(x: np.ndarray, which: str, d: int) -> np.ndarray:
-    """Rotate the qubit of every d x d block of each column of x."""
-    u = np.kron(gate_matrix(which), np.eye(d // 2, dtype=complex))
+def _rotate_qubit(x: np.ndarray, gate: np.ndarray, d: int) -> np.ndarray:
+    """Rotate the qubit of every d x d block of each column of x by the
+    2 x 2 gate (GATE_Y90 or GATE_YM90)."""
+    u = np.kron(gate, np.eye(d // 2, dtype=complex))
     cols = np.moveaxis(x, 0, -1)  # (m, n^2); x itself when it is one vector
     out = (u @ cols.reshape(-1, d, d) @ dag(u)).reshape(cols.shape)
     return np.ascontiguousarray(np.moveaxis(out, -1, 0))
@@ -217,11 +211,7 @@ def _drive_samples(
 
 def _mode_u(mode: TemporalMode, times: np.ndarray) -> np.ndarray:
     """Mode waveform f(-t) in the propagation frame (input or projection)."""
-    amp = mode.amplitude(-times)
-    off = mode.carrier_offset
-    if off != 0.0:
-        amp = amp * np.exp(-1j * off * times)
-    return amp
+    return mode.amplitude(-times)
 
 
 # ---------------------------------------------------------------------------
@@ -406,45 +396,35 @@ def propagate(
     return Propagation(x, max_tr, tuple(max_watched))
 
 
-def _drive_piece(a: sparse.csr_matrix) -> sparse.csr_matrix:
-    """The piece eps of the drive term -i[i eps a^dag - i conj(eps) a, X]."""
-    ad = a.conj().T
-    return _spre(ad) - _spost(ad)
-
-
-def _lindblad_blocks(h, c_ops, a) -> tuple:
-    """L0 and the drive piece eps of the driven master equation."""
-    a = sparse.csr_matrix(a, dtype=complex)
-    return _lindblad_superop(h, c_ops), _drive_piece(a)
-
-
-def _ladder_blocks(h, c_ops, a) -> tuple:
-    """L0 and the pieces eps and w of the regression ladder of order
-    K = MOMENT_ORDER.
+def _ladder_blocks(h, c_ops, a, order: int) -> tuple:
+    """L0 and the pieces of the regression ladder of order K = order: eps,
+    then w when K > 0.  Order 0 is the driven master equation itself.
 
     The state holds (K + 1)^2 nodes, node (m, n) at offset ((K + 1) m + n) n^2
-    for m, n <= K, each driven like the state of _lindblad_blocks.  Node
-    (m, n) is sourced by w a X_{m,n-1} and conj(w) X_{m-1,n} a^dag: the piece
-    w and its partner in a block-lower-triangular generator.  The ladder is
+    for m, n <= K, each driven by the master equation: L0 and the piece eps
+    of the drive term -i[i eps a^dag - i conj(eps) a, X].  Node (m, n) is
+    sourced by w a X_{m,n-1} and conj(w) X_{m-1,n} a^dag: the piece w and
+    its partner in a block-lower-triangular generator.  The ladder is
     Hermitian in the sense X_{n,m} = X_{m,n}^dag.
     """
     a = sparse.csr_matrix(a, dtype=complex)
-    nodes = sparse.identity((MOMENT_ORDER + 1) ** 2, dtype=complex, format="csr")
-    eye = sparse.identity(MOMENT_ORDER + 1)
-    lower = sparse.eye(MOMENT_ORDER + 1, k=-1)  # index i - 1 -> i
-    return (
+    ad = a.conj().T
+    nodes = sparse.identity((order + 1) ** 2, dtype=complex, format="csr")
+    blocks = (
         sparse.kron(nodes, _lindblad_superop(h, c_ops), format="csr"),
-        sparse.kron(nodes, _drive_piece(a), format="csr"),
-        sparse.kron(sparse.kron(eye, lower), _spre(a), format="csr"),
+        sparse.kron(nodes, _spre(ad) - _spost(ad), format="csr"),
     )
+    if order:
+        lower = sparse.eye(order + 1, k=-1)  # index i - 1 -> i
+        w = sparse.kron(sparse.kron(sparse.identity(order + 1), lower), _spre(a), format="csr")
+        blocks += (w,)
+    return blocks
 
 
-def _monitor_indices(model: LindbladModel):
-    """Trace positions of the model's state and those of its top cavity level."""
-    d = model.dim
-    n_c = model.n_max + 1
-    diag = np.arange(d) * (d + 1)
-    return diag, diag[[n_c - 1, 2 * n_c - 1]]
+def _top_level(model: LindbladModel) -> np.ndarray:
+    """Positions of the top cavity level's populations in the model's state."""
+    d, n_c = model.dim, model.n_max + 1
+    return np.array([n_c - 1, 2 * n_c - 1]) * (d + 1)
 
 
 def _conj_pairs(*samples: np.ndarray) -> np.ndarray:
@@ -479,42 +459,43 @@ def _check_monitors(max_tr, max_top, top_limit: float, label: str) -> None:
 
 def _run_schedule(
     blocks,
-    swap: np.ndarray,
     x: np.ndarray,
     schedule: PulseSchedule,
     dt: float,
     coeffs_for: Callable,
     d: int,
-    trace_idx: np.ndarray,
-    watch: tuple = (),
+    watch: tuple,
 ) -> Propagation:
     """Propagate the Hermitian matrices x, the state at t_i, to t_f.
 
-    blocks yields the complex L0 and one piece per conjugate pair, as
-    Generator.real_form reads them, and swap is the index involution of
-    X -> X^dag on x.  The schedule has two segments, t_i to t_g and t_g to
-    t_f, each opened by a qubit rotation of the d x d blocks of the
-    matrices (+90 deg, then -90 deg) when schedule.ramsey_gates is set.
-    Each segment is cut into nsteps equal steps no longer than dt;
-    coeffs_for(t0, nsteps, dt_seg) returns its real-form coefficient rows
-    and step lengths for propagate.  A piece is live when its coefficient
-    is nonzero in some row, member or segment; the run builds its real form
-    once, from the live pieces only, and propagates the real coordinates
-    r = T^H x, T = _real_basis(swap).  x may hold one member per column
-    (see propagate).  The monitors are maximised per member over both
-    segments.  Only the state at t_f is kept, and it is returned as
+    x is a square grid of nodes of d x d matrices, as the regression ladder
+    holds them (one node for a plain state), and may hold one member per
+    column (see propagate).  blocks yields the complex L0 and one piece per
+    conjugate pair, as Generator.real_form reads them.  The schedule has
+    two segments, t_i to t_g and t_g to t_f, each opened by a qubit
+    rotation of every node (GATE_Y90, then GATE_YM90) when
+    schedule.ramsey_gates is set.  Each segment is cut into nsteps equal
+    steps no longer than dt; coeffs_for(t0, nsteps, dt_seg) returns its
+    real-form coefficient rows and step lengths for propagate.  A piece is
+    live when its coefficient is nonzero in some row, member or segment;
+    the run builds its real form once, from the live pieces only, and
+    propagates the real coordinates r = T^H x, T = _real_basis of the
+    nodes' _adjoint_swap.  The trace monitor reads node (0, 0); watch
+    holds index arrays into x.  The monitors are maximised per member over
+    both segments.  Only the state at t_f is kept, and it is returned as
     matrices.
     """
     segments = []
     for gate, t0, t1 in (
-        ("y90", schedule.t_i, schedule.t_g), ("ym90", schedule.t_g, schedule.t_f)
+        (GATE_Y90, schedule.t_i, schedule.t_g), (GATE_YM90, schedule.t_g, schedule.t_f)
     ):
         nsteps = _segment_steps(t1 - t0, dt) if t1 - t0 > 1e-15 else 0
         segments.append((gate, *coeffs_for(t0, nsteps, (t1 - t0) / max(nsteps, 1))))
     live = np.any(
         [np.any(c.reshape(*c.shape[:2], -1) != 0, axis=(0, 2)) for *_, c, _ in segments], axis=0
     )
-    t = _real_basis(swap)
+    t = _real_basis(_adjoint_swap(d, math.isqrt(len(x) // (d * d))))
+    trace_idx = np.arange(d) * (d + 1)
     gen = Generator.real_form(blocks, t, live)
     t_h = t.conj().T.tocsr()
     r = (t_h @ x).real
@@ -594,7 +575,6 @@ def _evolve(model, members, x0, drive, dt) -> list:
     """Trajectories of the member schedules, started at t_i from the columns
     of x0 (from x0 itself when it is one vector)."""
     d = model.dim
-    diag, top = _monitor_indices(model)
 
     def coeffs_for(t0, nsteps, dt_seg):
         tt = _half_grid(t0, nsteps, dt_seg)
@@ -602,8 +582,8 @@ def _evolve(model, members, x0, drive, dt) -> list:
         return _conj_pairs(eps.reshape(len(tt), *x0.shape[1:])), np.full(nsteps, dt_seg)
 
     run = _run_schedule(
-        _lindblad_blocks(model.H, model.collapse, model.a), _adjoint_swap(d), x0, members[0],
-        dt, coeffs_for, d, diag, (top,),
+        _ladder_blocks(model.H, model.collapse, model.a, 0), x0, members[0], dt, coeffs_for, d,
+        (_top_level(model),),
     )
     _check_monitors(run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "evolve")
     rhos = run.state.reshape(d, d, -1)
@@ -842,7 +822,6 @@ def output_mode_moments(
     output_mode = _resolve_output_mode(p, schedule, output_mode, delay)
     d = model.dim
     n_k = MOMENT_ORDER + 1  # nodes per ladder axis
-    diag, top = _monitor_indices(model)
     x = np.zeros(n_k * n_k * d * d, dtype=complex)
     x[: d * d] = _prepared_states(model, schedule, [schedule.alpha_in], dt)[:, 0]
     sqrt_kex = math.sqrt(p.kappa_ex) if p.kappa_ex > 0 else 0.0
@@ -854,8 +833,8 @@ def output_mode_moments(
         return _conj_pairs(eps, w), np.full(nsteps, dt_seg)
 
     run = _run_schedule(
-        _ladder_blocks(model.H, model.collapse, model.a), _adjoint_swap(d, n_k), x, schedule,
-        dt, coeffs_for, d, diag, (top,),
+        _ladder_blocks(model.H, model.collapse, model.a, MOMENT_ORDER), x, schedule, dt,
+        coeffs_for, d, (_top_level(model),),
     )
     _check_monitors(
         run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "output_mode_moments"
@@ -1010,7 +989,7 @@ def capture_mode_oracle(
     lvl_a, lvl_b = np.divmod(keep % (n_c * db), db)  # cavity and capture level of each state
     shell = max(n_c, db) - 1
     run = _run_schedule(
-        _capture_blocks(model, db), _adjoint_swap(d), x, schedule, dt, coeffs_for, d, diag,
+        _capture_blocks(model, db), x, schedule, dt, coeffs_for, d,
         (diag[lvl_a == n_c - 1], diag[lvl_b == db - 1], diag[lvl_a + lvl_b == shell]),
     )
     max_cav, max_b, max_shell = run.max_watched

@@ -13,9 +13,6 @@ import warnings
 
 import numpy as np
 
-#: Hard cap on the linear dimension of any constructed matrix.
-DIM_CAP = 4096
-
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-9
 EIGENVALUE_FLOOR = -1e-9
@@ -23,19 +20,6 @@ EIGENVALUE_FLOOR = -1e-9
 
 class NumericalError(RuntimeError):
     """A computed state broke down numerically beyond what repair allows."""
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product with a dimension guard."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError("tensor expects 2-D matrices")
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if rows > DIM_CAP or cols > DIM_CAP:
-        raise ValueError(f"tensor result {rows}x{cols} exceeds dimension cap {DIM_CAP}")
-    return np.kron(a, b)
 
 
 def dag(a: np.ndarray) -> np.ndarray:
@@ -128,9 +112,6 @@ class QuantumState:
     @property
     def dim(self) -> int:
         return self.rho.shape[0]
-
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.rho.copy(), self.dims)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"QuantumState(dims={self.dims})"

@@ -14,12 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
-from .linalg import QuantumState
 
 TWO_PI = 2.0 * math.pi
 
@@ -173,19 +172,17 @@ def ideal_params(kappa_ex_over_2chi: float = 1.0) -> SystemParams:
 
 @dataclass
 class TemporalMode:
-    """Normalized complex pulse envelope on a uniform time grid.
+    """Normalized complex pulse envelope: samples f on a uniform time grid t
+    and the exact continuous-time envelope func that they sample.
 
-    The envelope is defined in the frame rotating at the carrier, which sits
-    ``carrier_offset`` rad/s above the bare cavity frequency (0 by default:
-    the pulse is centered between the two dressed resonances).  ``func``,
-    when given, is the exact continuous-time envelope used for off-grid
-    evaluation (otherwise linear interpolation).
+    The envelope is defined in the frame rotating at the carrier, the bare
+    cavity frequency: the pulse is centered between the two dressed
+    resonances.  func evaluates it at arbitrary times (amplitude).
     """
 
     t: np.ndarray
     f: np.ndarray
-    func: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    carrier_offset: float = 0.0
+    func: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self) -> None:
         self.t = np.asarray(self.t, dtype=float)
@@ -206,51 +203,31 @@ class TemporalMode:
         scale = 1.0 / math.sqrt(norm)
         if scale != 1.0:
             self.f = self.f * scale
-            if self.func is not None:
-                base = self.func
-                self.func = lambda tt, _b=base, _s=scale: _s * _b(tt)
+            self.func = lambda tt, _b=self.func, _s=scale: _s * _b(tt)
 
     @property
     def dt(self) -> float:
         return float(self.t[1] - self.t[0])
 
     def amplitude(self, times) -> np.ndarray:
-        """Envelope evaluated at arbitrary times (0 outside the grid if interpolated)."""
-        times = np.asarray(times, dtype=float)
-        if self.func is not None:
-            return np.asarray(self.func(times), dtype=complex)
-        re = np.interp(times, self.t, self.f.real, left=0.0, right=0.0)
-        im = np.interp(times, self.t, self.f.imag, left=0.0, right=0.0)
-        return re + 1j * im
+        """Envelope evaluated at arbitrary times."""
+        return np.asarray(self.func(np.asarray(times, dtype=float)), dtype=complex)
 
     def delayed(self, tau: float) -> "TemporalMode":
         """Same envelope arriving ``tau`` later: g(r) = f(r + tau)."""
-        func = None
-        if self.func is not None:
-            base = self.func
-            func = lambda tt, _b=base, _tau=tau: _b(tt + _tau)  # noqa: E731
         return TemporalMode(
-            self.t - tau, self.f.copy(), func=func, carrier_offset=self.carrier_offset
+            self.t - tau, self.f.copy(), lambda tt, _b=self.func, _tau=tau: _b(tt + _tau)
         )
 
 
-def gaussian_input_mode(
-    l: float,
-    span: Optional[float] = None,
-    dt: Optional[float] = None,
-    carrier_offset: float = 0.0,
-) -> TemporalMode:
-    """Gaussian envelope with amplitude FWHM ``l``, centered at t = 0.
+def gaussian_input_mode(l: float) -> TemporalMode:
+    """Gaussian envelope with amplitude FWHM ``l``, centered at t = 0,
+    sampled every l/200 over 8 l.
 
     f(t) = (8 ln2 / (pi l^2))^(1/4) * 2^(-(2t/l)^2), unit-normalized.
     """
     _require(l > 0, "l must be positive")
-    if span is None:
-        span = 8.0 * l
-    if dt is None:
-        dt = l / 200.0
-    _require(span >= 4.0 * l, "span must cover at least 4 FWHM")
-    _require(dt <= l / 20.0, "undersampled envelope (dt > l/20)")
+    span, dt = 8.0 * l, l / 200.0
     peak = (8.0 * math.log(2.0) / (math.pi * l * l)) ** 0.25
 
     def func(tt, _p=peak, _l=l):
@@ -258,7 +235,7 @@ def gaussian_input_mode(
 
     n_half = int(math.ceil(span / (2.0 * dt)))
     t = (np.arange(2 * n_half + 1) - n_half) * dt
-    return TemporalMode(t, func(t), func=func, carrier_offset=carrier_offset)
+    return TemporalMode(t, func(t), func)
 
 
 # ---------------------------------------------------------------------------
@@ -285,11 +262,6 @@ class LindbladModel:
     @property
     def dim(self) -> int:
         return 2 * (self.n_max + 1)
-
-    def ground_state(self) -> QuantumState:
-        rho = np.zeros((self.dim, self.dim), dtype=complex)
-        rho[0, 0] = 1.0
-        return QuantumState(rho, self.dims)
 
 
 def build_model(p: SystemParams, n_max: int = 7) -> LindbladModel:
@@ -388,7 +360,7 @@ def reflected_photon_number(p: SystemParams, mode: TemporalMode, n_in: float) ->
     # spectrum F(w) = integral f(t) e^{+iwt} dt  (positive-frequency convention)
     spectrum = np.fft.ifft(f_pad) * n_fft * dt
     omega = TWO_PI * np.fft.fftfreq(n_fft, d=dt)
-    weight = np.abs(reflection_coefficient(p, "g", p.omega_c + mode.carrier_offset + omega)) ** 2
+    weight = np.abs(reflection_coefficient(p, "g", p.omega_c + omega)) ** 2
     # Parseval: sum |F_k|^2 / (N dt) = sum |f_j|^2 dt = 1
     return float(n_in * np.sum(weight * np.abs(spectrum) ** 2) / (n_fft * dt))
 

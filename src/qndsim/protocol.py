@@ -381,9 +381,7 @@ def _swept_configuration(
     if axis == "gate_interval":
         return params, default_schedule(gate_interval=value)
     if axis == "pulse_length":
-        mode = gaussian_input_mode(
-            value, carrier_offset=template.mode.carrier_offset
-        )
+        mode = gaussian_input_mode(value)
         edge = 0.8 * value
         sched = PulseSchedule(
             -edge, edge, edge + 100e-9, mode, alpha_in=template.alpha_in

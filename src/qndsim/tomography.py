@@ -95,14 +95,6 @@ class QuadraturePOVM:
     eta: float
     elements: np.ndarray  # (n_bins, d, d)
 
-    @property
-    def n_tomo(self) -> int:
-        return self.elements.shape[1]
-
-    def completeness_defect(self) -> float:
-        s = self.elements.sum(axis=0)
-        return float(np.max(np.abs(s - np.eye(self.n_tomo))))
-
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
         p = np.real(np.einsum("bij,ji->b", self.elements, rho))
         p = np.clip(p, 0.0, None)
@@ -114,6 +106,19 @@ def _build_povm_any_dim(
     n_tomo: int,
     x_grid: np.ndarray | None,
 ) -> QuadraturePOVM:
+    """The phase-0 bins E_b, whose elements are real.
+
+    Ideal projector elements psi_m(x) psi_n(x) dx are pre-composed with the
+    adjoint of a transmittance-eta loss channel, then symmetrically
+    renormalized so the elements resolve the identity exactly. A
+    completeness defect above RAW_COMPLETENESS_TOL before renormalization
+    means the grid does not cover the state space and is an error.
+
+    Every phase-theta element is D E_b D^dag with D = diag(e^{-i n theta}):
+    the loss Kraus maps shift Fock levels and the symmetric renormalization
+    is built from the elements' sum, so both commute with D up to phases
+    that cancel.
+    """
     if n_tomo < 2:
         raise ValueError("need at least 2 Fock levels")
     x = default_grid() if x_grid is None else np.asarray(x_grid, dtype=float)
@@ -139,26 +144,7 @@ def _build_povm_any_dim(
     evals, evecs = np.linalg.eigh(s)
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
     elements = np.einsum("ij,bjk,kl->bil", inv_sqrt, elements, inv_sqrt)
-    return QuadraturePOVM(0.0, x, width, float(eta), elements)
-
-
-def _bin_set(eta, n_tomo, x_grid) -> QuadraturePOVM:
-    """The phase-0 bins E_b, whose elements are real.
-
-    Ideal projector elements psi_m(x) psi_n(x) dx are pre-composed with the
-    adjoint of a transmittance-eta loss channel, then symmetrically
-    renormalized so the elements resolve the identity exactly. A
-    completeness defect above RAW_COMPLETENESS_TOL before renormalization
-    means the grid does not cover the state space and is an error.
-
-    Every phase-theta element is D E_b D^dag with D = diag(e^{-i n theta}):
-    the loss Kraus maps shift Fock levels and the symmetric renormalization
-    is built from the elements' sum, so both commute with D up to phases
-    that cancel.
-    """
-    povm = _build_povm_any_dim(eta, n_tomo, x_grid)
-    povm.elements = np.ascontiguousarray(povm.elements.real)
-    return povm
+    return QuadraturePOVM(0.0, x, width, float(eta), np.ascontiguousarray(elements.real))
 
 
 def build_povm(
@@ -169,12 +155,12 @@ def build_povm(
 ) -> QuadraturePOVM:
     """Binned quadrature POVM at one phase, smeared by detector loss.
 
-    The shared phase-0 bins (see _bin_set) rotated to D E_b D^dag with
-    D = diag(e^{-i n theta}).
+    The shared phase-0 bins (see _build_povm_any_dim) rotated to
+    D E_b D^dag with D = diag(e^{-i n theta}).
     """
     if n_tomo < 4:
         raise ValueError("need at least 4 Fock levels")
-    povm = _bin_set(eta, n_tomo, x_grid)
+    povm = _build_povm_any_dim(eta, n_tomo, x_grid)
     d = np.exp(-1j * theta * np.arange(n_tomo))
     povm.theta = float(theta)
     povm.elements = d[:, None] * povm.elements * d.conj()
@@ -321,7 +307,7 @@ def _sample(state, thetas, shots, eta, seed, n_tomo, x_grid, qubit_basis=None):
     seed, so the record is reproducible and order-independent.
     """
     rho = _embedded(state, n_tomo)
-    bins = _bin_set(eta, n_tomo, x_grid)
+    bins = _build_povm_any_dim(eta, n_tomo, x_grid)
     probs = _RotatedBins(bins.elements, thetas, qubit_basis).probabilities(rho)
     outcomes = () if qubit_basis is None else (2,)
     return MeasurementRecord(
@@ -493,7 +479,7 @@ def _fit(record: MeasurementRecord, iterations, correct_efficiency) -> QuantumSt
         k = int(empty[0])
         raise ValueError(f"setting {k} (phase {record.thetas[k]:.6g} rad) has no shots")
     eta = record.eta if correct_efficiency else 1.0
-    bins = _bin_set(eta, record.n_tomo, record.x_centers)
+    bins = _build_povm_any_dim(eta, record.n_tomo, record.x_centers)
     rotated = _RotatedBins(bins.elements, record.thetas, record.qubit_basis)
     freqs = (
         record.counts.reshape(record.n_settings, -1) / record.shots[:, None]

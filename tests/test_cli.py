@@ -359,7 +359,10 @@ class TestTomoSelftest:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("phases", 0), ("phases", -3), ("phases", 5), ("shots", -5), ("shots", 0)],
+        [
+            ("phases", 0), ("phases", -3), ("phases", 5), ("shots", -5), ("shots", 0),
+            ("iterations", 0), ("iterations", -1),
+        ],
     )
     def test_bad_phases_or_shots_rejected_up_front(self, tmp_path, capsys, key, value):
         settings = {"phases": 21, "shots": 300, "iterations": 400, key: value}
@@ -368,9 +371,10 @@ class TestTomoSelftest:
             "tomography:\n" + "".join(f"  {k}: {v}\n" for k, v in settings.items()),
         )
         out = tmp_path / "o"
+        out.mkdir()
         assert run_cli("tomo-selftest", "--config", cfg, "--out", str(out)) == 2
         assert f"tomography.{key}" in capsys.readouterr().err
-        assert not list(out.glob("record_*"))
+        assert not any(out.iterdir())
 
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", TINY_TOMO_YAML + "  seed: null\n")

@@ -17,7 +17,6 @@ from qndsim.dynamics import (
     capture_mode_oracle,
     default_timestep,
     evolve,
-    gate_matrix,
     linear_reference,
     optimize_delay,
     output_mode_moments,
@@ -67,10 +66,10 @@ class TestPulseSchedule:
         npt.assert_allclose(s.mean_input_photons, 0.25)
 
 
-def apply_gate(state, which):
+def apply_gate(state, gate):
     """Rotate the qubit (first subsystem) of state as the schedule driver does."""
     d = state.dim
-    rho = dynamics._rotate_qubit(state.rho.reshape(-1), which, d).reshape(d, d)
+    rho = dynamics._rotate_qubit(state.rho.reshape(-1), gate, d).reshape(d, d)
     return QuantumState(rho, state.dims)
 
 
@@ -78,7 +77,7 @@ class TestApplyGate:
     def test_ground_to_equator(self):
         psi = np.kron([1.0, 0.0], [1.0, 0.0, 0.0])
         state = QuantumState(ket_density(psi), (2, 3))
-        out = apply_gate(state, "y90")
+        out = apply_gate(state, GATE_Y90)
         plus = np.kron([1.0, 1.0], [1.0, 0.0, 0.0]) / math.sqrt(2)
         npt.assert_allclose(out.rho, ket_density(plus), atol=1e-12)
 
@@ -88,19 +87,17 @@ class TestApplyGate:
         rho = m @ dag(m)
         rho /= np.trace(rho)
         state = QuantumState(rho, (2, 3))
-        out = apply_gate(apply_gate(state, "y90"), "ym90")
+        out = apply_gate(apply_gate(state, GATE_Y90), GATE_YM90)
         npt.assert_allclose(out.rho, rho, atol=1e-12)
 
     def test_minus_maps_to_excited(self):
         psi = np.kron([1.0, -1.0], [1.0, 0.0]) / math.sqrt(2)
-        out = apply_gate(QuantumState(ket_density(psi), (2, 2)), "ym90")
+        out = apply_gate(QuantumState(ket_density(psi), (2, 2)), GATE_YM90)
         npt.assert_allclose(out.rho[2:, 2:], np.diag([1.0, 0.0]), atol=1e-12)
         npt.assert_allclose(np.trace(out.rho[:2, :2]), 0.0, atol=1e-12)
 
     def test_matrices_are_inverse_pair(self):
         npt.assert_allclose(GATE_Y90 @ GATE_YM90, np.eye(2), atol=1e-15)
-        with pytest.raises(ValueError):
-            gate_matrix("x90")
 
 
 class TestEvolve:

@@ -181,7 +181,7 @@ class TestGenerators:
         nodes = [random_matrix(rng, d) for _ in range(9)]
 
         gen = complex_generator(
-            dynamics._lindblad_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d)
+            dynamics._ladder_blocks(h0, c_list, a_op, 0), dynamics._adjoint_swap(d)
         )
         got = gen.apply(nodes[0].reshape(-1), np.r_[1.0, with_partners(eps)])
         h_nh = driven_h_nh(h0, c_list, a_op, eps)
@@ -189,7 +189,7 @@ class TestGenerators:
         npt.assert_allclose(got.reshape(d, d), expected, atol=1e-12)
 
         ladder = complex_generator(
-            dynamics._ladder_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d, 3)
+            dynamics._ladder_blocks(h0, c_list, a_op, 2), dynamics._adjoint_swap(d, 3)
         )
         weights = np.r_[1.0, with_partners(eps, w)]
         got = ladder.apply(np.concatenate([x.reshape(-1) for x in nodes]), weights)
@@ -246,7 +246,7 @@ class TestGenerators:
                 sparse.kron(src_w, dynamics._spre(a), format="csr"),
             ),
         ).blocks
-        l0, *pieces = dynamics._ladder_blocks(model.H, model.collapse, model.a)
+        l0, *pieces = dynamics._ladder_blocks(model.H, model.collapse, model.a, 2)
         got = dynamics.Generator(l0, pieces).blocks
         assert dynamics.MOMENT_ORDER == 2
         for field in ("data", "indices", "indptr"):
@@ -286,16 +286,14 @@ class TestGenerators:
             e = eps(t0, nsteps, dt_seg)
             return dynamics._conj_pairs(e, np.zeros_like(e)), np.full(nsteps, dt_seg)
 
-        diag = np.arange(d) * (d + 1)
         plain = dynamics._run_schedule(
-            dynamics._lindblad_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d),
-            rho0.reshape(-1), sched, 0.02, plain_coeffs, d, diag,
+            dynamics._ladder_blocks(h0, c_list, a_op, 0), rho0.reshape(-1), sched, 0.02,
+            plain_coeffs, d, (),
         )
         x0 = np.zeros(9 * d * d, dtype=complex)
         x0[: d * d] = rho0.reshape(-1)
         ladder = dynamics._run_schedule(
-            dynamics._ladder_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d, 3), x0,
-            sched, 0.02, ladder_coeffs, d, diag,
+            dynamics._ladder_blocks(h0, c_list, a_op, 2), x0, sched, 0.02, ladder_coeffs, d, (),
         )
         assert calls == [(2, 2), (2, 4)]
         npt.assert_allclose(ladder.state[: d * d], plain.state, rtol=0, atol=1e-15)
@@ -312,7 +310,7 @@ class TestColumns:
         a_op = random_matrix(rng, d, 0.5)
         c_list = [random_matrix(rng, d, 0.3) for _ in range(2)]
         gen = complex_generator(
-            dynamics._lindblad_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d)
+            dynamics._ladder_blocks(h0, c_list, a_op, 0), dynamics._adjoint_swap(d)
         )
         nsub = np.array([2, 1, 3] * 20)
         steps = np.repeat(0.02 / nsub, nsub)
@@ -357,7 +355,7 @@ class TestLindbladRK4:
         nsteps = 400
         coeffs = np.tile(with_partners(eps0), (2 * nsteps + 1, 1))
         gen = complex_generator(
-            dynamics._lindblad_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d)
+            dynamics._ladder_blocks(h0, c_list, a_op, 0), dynamics._adjoint_swap(d)
         )
         run = dynamics.propagate(
             gen, rho0.reshape(-1), coeffs, np.full(nsteps, tspan / nsteps), np.arange(d) * (d + 1),
@@ -376,7 +374,9 @@ class TestLindbladRK4:
         nsteps = 300
         eps = 0.2 * np.exp(1j * np.linspace(0, 3, 2 * nsteps + 1))
         run = dynamics.propagate(
-            complex_generator(dynamics._lindblad_blocks(h0, [c], a_op), dynamics._adjoint_swap(d)),
+            complex_generator(
+                dynamics._ladder_blocks(h0, [c], a_op, 0), dynamics._adjoint_swap(d)
+            ),
             rho0.reshape(-1), with_partners(eps), np.full(nsteps, 0.01), np.arange(d) * (d + 1),
         )
         out = run.state.reshape(d, d)
@@ -403,7 +403,9 @@ class TestLindbladRK4:
         x0[: d * d] = rho0.reshape(-1)
         coeffs = np.tile(with_partners(eps0, w0), (2 * nsteps + 1, 1))
         run = dynamics.propagate(
-            complex_generator(dynamics._ladder_blocks(h0, [c], a_op), dynamics._adjoint_swap(d, 3)),
+            complex_generator(
+                dynamics._ladder_blocks(h0, [c], a_op, 2), dynamics._adjoint_swap(d, 3)
+            ),
             x0, coeffs, np.full(nsteps, tspan / nsteps), np.arange(d) * (d + 1),
         )
         out = run.state.reshape(9, d, d)
@@ -435,7 +437,7 @@ class TestLindbladRK4:
         d = 5
         h0, a_op, c_list = self._problem(rng, d, nc=1)
         gen = complex_generator(
-            dynamics._lindblad_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d)
+            dynamics._ladder_blocks(h0, c_list, a_op, 0), dynamics._adjoint_swap(d)
         )
         rho0 = random_density(rng, d)
         tspan = 1.0
@@ -538,11 +540,11 @@ class TestRealCoordinates:
         c_list = [random_matrix(rng, d, 0.3) for _ in range(2)]
         eps, w = 0.3 - 0.7j, -0.4 + 0.2j
         self._check_real_form(
-            dynamics._lindblad_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d), [eps]
+            dynamics._ladder_blocks(h0, c_list, a_op, 0), dynamics._adjoint_swap(d), [eps]
         )
         assert dynamics.MOMENT_ORDER == 2
         self._check_real_form(
-            dynamics._ladder_blocks(h0, c_list, a_op), dynamics._adjoint_swap(d, 3), [eps, w]
+            dynamics._ladder_blocks(h0, c_list, a_op, 2), dynamics._adjoint_swap(d, 3), [eps, w]
         )
         model = capture_model()
         db = 4
@@ -553,50 +555,66 @@ class TestRealCoordinates:
         )
 
     def test_run_schedule_matches_complex_route(self):
-        # three members, both rotations on; the reference walks the
-        # segments in the complex matrices
+        # both rotations on; the reference walks the segments in the complex
+        # matrices.  Inputs: three plain members, then two members of a
+        # 9-node ladder with w != 0, whose layout the driver works out
         rng = np.random.default_rng(17)
         model = capture_model()
         d = model.dim
         sched = dynamics.PulseSchedule(
             0.0, 1.0, 1.6, gaussian_input_mode(500e-9), alpha_in=0.0, ramsey_gates=True
         )
-        rates = np.array([0.7, 1.9, 3.1])
         dt = 0.01
+        top = dynamics._top_level(model)
+        diag = np.arange(d) * (d + 1)
+        npt.assert_array_equal(top, diag[[model.n_max, 2 * model.n_max + 1]])
 
-        def eps(t0, nsteps, dt_seg):
-            tt = dynamics._half_grid(t0, nsteps, dt_seg)[:, None]
-            return 0.4 * np.exp(1j * rates * tt) * np.cos(2 * tt + rates)
+        def samples(rates, phase):
+            def at(t0, nsteps, dt_seg):
+                tt = dynamics._half_grid(t0, nsteps, dt_seg)[:, None]
+                return 0.4 * np.exp(1j * rates * tt) * np.cos(2 * tt + rates + phase)
+            return at
 
-        def real_coeffs(t0, nsteps, dt_seg):
-            return dynamics._conj_pairs(eps(t0, nsteps, dt_seg)), np.full(nsteps, dt_seg)
-
-        x0 = np.stack([random_density(rng, d).reshape(-1) for _ in range(3)], axis=1)
-        diag, top = dynamics._monitor_indices(model)
-        blocks = dynamics._lindblad_blocks(model.H, model.collapse, model.a)
-        swap = dynamics._adjoint_swap(d)
-        got = dynamics._run_schedule(
-            blocks, swap, x0, sched, dt, real_coeffs, d, diag, (top,)
+        eps3 = samples(np.array([0.7, 1.9, 3.1]), 0.0)
+        x3 = np.stack([random_density(rng, d).reshape(-1) for _ in range(3)], axis=1)
+        eps2, w2 = samples(np.array([1.1, 2.3]), 0.0), samples(np.array([-1.6, 0.8]), 0.5)
+        x2 = rng.normal(size=(9 * d * d, 2)) + 1j * rng.normal(size=(9 * d * d, 2))
+        swap = dynamics._adjoint_swap(d, 3)
+        x2 = (x2 + x2[swap].conj()) / 2  # Hermitian ladder: node (n, m) = node (m, n)^dag
+        x2[: d * d] = np.stack([random_density(rng, d).reshape(-1) for _ in range(2)], axis=1)
+        cases = (
+            (dynamics._ladder_blocks(model.H, model.collapse, model.a, 0), 1, x3, (eps3,)),
+            (dynamics._ladder_blocks(model.H, model.collapse, model.a, 2), 3, x2, (eps2, w2)),
         )
+        for blocks, nodes, x0, coeff_fns in cases:
+            def real_coeffs(t0, nsteps, dt_seg, fns=coeff_fns):
+                values = [f(t0, nsteps, dt_seg) for f in fns]
+                return dynamics._conj_pairs(*values), np.full(nsteps, dt_seg)
 
-        gen = complex_generator(blocks, swap)
-        x = x0
-        max_tr, max_top = np.zeros(3), np.zeros(3)
-        for gate, t0, t1 in (("y90", sched.t_i, sched.t_g), ("ym90", sched.t_g, sched.t_f)):
-            x = dynamics._rotate_qubit(x, gate, d)
-            nsteps = dynamics._segment_steps(t1 - t0, dt)
-            dt_seg = (t1 - t0) / nsteps
-            run = dynamics.propagate(
-                gen, x, with_partners(eps(t0, nsteps, dt_seg)), np.full(nsteps, dt_seg),
-                diag, (top,),
-            )
-            x = run.state
-            max_tr = np.maximum(max_tr, run.max_trace_defect)
-            max_top = np.maximum(max_top, run.max_watched[0])
+            got = dynamics._run_schedule(blocks, x0, sched, dt, real_coeffs, d, (top,))
 
-        npt.assert_allclose(got.state, x, rtol=0, atol=1e-14)
-        npt.assert_allclose(got.max_trace_defect, max_tr, rtol=0, atol=1e-14)
-        npt.assert_allclose(got.max_watched[0], max_top, rtol=0, atol=1e-14)
+            gen = complex_generator(blocks, dynamics._adjoint_swap(d, nodes))
+            x = x0
+            max_tr, max_top = np.zeros(x0.shape[1]), np.zeros(x0.shape[1])
+            for gate, t0, t1 in (
+                (dynamics.GATE_Y90, sched.t_i, sched.t_g),
+                (dynamics.GATE_YM90, sched.t_g, sched.t_f),
+            ):
+                x = dynamics._rotate_qubit(x, gate, d)
+                nsteps = dynamics._segment_steps(t1 - t0, dt)
+                dt_seg = (t1 - t0) / nsteps
+                run = dynamics.propagate(
+                    gen, x, with_partners(*[f(t0, nsteps, dt_seg) for f in coeff_fns]),
+                    np.full(nsteps, dt_seg), diag, (top,),
+                )
+                x = run.state
+                max_tr = np.maximum(max_tr, run.max_trace_defect)
+                max_top = np.maximum(max_top, run.max_watched[0])
+
+            scale = np.abs(x).max()
+            npt.assert_allclose(got.state, x, rtol=0, atol=1e-14 * scale, err_msg=f"{nodes}")
+            npt.assert_allclose(got.max_trace_defect, max_tr, rtol=0, atol=1e-14)
+            npt.assert_allclose(got.max_watched[0], max_top, rtol=0, atol=1e-14)
 
     def test_routes_keep_the_pieces_a_real_amplitude_drives(self, monkeypatch):
         # a real input amplitude and real envelopes switch off Re eps, Re w

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qndsim import linalg
 from qndsim.linalg import (
     NumericalError,
     QuantumState,
@@ -14,12 +13,9 @@ from qndsim.linalg import (
     negativity,
     partial_trace,
     partial_transpose,
-    tensor,
     thermal,
     trace_norm,
 )
-
-SIGMA_Z = np.diag([1.0, -1.0]).astype(complex)
 
 
 def random_density(rng, dim):
@@ -37,34 +33,6 @@ def random_unitary(rng, dim):
 def bell_state():
     psi = (np.kron(fock(2, 0), fock(2, 0)) + np.kron(fock(2, 1), fock(2, 1))) / np.sqrt(2)
     return QuantumState(ket_density(psi), (2, 2))
-
-
-class TestTensor:
-    def test_identity(self):
-        np.testing.assert_allclose(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_sigma_z_identity(self):
-        np.testing.assert_allclose(tensor(SIGMA_Z, np.eye(2)), np.diag([1, 1, -1, -1]))
-
-    def test_elementwise_oracle(self):
-        # entry (i*dB+k, j*dB+l) = A_ij * B_kl
-        rng = np.random.default_rng(7)
-        for da, db in [(2, 2), (3, 3), (2, 3)]:
-            a = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
-            b = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
-            out = tensor(a, b)
-            expected = np.empty((da * db, da * db), dtype=complex)
-            for i in range(da):
-                for j in range(da):
-                    for k in range(db):
-                        for l in range(db):
-                            expected[i * db + k, j * db + l] = a[i, j] * b[k, l]
-            np.testing.assert_allclose(out, expected, atol=1e-14)
-
-    def test_dimension_cap(self):
-        big = np.eye(100)
-        with pytest.raises(ValueError):
-            tensor(big, big)
 
 
 class TestQuantumState:
@@ -106,7 +74,7 @@ class TestPartialTrace:
         for _ in range(5):
             rho_a = random_density(rng, 2)
             rho_b = random_density(rng, 3)
-            s = QuantumState(tensor(rho_a, rho_b), (2, 3))
+            s = QuantumState(np.kron(rho_a, rho_b), (2, 3))
             np.testing.assert_allclose(partial_trace(s, [0]).rho, rho_a, atol=1e-12)
             np.testing.assert_allclose(partial_trace(s, [1]).rho, rho_b, atol=1e-12)
 
@@ -128,9 +96,9 @@ class TestPartialTrace:
     def test_three_subsystem_keep_two(self):
         rng = np.random.default_rng(17)
         parts = [random_density(rng, d) for d in (2, 2, 3)]
-        s = QuantumState(tensor(tensor(parts[0], parts[1]), parts[2]), (2, 2, 3))
+        s = QuantumState(np.kron(np.kron(parts[0], parts[1]), parts[2]), (2, 2, 3))
         reduced = partial_trace(s, [0, 2])
-        np.testing.assert_allclose(reduced.rho, tensor(parts[0], parts[2]), atol=1e-12)
+        np.testing.assert_allclose(reduced.rho, np.kron(parts[0], parts[2]), atol=1e-12)
 
     def test_empty_keep_raises(self):
         s = bell_state()
@@ -143,7 +111,7 @@ class TestPartialTranspose:
         rng = np.random.default_rng(19)
         rho_a = random_density(rng, 2)
         rho_b = random_density(rng, 3)
-        s = QuantumState(tensor(rho_a, rho_b), (2, 3))
+        s = QuantumState(np.kron(rho_a, rho_b), (2, 3))
         pt = partial_transpose(s, 1)
         np.testing.assert_allclose(
             np.sort(np.linalg.eigvalsh(pt)), np.sort(np.linalg.eigvalsh(s.rho)), atol=1e-12
@@ -169,7 +137,7 @@ class TestPartialTranspose:
 class TestNegativity:
     def test_product_state_zero(self):
         rng = np.random.default_rng(29)
-        s = QuantumState(tensor(random_density(rng, 2), random_density(rng, 3)), (2, 3))
+        s = QuantumState(np.kron(random_density(rng, 2), random_density(rng, 3)), (2, 3))
         assert negativity(s, 1) < 1e-12
 
     def test_bell_half(self):
@@ -220,7 +188,7 @@ class TestNegativity:
         base = QuantumState(ket_density(psi), (2, 3))
         n0 = negativity(base, 1)
         for _ in range(20):
-            u = tensor(random_unitary(rng, 2), random_unitary(rng, 3))
+            u = np.kron(random_unitary(rng, 2), random_unitary(rng, 3))
             rotated = QuantumState(u @ base.rho @ u.conj().T, (2, 3))
             assert abs(negativity(rotated, 1) - n0) < 1e-9
 

