@@ -32,6 +32,7 @@ from .linalg import (
     negativity,
 )
 from .model import (
+    TWO_PI,
     SystemParams,
     default_params,
     ideal_params,
@@ -46,7 +47,6 @@ from .protocol import (
     sweep,
 )
 
-TWO_PI = 2.0 * math.pi
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
@@ -416,15 +416,16 @@ def cmd_protocol(cfg: dict, outdir: Path, seed) -> None:
 def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
     if seed is None:
         raise ConfigError("a seed is required for reproducible sampling")
+    if seed < 0:
+        raise ConfigError(f"tomography.seed (or --seed) must be >= 0, got {seed}")
     t = cfg["tomography"]
     params = _build_params(cfg)
     eta = params.eta_meas
     thetas = tomography.phase_settings(t["phases"])
     iters = t["iterations"]
 
-    cal = QuantumState(
-        ket_density(coherent(5, math.sqrt(CAL_PHOTON_NUMBER))), (5,)
-    )
+    n = tomography.N_TOMO_SINGLE
+    cal = QuantumState(ket_density(coherent(n, math.sqrt(CAL_PHOTON_NUMBER))), (n,))
     record = tomography.sample(
         cal, thetas, t["shots"], eta=eta, seed=seed
     )
@@ -435,10 +436,8 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
         record, iterations=iters, correct_efficiency=False
     )
     est_cor = tomography.mle_reconstruct(record, iterations=iters)
-    levels = np.arange(5)
-    attenuated = QuantumState(
-        ket_density(coherent(5, math.sqrt(eta * CAL_PHOTON_NUMBER))), (5,)
-    )
+    levels = np.arange(n)
+    attenuated = QuantumState(ket_density(coherent(n, math.sqrt(eta * CAL_PHOTON_NUMBER))), (n,))
 
     schedule = _build_schedule(cfg)
     result = run_protocol(params, schedule)

@@ -12,14 +12,14 @@ schedule through one driver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
 
 from .linalg import QuantumState, coherent, dag, destroy, fock
-from .model import LindbladModel, SystemParams, TemporalMode
+from .model import LindbladModel, SystemParams, TemporalMode, _require
 
 # qubit basis ordering (|g>, |e>)
 GATE_Y90 = np.array([[1.0, -1.0], [1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
@@ -28,6 +28,8 @@ GATE_YM90 = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
 TRACE_DRIFT_MAX = 1e-8
 TOP_LEVEL_MAX = 1e-7
 CAPTURE_TOP_MAX = 1e-5
+# name and remedy of a top cavity level's monitor, whose limit is TOP_LEVEL_MAX
+_TOP_LEVEL_TEXT = ("top-level population", "raise the truncation dimension")
 # highest power of A and of Adag in the output-mode moments; the regression
 # ladder holds one node per moment, (MOMENT_ORDER + 1)^2 in all
 MOMENT_ORDER = 2
@@ -42,11 +44,6 @@ CAPTURE_MAX_SUBSTEPS = 256
 DELAY_MAX_EVALS = 500
 
 _QIDX = {"g": 0, "e": 1}
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ValueError(msg)
 
 
 @dataclass(frozen=True)
@@ -195,18 +192,12 @@ def _half_grid(t0: float, nsteps: int, dt_seg: float) -> np.ndarray:
     return t0 + np.arange(2 * nsteps + 1) * (dt_seg / 2.0)
 
 
-def _drive_samples(
-    params: SystemParams,
-    schedule: PulseSchedule,
-    times: np.ndarray,
-    drive: Optional[Callable[[np.ndarray], np.ndarray]],
-) -> np.ndarray:
-    if drive is not None:
-        return np.asarray(drive(times), dtype=complex)
-    if schedule.alpha_in == 0 or params.kappa_ex == 0:
+def _pulse_drive(params: SystemParams, mode: TemporalMode, alpha_in, times: np.ndarray):
+    """Cavity drive eps = -i sqrt(kappa_ex) alpha_in f(-t) of the pulse of
+    input amplitude alpha_in in mode at times (zeros without a pulse or port)."""
+    if alpha_in == 0 or params.kappa_ex == 0:
         return np.zeros(times.shape, dtype=complex)
-    amp = _mode_u(schedule.mode, times)
-    return -1j * math.sqrt(params.kappa_ex) * schedule.alpha_in * amp
+    return -1j * math.sqrt(params.kappa_ex) * alpha_in * _mode_u(mode, times)
 
 
 def _mode_u(mode: TemporalMode, times: np.ndarray) -> np.ndarray:
@@ -433,24 +424,18 @@ def _conj_pairs(*samples: np.ndarray) -> np.ndarray:
     return np.stack([f(s) for s in samples for f in (np.real, np.imag)], axis=1)
 
 
-def _breach(value, limit: float):
-    """The worst member's value if any member exceeds limit or is NaN, else None."""
-    value = np.asarray(value)
-    return None if np.all(value <= limit) else float(np.max(value))
-
-
-def _check_monitors(max_tr, max_top, top_limit: float, label: str) -> None:
-    """Raise when the trace drift or the top-level population of any member
-    breaks its limit; a non-finite value counts as a breach."""
-    worst = _breach(max_tr, TRACE_DRIFT_MAX)
-    if worst is not None:
+def _check_monitors(label: str, max_tr, watched) -> None:
+    """Raise on the first breach: of the trace drift max_tr against
+    TRACE_DRIFT_MAX, then of each running maximum in watched, in order,
+    against the (limit, name, remedy) it is paired with.  Each maximum has
+    one value per member; a NaN is a breach, and the worst member is quoted."""
+    worst = float(np.max(max_tr))  # np.max keeps a NaN, which fails every <=
+    if not worst <= TRACE_DRIFT_MAX:
         raise RuntimeError(f"{label}: trace drifted by {worst:.3e} (limit {TRACE_DRIFT_MAX:.0e})")
-    worst = _breach(max_top, top_limit)
-    if worst is not None:
-        raise RuntimeError(
-            f"{label}: top-level population {worst:.3e} exceeds {top_limit:.0e}; "
-            "raise the truncation dimension"
-        )
+    for value, (limit, name, remedy) in watched:
+        worst = float(np.max(value))
+        if not worst <= limit:
+            raise RuntimeError(f"{label}: {name} {worst:.3e} exceeds {limit:.0e}; {remedy}")
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +507,8 @@ def _prepared_states(
     cavity; a_j is linear in alphas[j] and is integrated once, at unit
     input.  |0>_b is the empty capture mode of db levels (none for db = 1).
     """
-    unit = _prepared_amplitude(model.params, schedule, dt) if any(alphas) else 0.0
+    unit = (_prepared_amplitude(model.params, schedule.mode, schedule.t_i, dt)
+            if any(alphas) else 0.0)
     # coherent(n, 0) is the vacuum
     kets = [np.kron([1.0, 0.0], np.kron(coherent(model.n_max + 1, a * unit), fock(db, 0)))
             for a in alphas]
@@ -552,40 +538,44 @@ def evolve(
     else:
         _require(initial.rho.shape[0] == model.dim, "initial state dimension mismatch")
         x0 = initial.rho.astype(complex).reshape(-1)
-    return _evolve(model, [schedule], x0, drive, dt)[0]
+    return _evolve(model, schedule, [schedule.alpha_in], x0, drive, dt)[0]
 
 
 def evolve_members(model: LindbladModel, schedule: PulseSchedule, alphas) -> list:
     """evolve from the prepared state for each input amplitude in alphas.
 
-    Member j runs schedule with alpha_in = alphas[j].  The members are the
-    columns of one RK4 run over the schedule's window.  Each trajectory and
-    its monitors equal those of the member's own evolve up to round-off,
-    and a monitor breach in any member raises.
+    Member j is schedule's pulse at amplitude alphas[j] (schedule.alpha_in
+    is not read); the members are the columns of one RK4 run.  Each
+    trajectory and its monitors equal those of the member's own evolve up
+    to round-off, and a monitor breach in any member raises.
     """
-    members = [replace(schedule, alpha_in=a) for a in alphas]
-    if not members:
+    alphas = list(alphas)
+    if not alphas:
         return []
     dt = default_timestep(model.params, schedule.mode)
-    x0 = _prepared_states(model, schedule, [s.alpha_in for s in members], dt)
-    return _evolve(model, members, x0, None, dt)
+    x0 = _prepared_states(model, schedule, alphas, dt)
+    return _evolve(model, schedule, alphas, x0, None, dt)
 
 
-def _evolve(model, members, x0, drive, dt) -> list:
-    """Trajectories of the member schedules, started at t_i from the columns
-    of x0 (from x0 itself when it is one vector)."""
+def _evolve(model, schedule, alphas, x0, drive, dt) -> list:
+    """Trajectories of the members with input amplitudes alphas, started at
+    t_i from the columns of x0 (from x0 itself when it is one vector);
+    drive, when given, replaces every member's pulse drive."""
     d = model.dim
 
     def coeffs_for(t0, nsteps, dt_seg):
         tt = _half_grid(t0, nsteps, dt_seg)
-        eps = np.stack([_drive_samples(model.params, s, tt, drive) for s in members], axis=-1)
+        eps = np.stack([np.asarray(drive(tt), dtype=complex) if drive else
+                        _pulse_drive(model.params, schedule.mode, a, tt) for a in alphas], axis=-1)
         return _conj_pairs(eps.reshape(len(tt), *x0.shape[1:])), np.full(nsteps, dt_seg)
 
     run = _run_schedule(
-        _ladder_blocks(model.H, model.collapse, model.a, 0), x0, members[0], dt, coeffs_for, d,
+        _ladder_blocks(model.H, model.collapse, model.a, 0), x0, schedule, dt, coeffs_for, d,
         (_top_level(model),),
     )
-    _check_monitors(run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "evolve")
+    _check_monitors(
+        "evolve", run.max_trace_defect, [(run.max_watched[0], (TOP_LEVEL_MAX, *_TOP_LEVEL_TEXT))]
+    )
     rhos = run.state.reshape(d, d, -1)
     max_tr, max_top = np.ravel(run.max_trace_defect), np.ravel(run.max_watched[0])
     return [
@@ -598,17 +588,15 @@ def _evolve(model, members, x0, drive, dt) -> list:
 # linear (ground-pinned) reference and delay choice
 
 
-def _linear_cavity(
-    params: SystemParams, schedule: PulseSchedule, t0: float, t1: float, dt: float,
-    a0: complex = 0.0,
-):
+def _linear_cavity(params: SystemParams, mode: TemporalMode, alpha_in, t0, t1, dt, a0=0.0):
     """RK4 step grid from t0 to t1 and the amplitude alpha on it of the
     ground-pinned linear cavity alpha' = -(i chi + kappa_tot/2) alpha + eps,
-    with alpha(t0) = a0.  The grid has at least the two intervals that
-    _uniform_integral needs."""
+    driven by the pulse of input amplitude alpha_in in mode (eps of
+    _pulse_drive), with alpha(t0) = a0.  The grid has at least the two
+    intervals that _uniform_integral needs."""
     nsteps = max(2, _segment_steps(t1 - t0, dt))
     dt_seg = (t1 - t0) / nsteps
-    eps = _drive_samples(params, schedule, _half_grid(t0, nsteps, dt_seg), None)
+    eps = _pulse_drive(params, mode, alpha_in, _half_grid(t0, nsteps, dt_seg))
     lam = -(1j * params.chi + params.kappa_tot / 2.0)
     alpha = np.empty(nsteps + 1, dtype=complex)
     alpha[0] = a = complex(a0)
@@ -623,24 +611,21 @@ def _linear_cavity(
     return t0 + np.arange(nsteps + 1) * dt_seg, alpha
 
 
-def _prepared_amplitude(params: SystemParams, schedule: PulseSchedule, dt: float) -> complex:
-    """Linear-cavity amplitude at t_i per unit input amplitude, the cavity
-    empty at the pulse's start -mode.t[-1] (0 when the pulse starts later)."""
-    t0 = -float(schedule.mode.t[-1])
-    if schedule.t_i - t0 <= 1e-15:
+def _prepared_amplitude(params: SystemParams, mode: TemporalMode, t_i: float, dt: float):
+    """Linear-cavity amplitude at t_i per unit input amplitude in mode, empty
+    at the pulse's start -mode.t[-1] (0j when the pulse starts later)."""
+    t0 = -float(mode.t[-1])
+    if t_i - t0 <= 1e-15:
         return 0j
-    alpha = _linear_cavity(params, replace(schedule, alpha_in=1.0), t0, schedule.t_i, dt)[1]
-    return complex(alpha[-1])
+    return complex(_linear_cavity(params, mode, 1.0, t0, t_i, dt)[1][-1])
 
 
-def _linear_output(params: SystemParams, schedule: PulseSchedule, dt: float):
+def _linear_output(params: SystemParams, mode: TemporalMode, alpha_in, t0, t1, dt, a0=0.0):
     """Output field psi_out = beta - i sqrt(kex) alpha of the ground-pinned
-    linear cavity, driven from the pulse's start, on the RK4 step grid from
-    t_i to t_f."""
-    a0 = schedule.alpha_in * _prepared_amplitude(params, schedule, dt)
-    t_full, alpha = _linear_cavity(params, schedule, schedule.t_i, schedule.t_f, dt, a0)
-    beta = schedule.alpha_in * _mode_u(schedule.mode, t_full)
-    return t_full, beta - 1j * math.sqrt(params.kappa_ex) * alpha
+    linear cavity (_linear_cavity: the pulse of input amplitude alpha_in in
+    mode, alpha(t0) = a0) on its RK4 step grid from t0 to t1."""
+    t_full, alpha = _linear_cavity(params, mode, alpha_in, t0, t1, dt, a0)
+    return t_full, alpha_in * _mode_u(mode, t_full) - 1j * math.sqrt(params.kappa_ex) * alpha
 
 
 def linear_reference(
@@ -655,7 +640,9 @@ def linear_reference(
     pulse's start."""
     if dt is None:
         dt = default_timestep(params, schedule.mode)
-    t_full, psi_out = _linear_output(params, schedule, dt)
+    mode, alpha_in = schedule.mode, schedule.alpha_in
+    a0 = alpha_in * _prepared_amplitude(params, mode, schedule.t_i, dt)
+    t_full, psi_out = _linear_output(params, mode, alpha_in, schedule.t_i, schedule.t_f, dt, a0)
     uu = _mode_u(output_mode, t_full)
     return complex(_uniform_integral(np.conjugate(uu) * psi_out, schedule.t_f - schedule.t_i))
 
@@ -755,8 +742,8 @@ def optimize_delay(params: SystemParams, mode: TemporalMode) -> float:
     dt = default_timestep(params, mode)
     t0 = float(mode.t[0])
     t1 = float(mode.t[-1]) + 5.0 / params.kappa_ex
-    sched = PulseSchedule(t0, (t0 + t1) / 2, t1, mode, alpha_in=1.0, ramsey_gates=False)
-    t_full, psi_out = _linear_output(params, sched, dt)
+    a0 = _prepared_amplitude(params, mode, t0, dt)
+    t_full, psi_out = _linear_output(params, mode, 1.0, t0, t1, dt, a0)
 
     def negative_capture(tau: float) -> float:
         uu = _mode_u(mode, t_full - tau)
@@ -828,7 +815,7 @@ def output_mode_moments(
 
     def coeffs_for(t0, nsteps, dt_seg):
         tt = _half_grid(t0, nsteps, dt_seg)
-        eps = _drive_samples(p, schedule, tt, None)
+        eps = _pulse_drive(p, schedule.mode, schedule.alpha_in, tt)
         w = -1j * sqrt_kex * np.conjugate(_mode_u(output_mode, tt))
         return _conj_pairs(eps, w), np.full(nsteps, dt_seg)
 
@@ -836,9 +823,8 @@ def output_mode_moments(
         _ladder_blocks(model.H, model.collapse, model.a, MOMENT_ORDER), x, schedule, dt,
         coeffs_for, d, (_top_level(model),),
     )
-    _check_monitors(
-        run.max_trace_defect, run.max_watched[0], TOP_LEVEL_MAX, "output_mode_moments"
-    )
+    _check_monitors("output_mode_moments", run.max_trace_defect,
+                    [(run.max_watched[0], (TOP_LEVEL_MAX, *_TOP_LEVEL_TEXT))])
     # <sigma_pq Adag^m A^n> = m! n! Tr[sigma_pq X_mn], sigma_pq = |p><q| x 1
     n_c = model.n_max + 1
     fac = np.array([math.factorial(m) for m in range(n_k)], dtype=float)
@@ -988,21 +974,14 @@ def capture_mode_oracle(
     diag = np.arange(d) * (d + 1)
     lvl_a, lvl_b = np.divmod(keep % (n_c * db), db)  # cavity and capture level of each state
     shell = max(n_c, db) - 1
-    run = _run_schedule(
-        _capture_blocks(model, db), x, schedule, dt, coeffs_for, d,
-        (diag[lvl_a == n_c - 1], diag[lvl_b == db - 1], diag[lvl_a + lvl_b == shell]),
+    positions, rules = zip(
+        (diag[lvl_a == n_c - 1], (TOP_LEVEL_MAX, *_TOP_LEVEL_TEXT)),
+        (diag[lvl_a + lvl_b == shell],
+         (TOP_LEVEL_MAX, f"n + m = {shell} shell population", "raise n_max or dim_b")),
+        (diag[lvl_b == db - 1], (CAPTURE_TOP_MAX, "capture-mode top population", "raise dim_b")),
     )
-    max_cav, max_b, max_shell = run.max_watched
-    _check_monitors(run.max_trace_defect, max_cav, TOP_LEVEL_MAX, "capture_mode_oracle")
-    for value, limit, what, fix in (
-        (max_shell, TOP_LEVEL_MAX, f"n + m = {shell} shell population", "raise n_max or dim_b"),
-        (max_b, CAPTURE_TOP_MAX, "capture-mode top population", "raise dim_b"),
-    ):
-        worst = _breach(value, limit)
-        if worst is not None:
-            raise RuntimeError(
-                f"capture_mode_oracle: {what} {worst:.3e} exceeds {limit:.0e}; {fix}"
-            )
+    run = _run_schedule(_capture_blocks(model, db), x, schedule, dt, coeffs_for, d, positions)
+    _check_monitors("capture_mode_oracle", run.max_trace_defect, zip(run.max_watched, rules))
 
     # <sigma_pq b^dag^m b^n> from the qubit-capture state (cavity traced out)
     scale = math.sqrt(CAPTURE_EPS_FLOOR * energy + energy)

@@ -89,10 +89,8 @@ def loss_kraus(dim: int, eta: float) -> list[np.ndarray]:
 class QuadraturePOVM:
     """One phase setting: a positive matrix per quadrature bin."""
 
-    theta: float
     x_centers: np.ndarray
     width: float
-    eta: float
     elements: np.ndarray  # (n_bins, d, d)
 
     def probabilities(self, rho: np.ndarray) -> np.ndarray:
@@ -144,7 +142,7 @@ def _build_povm_any_dim(
     evals, evecs = np.linalg.eigh(s)
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.conj().T
     elements = np.einsum("ij,bjk,kl->bil", inv_sqrt, elements, inv_sqrt)
-    return QuadraturePOVM(0.0, x, width, float(eta), np.ascontiguousarray(elements.real))
+    return QuadraturePOVM(x, width, np.ascontiguousarray(elements.real))
 
 
 def build_povm(
@@ -160,11 +158,9 @@ def build_povm(
     """
     if n_tomo < 4:
         raise ValueError("need at least 4 Fock levels")
-    povm = _build_povm_any_dim(eta, n_tomo, x_grid)
+    bins = _build_povm_any_dim(eta, n_tomo, x_grid)
     d = np.exp(-1j * theta * np.arange(n_tomo))
-    povm.theta = float(theta)
-    povm.elements = d[:, None] * povm.elements * d.conj()
-    return povm
+    return QuadraturePOVM(bins.x_centers, bins.width, d[:, None] * bins.elements * d.conj())
 
 
 @dataclass
@@ -179,7 +175,6 @@ class MeasurementRecord:
     thetas: np.ndarray
     counts: np.ndarray
     x_centers: np.ndarray
-    width: float
     eta: float
     n_tomo: int
     qubit_basis: tuple | None = None
@@ -201,6 +196,11 @@ class MeasurementRecord:
                 )
         elif self.counts.ndim != 2:
             raise ValueError("counts must be (settings, bins)")
+
+    @property
+    def width(self) -> float:
+        """Step of the uniform bin grid."""
+        return float(self.x_centers[1] - self.x_centers[0])
 
     @property
     def n_settings(self) -> int:
@@ -314,7 +314,6 @@ def _sample(state, thetas, shots, eta, seed, n_tomo, x_grid, qubit_basis=None):
         thetas,
         _draw(probs.reshape(thetas.size, *outcomes, -1), shots, seed),
         bins.x_centers,
-        bins.width,
         eta,
         n_tomo,
         qubit_basis=qubit_basis,
@@ -681,12 +680,10 @@ def read_record(csv_path, json_path) -> MeasurementRecord:
         basis = tuple(meta["qubit_basis"])
     else:
         basis = None
-    width = float(centers[1] - centers[0])
     return MeasurementRecord(
         thetas,
         counts,
         centers,
-        width,
         float(meta["eta"]),
         int(meta["n_tomo"]),
         qubit_basis=basis,

@@ -350,21 +350,14 @@ class TestTomoSelftest:
         assert run_cli("tomo-selftest", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "seed" in capsys.readouterr().err
 
-    def test_zero_iterations_is_config_error(self, tmp_path, capsys):
-        cfg = write_yaml(
-            tmp_path / "c.yaml", "tomography:\n  phases: 21\n  shots: 300\n  iterations: 0\n"
-        )
-        assert run_cli("tomo-selftest", "--config", cfg, "--out", str(tmp_path)) == 2
-        assert "iteration" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "key, value",
         [
             ("phases", 0), ("phases", -3), ("phases", 5), ("shots", -5), ("shots", 0),
-            ("iterations", 0), ("iterations", -1),
+            ("iterations", 0), ("iterations", -1), ("seed", -1),
         ],
     )
-    def test_bad_phases_or_shots_rejected_up_front(self, tmp_path, capsys, key, value):
+    def test_bad_tomography_settings_rejected_up_front(self, tmp_path, capsys, key, value):
         settings = {"phases": 21, "shots": 300, "iterations": 400, key: value}
         cfg = write_yaml(
             tmp_path / "c.yaml",

@@ -179,7 +179,10 @@ class TestEvolve:
             evolve(m, sched, drive=drive)
         # the same holds per member and for the top-level check alone
         with pytest.raises(RuntimeError, match="top-level population nan"):
-            _check_monitors(np.zeros(3), np.array([0.0, np.nan, 1e-9]), 1e-7, "members")
+            _check_monitors("members", np.zeros(3), [(
+                np.array([0.0, np.nan, 1e-9]),
+                (1e-7, "top-level population", "raise the truncation dimension"),
+            )])
 
     def test_qubit_coherence_with_coherent_cavity(self):
         # n_max = 7 leaves 4.6e-6 of |0.8> on the top level, above the monitor
@@ -499,6 +502,18 @@ class TestCaptureOracle:
         with pytest.raises(
             RuntimeError,
             match=r"n \+ m = 7 shell population 8\.\d+e-11 exceeds 1e-11; raise n_max or dim_b",
+        ):
+            capture_mode_oracle(m, sched, output_mode=MODE.delayed(table_delay), delay=table_delay)
+
+    def test_capture_top_population_beyond_limit_raises(self, monkeypatch, table_delay):
+        # the reference point leaves 8.5e-9 on the capture mode's top level,
+        # under TOP_LEVEL_MAX as are the shell and the top cavity level: a
+        # lower CAPTURE_TOP_MAX trips only the capture-mode monitor
+        m = build_model(default_params())
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
+        monkeypatch.setattr(dynamics, "CAPTURE_TOP_MAX", 1e-9)
+        with pytest.raises(
+            RuntimeError, match=r"capture-mode top population 8\.\d+e-09 exceeds 1e-09; raise dim_b"
         ):
             capture_mode_oracle(m, sched, output_mode=MODE.delayed(table_delay), delay=table_delay)
 

@@ -442,7 +442,7 @@ class TestMleReconstruct:
         tampered = rec.counts.copy()
         tampered[0, -1] += 1  # an outcome far outside the vacuum support
         rec2 = tg.MeasurementRecord(
-            rec.thetas, tampered, rec.x_centers, rec.width, rec.eta, rec.n_tomo
+            rec.thetas, tampered, rec.x_centers, rec.eta, rec.n_tomo
         )
         est = tg.mle_reconstruct(rec2)
         assert fidelity(est, padded(VACUUM, 5)) > 0.99
@@ -459,7 +459,7 @@ class TestMleReconstruct:
         counts = rec.counts.copy()
         counts[3] = 0
         empty = tg.MeasurementRecord(
-            rec.thetas, counts, rec.x_centers, rec.width, rec.eta, rec.n_tomo
+            rec.thetas, counts, rec.x_centers, rec.eta, rec.n_tomo
         )
         with pytest.raises(ValueError, match=r"setting 3 \(phase 0\.471239 rad\) has no shots"):
             tg.mle_reconstruct(empty)
@@ -533,7 +533,6 @@ class TestCompositeMle:
             record.thetas,
             record.counts,
             record.x_centers,
-            record.width,
             record.eta,
             record.n_tomo,
             qubit_basis=("X",) * n,
@@ -552,7 +551,6 @@ class TestCompositeMle:
                 np.array([0.0]),
                 np.zeros((1, 5)),
                 np.linspace(-5, 5, 5),
-                2.5,
                 1.0,
                 3,
                 qubit_basis=("Z",),
@@ -720,7 +718,6 @@ class TestSerialization:
                 np.array([[1, -1, 0]]),
                 np.array([-1.0, 0.0, 1.0]),
                 1.0,
-                1.0,
                 5,
             )
 
@@ -730,7 +727,6 @@ class TestSerialization:
                 np.array([0.0, 1.0]),
                 np.ones((3, 4), dtype=int),
                 np.linspace(-5, 5, 4),
-                2.0,
                 1.0,
                 5,
             )
