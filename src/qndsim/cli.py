@@ -14,10 +14,9 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +31,7 @@ from .linalg import (
     negativity,
 )
 from .model import (
+    HZ_FIELDS,
     TWO_PI,
     SystemParams,
     default_params,
@@ -53,12 +53,6 @@ EXIT_NUMERIC = 3
 
 CAL_PHOTON_NUMBER = 0.137  # reference coherent intensity for the selftest
 
-_PARAM_HZ_KEYS = (
-    "omega_c", "omega_q", "chi", "kappa_ex", "kappa_in", "anharmonicity",
-)
-_PARAM_PLAIN_KEYS = (
-    "T1", "T2_star", "T2_echo", "p_th", "n_th", "eps_rg", "eps_re", "eta_meas",
-)
 # the only keys that may be infinite: an infinite decay time means no decay
 _INFINITE_ALLOWED = ("params.T1", "params.T2_star", "params.T2_echo")
 
@@ -70,8 +64,8 @@ class ConfigError(ValueError):
 def default_config() -> dict:
     """Fully resolved defaults; frequencies as plain Hz (value/2pi)."""
     p = default_params()
-    params = {k: getattr(p, k) / TWO_PI for k in _PARAM_HZ_KEYS}
-    params.update({k: getattr(p, k) for k in _PARAM_PLAIN_KEYS})
+    params = {f.name: getattr(p, f.name) for f in fields(SystemParams)}
+    params.update({k: params[k] / TWO_PI for k in HZ_FIELDS})
     return {
         "params": params,
         "schedule": {
@@ -162,8 +156,8 @@ def load_config(path: str | None) -> dict:
 
 def _normalize(cfg: dict) -> None:
     p = cfg["params"]
-    for k in _PARAM_HZ_KEYS + _PARAM_PLAIN_KEYS:
-        p[k] = _as_float(p[k], f"params.{k}")
+    for k, v in p.items():
+        p[k] = _as_float(v, f"params.{k}")
     s = cfg["schedule"]
     for k in ("pulse_fwhm", "gate_interval", "readout_delay", "n_in"):
         s[k] = _as_float(s[k], f"schedule.{k}")
@@ -209,12 +203,8 @@ def _normalize(cfg: dict) -> None:
 
 
 def _build_params(cfg: dict) -> SystemParams:
-    c = cfg["params"]
     try:
-        return SystemParams.from_hz(
-            **{k: c[k] for k in _PARAM_HZ_KEYS},
-            **{k: c[k] for k in _PARAM_PLAIN_KEYS},
-        )
+        return SystemParams.from_hz(**cfg["params"])
     except ValueError as exc:
         raise ConfigError(f"invalid params: {exc}") from None
 
@@ -246,26 +236,13 @@ def _num(value):
     return value if math.isfinite(value) else None
 
 
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_state(path: Path, state: QuantumState | None) -> None:
     rows = []
     if state is not None:
         for i, row in enumerate(state.rho):
             for j, value in enumerate(row):
-                rows.append([i, j, _fmt(value.real), _fmt(value.imag)])
-    _write_csv(path, ["row", "col", "real", "imag"], rows)
+                rows.append((str(i), str(j), _fmt(value.real), _fmt(value.imag)))
+    tomography.write_csv(path, ["row", "col", "real", "imag"], rows)
 
 
 # the config sections of a subcommand that reads fewer than all of them;
@@ -274,7 +251,7 @@ _SECTIONS_READ = {"sweep": ("params", "sweep")}
 
 
 def _write_manifest(outdir: Path, command: str, cfg: dict, seed) -> None:
-    _write_json(
+    tomography.write_json(
         outdir / "manifest.json",
         {
             "subcommand": command,
@@ -307,7 +284,7 @@ def cmd_spectrum(cfg: dict, outdir: Path, seed) -> None:
         ]
         for d, g, e in zip(detuning, r_g, r_e)
     ]
-    _write_csv(
+    tomography.write_csv(
         outdir / "spectrum.csv",
         ["detuning_hz", "reflectance_g", "phase_g", "reflectance_e", "phase_e"],
         rows,
@@ -339,12 +316,12 @@ def cmd_efficiency(cfg: dict, outdir: Path, seed) -> None:
         )
     except ValueError as exc:
         raise ConfigError(f"invalid efficiency grid: {exc}") from None
-    _write_csv(
+    tomography.write_csv(
         outdir / "efficiency_curve.csv",
         ["mean_input_photons", "flip_probability"],
         [[_fmt(x), _fmt(y)] for x, y in zip(report.grid, report.p_flip)],
     )
-    _write_json(
+    tomography.write_json(
         outdir / "efficiency.json",
         {
             "eta": _num(report.eta),
@@ -364,7 +341,7 @@ def cmd_protocol(cfg: dict, outdir: Path, seed) -> None:
     schedule = _build_schedule(cfg)
     n_ph = cfg["protocol"]["n_ph"]
     result = run_protocol(params, schedule, n_ph=n_ph)
-    _write_json(
+    tomography.write_json(
         outdir / "report.json",
         {
             "input_photons": _num(result.n_in),
@@ -392,11 +369,11 @@ def cmd_protocol(cfg: dict, outdir: Path, seed) -> None:
         if result.rho_e is not None
         else [math.nan] * dim
     )
-    _write_csv(
+    tomography.write_csv(
         outdir / "photon_distributions.csv",
         ["n", "ground", "excited", "unconditional"],
         [
-            [n, _fmt(dist_g[n]), _fmt(dist_e[n]), _fmt(dist_u[n])]
+            [str(n), _fmt(dist_g[n]), _fmt(dist_e[n]), _fmt(dist_u[n])]
             for n in range(dim)
         ],
     )
@@ -454,7 +431,7 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
     )
     comp_cor = tomography.composite_mle(comp_record, iterations=iters)
 
-    _write_json(
+    tomography.write_json(
         outdir / "selftest.json",
         {
             "coherent": {
@@ -492,7 +469,7 @@ def cmd_sweep(cfg: dict, outdir: Path, seed) -> None:
             )
     params = _build_params(cfg)
     points = sweep(params, cfg["sweep"]["axis"], cfg["sweep"]["values"])
-    _write_csv(
+    tomography.write_csv(
         outdir / "sweep.csv",
         ["value", "eta", "dark_count", "survival", "negativity"],
         [

@@ -21,6 +21,8 @@ import numpy as np
 from . import linalg
 
 TWO_PI = 2.0 * math.pi
+# the SystemParams fields that from_hz and the CLI take in Hz, not rad/s
+HZ_FIELDS = ("omega_c", "omega_q", "chi", "kappa_ex", "kappa_in", "anharmonicity")
 
 PROJ_G = np.diag([1.0, 0.0]).astype(complex)
 PROJ_E = np.diag([0.0, 1.0]).astype(complex)
@@ -66,27 +68,12 @@ class SystemParams:
         _require(self.gamma_phi >= -1e-6, "T2* may not exceed 2*T1 (negative pure dephasing)")
 
     @classmethod
-    def from_hz(
-        cls,
-        *,
-        omega_c: float,
-        omega_q: float,
-        chi: float,
-        kappa_ex: float,
-        kappa_in: float,
-        anharmonicity: float = -0.344e9,
-        **kwargs,
-    ) -> "SystemParams":
-        """Build from frequencies given in Hz (as frequency/2pi values)."""
-        return cls(
-            omega_c=TWO_PI * omega_c,
-            omega_q=TWO_PI * omega_q,
-            chi=TWO_PI * chi,
-            kappa_ex=TWO_PI * kappa_ex,
-            kappa_in=TWO_PI * kappa_in,
-            anharmonicity=TWO_PI * anharmonicity,
-            **kwargs,
-        )
+    def from_hz(cls, **kwargs) -> "SystemParams":
+        """Build from keyword fields, the HZ_FIELDS given in Hz (as
+        frequency/2pi values) and every other field as it is stored."""
+        return cls(**{
+            k: TWO_PI * v if k in HZ_FIELDS else v for k, v in kwargs.items()
+        })
 
     def replace(self, **kwargs) -> "SystemParams":
         return replace(self, **kwargs)
@@ -121,11 +108,6 @@ class SystemParams:
     def gamma_phi(self) -> float:
         """Pure dephasing rate from the Ramsey decay time."""
         return 1.0 / self.T2_star - 1.0 / (2.0 * self.T1)
-
-    @property
-    def gamma_phi_echo(self) -> float:
-        """Pure dephasing rate from the echo decay time."""
-        return 1.0 / self.T2_echo - 1.0 / (2.0 * self.T1)
 
     @property
     def gamma_phi_tot(self) -> float:
@@ -363,22 +345,3 @@ def reflected_photon_number(p: SystemParams, mode: TemporalMode, n_in: float) ->
     weight = np.abs(reflection_coefficient(p, "g", p.omega_c + omega)) ** 2
     # Parseval: sum |F_k|^2 / (N dt) = sum |f_j|^2 dt = 1
     return float(n_in * np.sum(weight * np.abs(spectrum) ** 2) / (n_fft * dt))
-
-
-def thermal_bounds(p: SystemParams) -> dict:
-    """Thermal-occupation bounds and the resulting efficiency penalty.
-
-    n_th_max: cavity occupation that would explain the full echo dephasing;
-    n_th_pulse: thermal photons emitted into the 500 ns Gaussian mode,
-    obtained by integrating the output flux kappa_ex*n_th over the mode's
-    equivalent duration; eta_th = 1/(1 + 2*n_th_pulse).
-    """
-    mode = gaussian_input_mode(500e-9)
-    gamma_phi_echo = max(p.gamma_phi_echo, 0.0)
-    kt = p.kappa_tot
-    n_th_max = (kt**2 + p.chi**2) / (4.0 * kt * p.chi**2) * gamma_phi_echo
-    peak = float(np.max(np.abs(mode.f) ** 2))
-    tau_eff = 1.0 / peak  # equivalent width of |f|^2 (unit-normalized envelope)
-    n_th_pulse = p.kappa_ex * p.n_th * tau_eff
-    eta_th = 1.0 / (1.0 + 2.0 * n_th_pulse)
-    return {"n_th_max": n_th_max, "n_th_pulse": n_th_pulse, "eta_th": eta_th}

@@ -396,17 +396,15 @@ def _swept_configuration(
         rate_sum = value * scale
         t1 = math.inf if value == 0 else 1.0 / rate_sum
         denom_star = params.gamma_phi + rate_sum / 2
-        denom_echo = params.gamma_phi_echo + rate_sum / 2
         t2s = math.inf if denom_star == 0 else 1.0 / denom_star
-        t2e = math.inf if denom_echo == 0 else 1.0 / denom_echo
-        return params.replace(T1=t1, T2_star=t2s, T2_echo=t2e), template
+        return params.replace(T1=t1, T2_star=t2s), template
     if axis == "gamma_phi":
         half_relax = 0.0 if math.isinf(params.T1) else (
             (1.0 + 2.0 * params.n_B) * params.gamma / 2
         )
         denom = value + half_relax
         t2 = math.inf if denom == 0 else 1.0 / denom
-        return params.replace(T2_star=t2, T2_echo=t2), template
+        return params.replace(T2_star=t2), template
     raise ValueError(f"unknown sweep axis {axis!r} (choose from {SWEEP_AXES})")
 
 

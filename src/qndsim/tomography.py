@@ -196,6 +196,11 @@ class MeasurementRecord:
                 )
         elif self.counts.ndim != 2:
             raise ValueError("counts must be (settings, bins)")
+        if self.counts.shape[-1] != len(self.x_centers):
+            raise ValueError(
+                f"counts have {self.counts.shape[-1]} bins but x_centers "
+                f"has {len(self.x_centers)}"
+            )
 
     @property
     def width(self) -> float:
@@ -618,13 +623,13 @@ def write_record(record: MeasurementRecord, csv_path, json_path) -> None:
     rebuild the record exactly.
     """
     composite = record.qubit_basis is not None
-    flat = record.counts.reshape(-1, record.counts.shape[-1])
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["setting", "bin_center", "count"])
-        for sid, row in enumerate(flat):
-            for center, count in zip(record.x_centers, row):
-                writer.writerow([sid, f"{center:.17g}", int(count)])
+    centers = [f"{c:.17g}" for c in record.x_centers.tolist()]
+    flat = record.counts.reshape(-1, len(centers)).tolist()
+    write_csv(csv_path, ("setting", "bin_center", "count"), (
+        (sid, center, str(count))
+        for sid, row in zip(map(str, range(len(flat))), flat)
+        for center, count in zip(centers, row)
+    ))
     meta = {
         "thetas": [float(t) for t in record.thetas],
         "eta": record.eta,
@@ -641,9 +646,7 @@ def write_record(record: MeasurementRecord, csv_path, json_path) -> None:
             float(t) for t in np.repeat(record.thetas, 2)
         ]
         meta["setting_outcome"] = [0, 1] * record.n_settings
-    with open(json_path, "w") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, meta)
 
 
 def read_record(csv_path, json_path) -> MeasurementRecord:
@@ -694,13 +697,30 @@ def read_record(csv_path, json_path) -> MeasurementRecord:
 def write_wigner(path, grid: np.ndarray, values: np.ndarray) -> None:
     """Write a Wigner array as (x, p, W) CSV rows ready for plotting.
 
-    The text is csv.writer's for the same rows (no field needs quoting),
-    built in one pass: each grid value is formatted once.
+    Each grid value is formatted once.
     """
     coords = [f"{v:.17g}" for v in np.asarray(grid, dtype=float).tolist()]
-    rows = ["x,p,W"]
-    for x, row in zip(coords, np.asarray(values, dtype=float).tolist()):
-        rows.extend(f"{x},{p},{w:.17g}" for p, w in zip(coords, row))
-    rows.append("")
+    write_csv(path, ("x", "p", "W"), (
+        (x, p, f"{w:.17g}")
+        for x, row in zip(coords, np.asarray(values, dtype=float).tolist())
+        for p, w in zip(coords, row)
+    ))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a CSV table in one pass: every output table goes through here.
+
+    Each row is a sequence of already-formatted strings. No field needs
+    quoting (numbers, ids and plain names), so the bytes are those of the
+    csv module's default writer: fields joined by commas, lines ended by CRLF.
+    """
     with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(rows))
+        fh.write("\r\n".join([",".join(header), *map(",".join, rows), ""]))
+
+
+def write_json(path, payload) -> None:
+    """Write payload as JSON with sorted keys, a 2-space indent and a final
+    newline: every output's JSON goes through here."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")

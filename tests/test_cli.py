@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line interface and its file outputs."""
 
+import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -12,6 +15,7 @@ import pytest
 
 from qndsim import cli, dynamics, protocol
 from qndsim.linalg import NumericalError
+from qndsim.model import SystemParams
 
 
 def run_cli(*argv):
@@ -34,6 +38,7 @@ class TestConfigLoading:
             "params", "schedule", "tomography", "spectrum", "efficiency",
             "protocol", "sweep",
         }
+        assert set(cfg["params"]) == {f.name for f in dataclasses.fields(SystemParams)}
         assert cfg["params"]["chi"] == 1.5e6
         assert cfg["tomography"]["seed"] == 7
 
@@ -416,6 +421,20 @@ class TestSweep:
 
 
 class TestPlumbing:
+    def test_outputs_have_one_byte_form(self, spectrum_outputs, protocol_outputs):
+        # every table has csv.writer's bytes, every JSON is sorted with a 2-space indent
+        paths = sorted(spectrum_outputs.iterdir()) + sorted(protocol_outputs.iterdir())
+        assert {p.suffix for p in paths} == {".csv", ".json"}
+        for path in paths:
+            text = path.read_bytes().decode()
+            if path.suffix == ".csv":
+                ref = io.StringIO(newline="")
+                csv.writer(ref).writerows(csv.reader(io.StringIO(text, newline="")))
+                assert text == ref.getvalue(), path.name
+            else:
+                ref = json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+                assert text == ref, path.name
+
     def test_nested_output_directory_created(self, tmp_path):
         out = tmp_path / "deep" / "er" / "dir"
         assert run_cli("spectrum", "--out", str(out)) == 0

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,6 @@ from qndsim.model import (
     ideal_params,
     reflected_photon_number,
     reflection_coefficient,
-    thermal_bounds,
 )
 
 TWO_PI = 2 * np.pi
@@ -65,6 +65,26 @@ class TestSystemParams:
         p = default_params()
         assert abs(p.chi - TWO_PI * 1.5e6) < 1e-6
         assert abs(p.kappa_tot - TWO_PI * 3.57e6) < 1e-3
+        # exactly the HZ_FIELDS are scaled by 2 pi; every other field passes through
+        kw = dict(
+            omega_c=1.0, omega_q=2.0, chi=3.0, kappa_ex=4.0, kappa_in=5.0,
+            anharmonicity=-6.0, T1=7.0, T2_star=8.0, T2_echo=9.0, p_th=0.1,
+            n_th=0.2, eps_rg=0.3, eps_re=0.4, eta_meas=0.5,
+        )
+        assert set(kw) == {f.name for f in dataclasses.fields(SystemParams)}
+        assert model.HZ_FIELDS == (
+            "omega_c", "omega_q", "chi", "kappa_ex", "kappa_in", "anharmonicity",
+        )
+        q = SystemParams.from_hz(**kw)
+        for name, value in kw.items():
+            scale = model.TWO_PI if name in model.HZ_FIELDS else 1
+            assert getattr(q, name) == scale * value, name
+        del kw["anharmonicity"]
+        assert SystemParams.from_hz(**kw).anharmonicity == model.TWO_PI * -0.344e9
+        with pytest.raises(TypeError):
+            SystemParams.from_hz(**kw, flux=1.0)
+        with pytest.raises(TypeError):
+            SystemParams.from_hz(omega_c=1.0)
 
 
 class TestBuildModel:
@@ -261,21 +281,3 @@ class TestReflectedPhotonNumber:
         ]
         assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
-
-class TestThermalBounds:
-    def test_reference_values(self):
-        tb = thermal_bounds(default_params())
-        assert abs(tb["n_th_max"] - 0.001) < 1.5e-4
-        assert abs(tb["n_th_max"] - 1.0902e-3) / 1.0902e-3 < 1e-3
-        assert abs(tb["n_th_pulse"] - 0.004) < 2e-4
-        assert abs(tb["n_th_pulse"] - 3.9253e-3) / 3.9253e-3 < 1e-3
-
-    def test_no_thermal_photons(self):
-        tb = thermal_bounds(default_params().replace(n_th=0.0))
-        assert tb["eta_th"] == 1.0
-
-    def test_overall_efficiency_product(self):
-        # eta_meas * eta_th reproduces the calibrated overall efficiency
-        p = default_params()
-        tb = thermal_bounds(p)
-        assert abs(p.eta_meas * tb["eta_th"] - 0.426) < 1.5e-3

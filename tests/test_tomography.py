@@ -699,17 +699,40 @@ class TestSerialization:
         np.testing.assert_allclose(float(val), w[0, 0])
 
     def test_wigner_csv_bytes_match_csv_writer(self, tmp_path):
+        # write_wigner and write_record give csv.writer's bytes for the same rows
         grid = np.linspace(-3, 3, 13)
         w = tg.wigner(VACUUM, grid)
-        path = tmp_path / "wigner.csv"
-        tg.write_wigner(path, grid, w)
-        ref = io.StringIO(newline="")
-        writer = csv.writer(ref)
-        writer.writerow(["x", "p", "W"])
-        for i, x in enumerate(grid):
-            for j, p in enumerate(grid):
-                writer.writerow([f"{x:.17g}", f"{p:.17g}", f"{w[i, j]:.17g}"])
-        assert path.read_bytes() == ref.getvalue().encode()
+        tg.write_wigner(tmp_path / "wigner.csv", grid, w)
+        cases = [(
+            "wigner.csv",
+            ["x", "p", "W"],
+            [
+                [f"{x:.17g}", f"{p:.17g}", f"{w[i, j]:.17g}"]
+                for i, x in enumerate(grid)
+                for j, p in enumerate(grid)
+            ],
+        )]
+        records = {
+            "single.csv": tg.sample(COH137, [0.0, 1.0], 50, eta=0.43, seed=3),
+            "composite.csv": tg.sample_composite(
+                ideal_composite(0.165), [0.0, 1.0], 20, seed=8
+            ),
+        }
+        for name, rec in records.items():
+            tg.write_record(rec, tmp_path / name, tmp_path / "meta.json")
+            flat = rec.counts.reshape(-1, rec.x_centers.size)
+            rows = [
+                [sid, f"{center:.17g}", int(count)]
+                for sid, row in enumerate(flat)
+                for center, count in zip(rec.x_centers, row)
+            ]
+            cases.append((name, ["setting", "bin_center", "count"], rows))
+        for name, header, rows in cases:
+            ref = io.StringIO(newline="")
+            writer = csv.writer(ref)
+            writer.writerow(header)
+            writer.writerows(rows)
+            assert (tmp_path / name).read_bytes() == ref.getvalue().encode(), name
 
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError, match="negative"):
@@ -717,6 +740,16 @@ class TestSerialization:
                 np.array([0.0]),
                 np.array([[1, -1, 0]]),
                 np.array([-1.0, 0.0, 1.0]),
+                1.0,
+                5,
+            )
+
+    def test_bin_axis_must_match_centers(self):
+        with pytest.raises(ValueError, match="3 bins but x_centers has 50"):
+            tg.MeasurementRecord(
+                np.array([0.0]),
+                np.ones((1, 3), dtype=int),
+                np.linspace(-5, 5, 50),
                 1.0,
                 5,
             )
