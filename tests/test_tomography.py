@@ -3,7 +3,11 @@
 import csv
 import io
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -471,6 +475,114 @@ class TestMleReconstruct:
             tg.mle_reconstruct(rec)
 
 
+class TestRotatedBins:
+    """The fits' bin map, checked on its own rather than through fits."""
+
+    @pytest.mark.parametrize("eta", [1.0, 0.43])
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_adjoint_is_transpose_of_forward_map(self, eta, composite):
+        # w . p(rho) = Re Tr[R(w) rho] for Hermitian rho and real weights w
+        rng = np.random.default_rng(29)
+        thetas = tg.phase_settings(tg.MIN_PHASES)
+        if composite:
+            n, d = 3, 6
+            basis = tuple(b for b in tg.QUBIT_BASES for _ in thetas)
+            thetas = np.tile(thetas, len(tg.QUBIT_BASES))
+        else:
+            n, d, basis = 5, 5, None
+        bins = tg._build_povm_any_dim(eta, n, GRID).elements
+        rotated = tg._RotatedBins(bins, thetas, basis)
+        for _ in range(5):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            rho = a + a.conj().T
+            p = rotated.probabilities(rho)
+            w = rng.normal(size=p.size)
+            r_op = rotated.adjoint(w)
+            scale = float(np.abs(w) @ np.abs(p))
+            assert abs(w @ p - np.trace(r_op @ rho).real) <= 1e-13 * scale
+            assert np.max(np.abs(r_op - r_op.conj().T)) <= 1e-13 * np.max(np.abs(r_op))
+
+
+class TestStopCadence:
+    """The R rho R stop test runs every _STOP_EVERY accepted steps, yet the
+    gain a fit returns is always the one at the returned iterate."""
+
+    @staticmethod
+    def _problem():
+        rec = tg.sample(
+            COH137, tg.phase_settings(tg.MIN_PHASES), 10_000, eta=0.43, seed=1
+        )
+        bins = tg._build_povm_any_dim(rec.eta, rec.n_tomo, rec.x_centers)
+        rotated = tg._RotatedBins(bins.elements, rec.thetas)
+        freqs = (rec.counts / rec.shots[:, None]).ravel()
+        return rotated, freqs, rec.n_settings
+
+    @staticmethod
+    def _fresh_gain(rotated, freqs, n_settings, rho):
+        seen = freqs > 0
+        p = np.maximum(rotated.probabilities(rho), tg.PROB_FLOOR)
+        r_op = rotated.adjoint(freqs / p / n_settings)
+        step = r_op @ rho @ r_op
+        p_step = np.maximum(
+            rotated.probabilities(step / np.trace(step).real), tg.PROB_FLOOR
+        )
+        return float(freqs[seen] @ np.log(p_step[seen] / p[seen]))
+
+    def _fit(self, problem, cap):
+        rotated, freqs, n_settings = problem
+        return tg.mle_iterations(
+            rotated.probabilities,
+            rotated.adjoint,
+            freqs,
+            np.eye(5, dtype=complex) / 5,
+            n_settings,
+            cap,
+            tg.LIKELIHOOD_TOL,
+            tg.PROB_FLOOR,
+        )
+
+    def test_capped_gain_is_taken_at_returned_iterate(self):
+        # caps on and off the cadence (7 is off it): the fit needs ~80
+        # iterations here, so every cap is reached
+        problem = self._problem()
+        for cap in range(1, 2 * tg._STOP_EVERY + 2):
+            rho, _, n_iter, gain = self._fit(problem, cap)
+            assert n_iter == cap
+            assert gain >= tg.LIKELIHOOD_TOL
+            assert gain == pytest.approx(self._fresh_gain(*problem, rho), rel=1e-12)
+
+    def test_converged_gain_is_below_tolerance(self):
+        problem = self._problem()
+        rho, _, n_iter, gain = self._fit(problem, tg.DEFAULT_ITERATIONS)
+        assert n_iter < tg.DEFAULT_ITERATIONS
+        assert gain < tg.LIKELIHOOD_TOL
+        assert gain == pytest.approx(self._fresh_gain(*problem, rho), rel=1e-12)
+
+
+class TestImports:
+    def test_sampling_and_fits_import_no_scipy(self, tmp_path):
+        # a fresh process: this test session has loaded scipy itself
+        code = (
+            "import math, sys\n"
+            "from qndsim import tomography as tg\n"
+            "from qndsim.linalg import QuantumState, coherent, ket_density\n"
+            "cal = QuantumState(ket_density(coherent(5, math.sqrt(0.137))), (5,))\n"
+            "rec = tg.sample(cal, tg.phase_settings(tg.MIN_PHASES), 2_000, eta=0.43, seed=1)\n"
+            "tg.write_record(rec, sys.argv[1] + '.csv', sys.argv[1] + '.json')\n"
+            "tg.mle_reconstruct(rec, correct_efficiency=False)\n"
+            "tg.mle_reconstruct(rec)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(tg.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "record")],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout.splitlines() == ["[]"]
+
+
 class TestCompositeMle:
     def test_product_state_has_no_entanglement(self):
         rho = np.kron(
@@ -753,6 +865,21 @@ class TestSerialization:
                 1.0,
                 5,
             )
+
+    def test_non_uniform_grid_rejected(self):
+        # write_record keeps only x_min, x_max and n_bins, from which
+        # read_record rebuilds a uniform grid of at least 2 bins
+        near_miss = tg.default_grid().copy()
+        near_miss[150] += 1e-5  # would read back as 2.5
+        for centers in ([-5.0, -1.0, 0.0, 2.0, 5.0], near_miss, [0.0], []):
+            with pytest.raises(ValueError, match="x_centers is not a uniform grid"):
+                tg.MeasurementRecord(
+                    np.array([0.0]),
+                    np.ones((1, len(centers)), dtype=int),
+                    np.array(centers),
+                    1.0,
+                    5,
+                )
 
     def test_row_count_must_match_settings(self):
         with pytest.raises(ValueError, match="per setting"):
