@@ -235,6 +235,31 @@ class TestUniformIntegral:
         npt.assert_allclose(linear_reference(p, sched, out), fine, rtol=1e-7)
 
 
+class TestLinearCavity:
+    def test_one_step_form_matches_stagewise_rk4(self):
+        # the delay search's grid, started from a nonzero amplitude
+        p = default_params()
+        t0, t1 = float(MODE.t[0]), float(MODE.t[-1]) + 5.0 / p.kappa_ex
+        dt = default_timestep(p, MODE)
+        a0 = 0.3 - 0.2j
+        grid, alpha = dynamics._linear_cavity(p, MODE, ALPHA, t0, t1, dt, a0)
+        nsteps = len(grid) - 1
+        h = (t1 - t0) / nsteps
+        eps = dynamics._pulse_drive(p, MODE, ALPHA, dynamics._half_grid(t0, nsteps, h))
+        lam = -(1j * p.chi + p.kappa_tot / 2.0)
+        want = [a0]
+        for k in range(nsteps):
+            a = want[-1]
+            k1 = lam * a + eps[2 * k]
+            k2 = lam * (a + h / 2 * k1) + eps[2 * k + 1]
+            k3 = lam * (a + h / 2 * k2) + eps[2 * k + 1]
+            k4 = lam * (a + h * k3) + eps[2 * k + 2]
+            want.append(a + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4))
+        assert nsteps > 900
+        npt.assert_array_equal(grid, t0 + np.arange(nsteps + 1) * h)
+        npt.assert_allclose(alpha, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+
 class TestDelayChoice:
     def test_table_parameters_delay(self, table_delay):
         assert 90e-9 < table_delay < 120e-9
@@ -491,6 +516,47 @@ class TestCaptureOracle:
             RuntimeError, match=r"step 0 from t = -4\.000000e-07 s needs 20 substeps \(cap 19\)"
         ):
             capture_mode_oracle(m, sched, delay=108e-9, dim_b=4)
+
+    @pytest.mark.parametrize("stiff", [False, True])
+    def test_substep_counts_match_stepwise_search(self, monkeypatch, table_delay, stiff):
+        # the criterion-7 reference draw, and an undriven cavity four times
+        # slower, whose four times longer steps need twice the substeps
+        if stiff:
+            p = default_params()
+            p = ideal_qubit(p).replace(kappa_ex=p.kappa_ex / 4, kappa_in=p.kappa_in / 4)
+            m, alpha, delay, dim_b = build_model(p), 0.0, 108e-9, 4
+        else:
+            m, alpha, delay, dim_b = build_model(default_params()), ALPHA, table_delay, 7
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=alpha)
+        seen = []
+
+        def spy(blocks, x, schedule, dt, coeffs_for, d, watch):
+            seen.append((dt, coeffs_for))
+            return run_schedule(blocks, x, schedule, dt, coeffs_for, d, watch)
+
+        run_schedule = dynamics._run_schedule
+        monkeypatch.setattr(dynamics, "_run_schedule", spy)
+        capture_mode_oracle(m, sched, delay=delay, dim_b=dim_b)
+        (dt, coeffs_for), = seen
+        # the oracle's fine grid and coupling magnitude, then its step loop
+        t_fine = np.linspace(sched.t_i, sched.t_f, 64 * dynamics._segment_steps(1.2e-6, dt) + 1)
+        inten = np.abs(dynamics._mode_u(MODE.delayed(delay), t_fine)) ** 2
+        cum = np.concatenate([[0.0], np.cumsum((inten[1:] + inten[:-1]) / 2 * np.diff(t_fine))])
+        g2_fine = inten / (dynamics.CAPTURE_EPS_FLOOR * cum[-1] + cum)
+        most = 0
+        for t0, t1 in ((sched.t_i, sched.t_g), (sched.t_g, sched.t_f)):
+            nsteps = dynamics._segment_steps(t1 - t0, dt)
+            dt_seg = (t1 - t0) / nsteps
+            want = np.ones(nsteps, dtype=np.int64)
+            for k in range(nsteps):
+                lo = np.searchsorted(t_fine, t0 + k * dt_seg - 1e-15)
+                hi = np.searchsorted(t_fine, t0 + (k + 1) * dt_seg + 1e-15)
+                gmax = float(g2_fine[lo:hi].max()) if hi > lo else 0.0
+                want[k] = max(1, int(math.ceil(dt_seg * gmax / 2.0)))
+            _, steps = coeffs_for(t0, nsteps, dt_seg)
+            npt.assert_array_equal(steps, np.repeat(dt_seg / want, want))
+            most = max(most, want.max())
+        assert most == (41 if stiff else 20)
 
     def test_shell_population_beyond_limit_raises(self, monkeypatch, table_delay):
         # the reference point fills the n + m = 7 shell to 8.7e-11 and the

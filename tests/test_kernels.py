@@ -130,6 +130,42 @@ def capture_rhs(model, db, x, g, beta):
     return lindblad_rhs(h_nh, c_list + [ct], x)
 
 
+def spre(op):
+    """X -> op X, as a sparse Kronecker product."""
+    return sparse.kron(op, sparse.identity(op.shape[0], dtype=complex), format="csr")
+
+
+def spost(op):
+    """X -> X op, as a sparse Kronecker product."""
+    return sparse.kron(sparse.identity(op.shape[0], dtype=complex), op.T, format="csr")
+
+
+def sprepost(left, right):
+    """X -> left X right, as a sparse Kronecker product."""
+    return sparse.kron(left, right.T, format="csr")
+
+
+def kron_lindblad(h, c_ops):
+    """-i (K X - X K^dag) + sum C X C^dag summed from sparse Kronecker products."""
+    c_ops = [sparse.csr_matrix(c) for c in c_ops]
+    k_nh = sparse.csr_matrix(h, dtype=complex)
+    for c in c_ops:
+        k_nh = k_nh - 0.5j * (c.conj().T @ c)
+    out = -1j * (spre(k_nh) - spost(k_nh.conj().T))
+    for c in c_ops:
+        out = out + sprepost(c, c.conj().T)
+    return out.tocsr()
+
+
+def assert_same_csr(got, want, label):
+    """Equal CSR arrays, field by field, dtypes included."""
+    for field in ("data", "indices", "indptr"):
+        assert getattr(got, field).dtype == getattr(want, field).dtype, (label, field)
+        npt.assert_array_equal(
+            getattr(got, field), getattr(want, field), err_msg=f"{label} {field}"
+        )
+
+
 def capture_coeffs(g, beta):
     """Coefficients of the capture route's pieces."""
     return [beta, g * np.conjugate(beta), np.conjugate(g), abs(g) ** 2]
@@ -229,8 +265,9 @@ class TestGenerators:
         assert keep.size == 70
 
     def test_ladder_matches_hand_built_nine_nodes(self):
-        # reference: the order-2 ladder written out by hand, node 3m + n
-        # sourced by w from node 3m + n - 1 and by conj(w) from node 3(m - 1) + n
+        # reference: the order-2 ladder written out by hand from sparse
+        # Kronecker products, node 3m + n sourced by w from node 3m + n - 1
+        # and by conj(w) from node 3(m - 1) + n; order 0 is node 0 alone
         model = capture_model()
         a = sparse.csr_matrix(model.a, dtype=complex)
         ad = a.conj().T
@@ -239,28 +276,54 @@ class TestGenerators:
         right = k[k % 3 != 0]
         src_w = sparse.csr_matrix((np.ones(6), (right, right - 1)), shape=(9, 9))
         src_wb = sparse.csr_matrix((np.ones(6), (k[3:], k[3:] - 3)), shape=(9, 9))
+        lindblad = kron_lindblad(model.H, model.collapse)
+        eps = spre(ad) - spost(ad)
         expected = dynamics.Generator(
-            sparse.kron(nodes, dynamics._lindblad_superop(model.H, model.collapse), format="csr"),
-            (
-                sparse.kron(nodes, dynamics._spre(ad) - dynamics._spost(ad), format="csr"),
-                sparse.kron(src_w, dynamics._spre(a), format="csr"),
-            ),
+            sparse.kron(nodes, lindblad, format="csr"),
+            (sparse.kron(nodes, eps, format="csr"), sparse.kron(src_w, spre(a), format="csr")),
         ).blocks
         l0, *pieces = dynamics._ladder_blocks(model.H, model.collapse, model.a, 2)
         got = dynamics.Generator(l0, pieces).blocks
         assert dynamics.MOMENT_ORDER == 2
-        for field in ("data", "indices", "indptr"):
-            want = getattr(expected, field)
-            assert getattr(got, field).dtype == want.dtype
-            npt.assert_array_equal(getattr(got, field), want, err_msg=field)
+        assert_same_csr(got, expected, "order 2")
+        got = dynamics._ladder_blocks(model.H, model.collapse, model.a, 0)
+        one = sparse.identity(1, dtype=complex, format="csr")
+        for block, want in zip(got, (lindblad, eps), strict=True):
+            assert_same_csr(block, sparse.kron(one, want, format="csr"), "order 0")
         # the partners conj(eps) and conj(w) that the pair rule stands for
         swap = dynamics._adjoint_swap(model.dim, 3)
         partners = (
-            sparse.kron(nodes, dynamics._spost(a) - dynamics._spre(a), format="csr"),
-            sparse.kron(src_wb, dynamics._spost(ad), format="csr"),
+            sparse.kron(nodes, spost(a) - spre(a), format="csr"),
+            sparse.kron(src_wb, spost(ad), format="csr"),
         )
         for piece, want in zip(pieces, partners, strict=True):
             assert (partner(piece, swap) != want).nnz == 0
+
+    @pytest.mark.parametrize("n_max, db", [(3, 3), (3, 5), (7, 7)])
+    def test_capture_pieces_match_kronecker_products(self, n_max, db):
+        # the five blocks against the sums of sparse Kronecker products they
+        # stand for, in the same order of evaluation: equal bit for bit
+        model = build_model(capture_model().params, n_max=n_max)
+        kept = np.ix_(*[capture_states(model, db)] * 2)
+
+        def ext(op):
+            return sparse.csr_matrix(np.kron(op, np.eye(db))[kept])
+
+        a = ext(model.a)
+        b = sparse.csr_matrix(np.kron(np.eye(model.dim), destroy(db))[kept])
+        ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
+        sk = np.sqrt(model.params.kappa_ex)
+        expected = (
+            kron_lindblad(ext(model.H), [ext(c) for c in model.collapse]),
+            (-1j * sk * (spre(ad) - spost(ad))).tocsr(),
+            (spre(b) - spost(b)).tocsr(),
+            (1j * sk * (spre(bd @ a) - sprepost(a, bd))).tocsr(),
+            (0.5 * (sprepost(b, bd) - 0.5 * (spre(bd @ b) + spost(bd @ b)))).tocsr(),
+        )
+        got = list(dynamics._capture_blocks(model, db))
+        assert len(got) == len(expected)
+        for k, (block, want) in enumerate(zip(got, expected)):
+            assert_same_csr(block, want, f"piece {k}")
 
     def test_pieces_switched_off_are_dropped_exactly(self, monkeypatch):
         # a ladder whose w pieces stay zero evolves node 0 like the plain
@@ -300,6 +363,42 @@ class TestGenerators:
         assert not np.any(ladder.state[d * d:])
 
 
+class TestSuperop:
+    """_superop against dense Kronecker products: vec(L X R) = (L kron R^T) vec(X)."""
+
+    def test_single_terms_match_dense_kron(self):
+        rng = np.random.default_rng(21)
+        n = 6
+        left = random_matrix(rng, n) * (rng.random((n, n)) < 0.4)
+        right = random_matrix(rng, n) * (rng.random((n, n)) < 0.4)
+        eye = np.eye(n)
+        for c, lop, rop, want in (
+            (1, left, right, np.kron(left, right.T)),
+            (0.5 - 2j, sparse.csr_matrix(left), right, (0.5 - 2j) * np.kron(left, right.T)),
+            (-1j, left, None, -1j * np.kron(left, eye)),
+            (1, None, sparse.csc_matrix(right), np.kron(eye, right.T)),
+            (3.0, None, None, 3.0 * np.eye(n * n)),
+        ):
+            got = dynamics._superop([(c, lop, rop)], n)
+            assert got.has_canonical_format
+            npt.assert_array_equal(got.toarray(), want)
+            assert np.all(got.data != 0)
+
+    def test_terms_sum_in_order_and_cancellations_drop(self):
+        rng = np.random.default_rng(22)
+        n = 5
+        ops = [random_matrix(rng, n) * (rng.random((n, n)) < 0.5) for _ in range(3)]
+        terms = [(0.3j, ops[0], None), (1, None, ops[1]), (-2, ops[2], ops[0])]
+        want = 0.3j * np.kron(ops[0], np.eye(n))
+        want = want + np.kron(np.eye(n), ops[1].T)
+        want = want + -2 * np.kron(ops[2], ops[0].T)
+        got = dynamics._superop(terms, n)
+        npt.assert_array_equal(got.toarray(), want)
+        assert got.nnz == np.count_nonzero(want)
+        # equal and opposite terms leave no stored entry
+        assert dynamics._superop([(1, ops[0], ops[1]), (-1, ops[0], ops[1])], n).nnz == 0
+
+
 class TestColumns:
     def test_columns_equal_single_runs(self):
         # members in the columns of one run, one of them undriven, over
@@ -336,6 +435,86 @@ class TestColumns:
             )
             for got, want in zip(batch.max_watched, single.max_watched, strict=True):
                 npt.assert_allclose(got[j], want, rtol=0, atol=1e-15)
+
+
+def stepwise_propagate(gen, x0, coeffs, steps, trace_idx, watch):
+    """propagate's RK4 with its monitors updated after every step."""
+    x = np.array(x0)
+    rows = np.concatenate([np.ones((len(coeffs), 1, *coeffs.shape[2:])), coeffs], axis=1)
+    max_tr = np.zeros(x.shape[1:])
+    max_watched = [np.zeros(x.shape[1:])] * len(watch)
+    for i, h in enumerate(steps):
+        j = 2 * i
+        k1 = gen.apply(x, rows[j])
+        k2 = gen.apply(x + (h / 2) * k1, rows[j + 1])
+        k3 = gen.apply(x + (h / 2) * k2, rows[j + 1])
+        k4 = gen.apply(x + h * k3, rows[j + 2])
+        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        tr = x[trace_idx].sum(axis=0)
+        max_tr = np.maximum(max_tr, abs(tr.real - 1.0) + abs(tr.imag))
+        for w, idx in enumerate(watch):
+            max_watched[w] = np.maximum(max_watched[w], x[idx].real.sum(axis=0))
+    return x, max_tr, max_watched
+
+
+class TestMonitors:
+    """propagate's monitors, taken after the loop, against a step-by-step loop."""
+
+    def _problem(self, n_members=3, nsteps=40):
+        rng = np.random.default_rng(23)
+        d = 5
+        gen = complex_generator(
+            dynamics._ladder_blocks(
+                random_hermitian(rng, d), [random_matrix(rng, d, 0.3)],
+                random_matrix(rng, d, 0.5), 0,
+            ),
+            dynamics._adjoint_swap(d),
+        )
+        tt = np.linspace(0.0, 1.0, 2 * nsteps + 1)
+        eps = np.stack([0.5 * np.exp(1j * (k + 1) * tt) for k in range(n_members)], axis=1)
+        x0 = np.stack([random_density(rng, d).reshape(-1) for _ in range(n_members)], axis=1)
+        diag = np.arange(d) * (d + 1)
+        steps = np.full(nsteps, 1.0 / nsteps)
+        return gen, x0, with_partners(eps), steps, diag, (diag[3:], diag[:1])
+
+    def test_matches_stepwise_loop(self):
+        gen, x0, coeffs, steps, diag, watch = self._problem()
+        for x, c in ((x0, coeffs), (x0[:, 1], coeffs[..., 1])):
+            run = dynamics.propagate(gen, x, c, steps, diag, watch)
+            x_ref, max_tr, max_watched = stepwise_propagate(gen, x, c, steps, diag, watch)
+            npt.assert_array_equal(run.state, x_ref)
+            npt.assert_allclose(run.max_trace_defect, max_tr, rtol=0, atol=1e-15)
+            assert np.shape(run.max_trace_defect) == np.shape(max_tr)
+            for got, want in zip(run.max_watched, max_watched, strict=True):
+                assert np.all(want > 0)
+                npt.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+    def test_nan_stays_in_its_maximum(self):
+        gen, x0, coeffs, steps, diag, watch = self._problem()
+        coeffs = coeffs.copy()
+        coeffs[41, :, 1] = np.nan  # member 1, midpoint of step 20 of 40
+        run = dynamics.propagate(gen, x0, coeffs, steps, diag, watch)
+        for value in (run.max_trace_defect, *run.max_watched):
+            npt.assert_array_equal(np.isnan(value), [False, True, False])
+        with pytest.raises(RuntimeError, match=r"x: trace drifted by nan"):
+            dynamics._check_monitors("x", run.max_trace_defect, [])
+        # finite members: a breach quotes the worst of them
+        ok = dynamics.propagate(gen, x0[:, ::2], coeffs[..., ::2], steps, diag, watch)
+        worst = float(np.max(ok.max_watched[1]))
+        assert worst > float(np.min(ok.max_watched[1]))
+        with pytest.raises(RuntimeError, match=rf"x: ground {worst:.3e} exceeds 1e-09; fix it"):
+            dynamics._check_monitors("x", ok.max_trace_defect, [
+                (ok.max_watched[0], (1.0, "top", "")),
+                (ok.max_watched[1], (1e-9, "ground", "fix it")),
+            ])
+
+    def test_zero_steps_leave_the_state(self):
+        gen, x0, coeffs, _, diag, watch = self._problem()
+        for x, c in ((x0, coeffs[:1]), (x0[:, 0], coeffs[:1, :, 0])):
+            run = dynamics.propagate(gen, x, c, np.zeros(0), diag, watch)
+            npt.assert_array_equal(run.state, x)
+            for value in (run.max_trace_defect, *run.max_watched):
+                npt.assert_array_equal(value, np.zeros(x.shape[1:]))
 
 
 class TestLindbladRK4:
@@ -518,9 +697,9 @@ class TestRealCoordinates:
         live = np.arange(gen.n_pieces) % 2 == 0
         kept = dynamics.Generator.real_form(blocks, t, live)
         n = swap.size
-        rows = [real.blocks[k * n:(k + 1) * n] for k in (0, *(np.flatnonzero(live) + 1))]
+        cols = [real.blocks[:, k * n:(k + 1) * n] for k in (0, *(np.flatnonzero(live) + 1))]
         assert kept.n_pieces == int(live.sum())
-        assert (kept.blocks != sparse.vstack(rows, format="csr")).nnz == 0
+        assert (kept.blocks != sparse.hstack(cols, format="csr")).nnz == 0
         w_complex = np.r_[1.0, with_partners(*coeffs)]
         w_real = np.r_[1.0, [f(c) for c in coeffs for f in (np.real, np.imag)]]
         for _ in range(3):
