@@ -418,7 +418,7 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
 
     schedule = _build_schedule(cfg)
     result = run_protocol(params, schedule)
-    comp_record = tomography.sample_composite(
+    comp_record = tomography.sample(
         result.rho_comp, thetas, t["shots"], eta=eta, seed=seed + 1
     )
     tomography.write_record(
@@ -426,10 +426,10 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
         outdir / "record_composite.csv",
         outdir / "record_composite.json",
     )
-    comp_raw = tomography.composite_mle(
+    comp_raw = tomography.mle_reconstruct(
         comp_record, iterations=iters, correct_efficiency=False
     )
-    comp_cor = tomography.composite_mle(comp_record, iterations=iters)
+    comp_cor = tomography.mle_reconstruct(comp_record, iterations=iters)
 
     tomography.write_json(
         outdir / "selftest.json",

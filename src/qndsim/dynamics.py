@@ -974,10 +974,13 @@ def capture_mode_oracle(
                 f"capture_mode_oracle: step {k} from t = {edges[k]:.6e} s needs "
                 f"{nsub[k]} substeps (cap {CAPTURE_MAX_SUBSTEPS})"
             )
-        ts = np.concatenate([
-            t0 + k * dt_seg + np.arange(2 * ns) * (dt_seg / (2 * ns))
-            for k, ns in enumerate(nsub.tolist())
-        ] + [[t0 + nsteps * dt_seg]])
+        # step k's substep starts and midpoints, t0 + k dt_seg + j dt_seg / (2 nsub_k)
+        reps = 2 * nsub
+        j = np.arange(reps.sum()) - np.repeat(np.cumsum(reps) - reps, reps)
+        ts = np.append(
+            t0 + np.repeat(np.arange(nsteps), reps) * dt_seg + j * np.repeat(dt_seg / reps, reps),
+            t0 + nsteps * dt_seg,
+        )
         beta = schedule.alpha_in * _mode_u(schedule.mode, ts)
         gt = -_mode_u(output_mode, ts) / np.sqrt(np.interp(ts, t_fine, f_fine))
         coeffs = _conj_pairs(

@@ -1,9 +1,9 @@
 """Quadrature measurement emulation and maximum-likelihood reconstruction.
 
 Measurement side of the simulator: phase-swept quadrature POVMs in the Fock
-basis (with detector inefficiency folded in as a loss channel), synthetic
-binned sampling, single-mode and qubit-mode iterative maximum-likelihood
-reconstruction, Wigner functions, and photon-number distributions.
+basis (with detector inefficiency folded in as a loss channel), one binned
+sampler and one iterative maximum-likelihood fit for mode and qubit-mode
+states alike, Wigner functions, and photon-number distributions.
 
 Quadrature convention: Var(x) = 1/2 for vacuum, with the phase-theta
 quadrature x_theta = (a e^{i theta} + a^dag e^{-i theta})/sqrt(2), so a
@@ -195,6 +195,9 @@ class MeasurementRecord:
         if self.qubit_basis is not None:
             if len(self.qubit_basis) != self.thetas.size:
                 raise ValueError("one basis label per setting required")
+            unknown = [b for b in self.qubit_basis if b not in QUBIT_BASES]
+            if unknown:
+                raise ValueError(f"unknown qubit basis {unknown[0]!r}, not one of {QUBIT_BASES}")
             if self.counts.ndim != 3 or self.counts.shape[1] != 2:
                 raise ValueError(
                     "composite counts must be (settings, 2, bins)"
@@ -321,27 +324,6 @@ def _draw(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return counts
 
 
-def _sample(state, thetas, shots, eta, seed, n_tomo, x_grid, qubit_basis=None):
-    """Draw a record at the settings thetas, basis-labelled or single-mode.
-
-    Settings are sampled on independent RNG streams spawned from the master
-    seed, so the record is reproducible and order-independent.
-    """
-    rho = _embedded(state, n_tomo)
-    bins = _build_povm_any_dim(eta, n_tomo, x_grid)
-    probs = _RotatedBins(bins.elements, thetas, qubit_basis).probabilities(rho)
-    outcomes = () if qubit_basis is None else (2,)
-    return MeasurementRecord(
-        thetas,
-        _draw(probs.reshape(thetas.size, *outcomes, -1), shots, seed),
-        bins.x_centers,
-        eta,
-        n_tomo,
-        qubit_basis=qubit_basis,
-        seed=seed,
-    )
-
-
 def sample(
     state: QuantumState,
     thetas,
@@ -349,43 +331,38 @@ def sample(
     *,
     eta: float = 1.0,
     seed: int = 0,
-    n_tomo: int = N_TOMO_SINGLE,
+    n_tomo: int | None = None,
     x_grid: np.ndarray | None = None,
 ) -> MeasurementRecord:
     """Draw binned quadrature outcomes for each phase setting.
 
-    The sampling space n_tomo need only contain the state (smaller
-    reconstruction spaces than the single-mode default are legitimate, e.g.
-    the composite runs' three-level mode sector).
+    A qubit-mode state, dims (2, d), is measured in all three qubit bases at
+    every phase, each setting resolved on the two qubit outcomes. n_tomo
+    (N_TOMO_SINGLE, or N_TOMO_COMPOSITE for a qubit-mode state) need only
+    contain the mode. Each setting draws from its own RNG stream of the
+    master seed, so the record is reproducible and order-independent.
     """
-    if len(state.dims) != 1:
-        raise ValueError("single-mode sampling expects one mode")
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    return _sample(state, thetas, shots, eta, seed, n_tomo, x_grid)
-
-
-def sample_composite(
-    state: QuantumState,
-    thetas,
-    shots: int,
-    *,
-    eta: float = 1.0,
-    seed: int = 0,
-    n_tomo: int = N_TOMO_COMPOSITE,
-    x_grid: np.ndarray | None = None,
-) -> MeasurementRecord:
-    """Joint qubit-basis x quadrature-phase outcomes for a qubit-mode state.
-
-    Every phase is measured in all three qubit bases; each (basis, phase)
-    setting stores the counts resolved on the two qubit outcomes.
-    """
-    if len(state.dims) != 2 or state.dims[0] != 2:
-        raise ValueError("composite sampling expects dims (2, mode)")
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
-    basis_labels = tuple(b for b in QUBIT_BASES for _ in thetas)
-    all_thetas = np.tile(thetas, len(QUBIT_BASES))
-    return _sample(
-        state, all_thetas, shots, eta, seed, n_tomo, x_grid, basis_labels
+    if len(state.dims) == 1:
+        basis, outcomes = None, ()
+    elif len(state.dims) == 2 and state.dims[0] == 2:
+        basis, outcomes = tuple(b for b in QUBIT_BASES for _ in thetas), (2,)
+        thetas = np.tile(thetas, len(QUBIT_BASES))
+    else:
+        raise ValueError(f"sampling expects dims (d,) or (2, d), got {state.dims}")
+    if n_tomo is None:
+        n_tomo = N_TOMO_SINGLE if basis is None else N_TOMO_COMPOSITE
+    rho = _embedded(state, n_tomo)
+    bins = _build_povm_any_dim(eta, n_tomo, x_grid)
+    probs = _RotatedBins(bins.elements, thetas, basis).probabilities(rho)
+    return MeasurementRecord(
+        thetas,
+        _draw(probs.reshape(thetas.size, *outcomes, -1), shots, seed),
+        bins.x_centers,
+        eta,
+        n_tomo,
+        qubit_basis=basis,
+        seed=seed,
     )
 
 
@@ -499,14 +476,27 @@ def mle_iterations(
     return x, np.array(logliks), len(logliks), gain
 
 
-def _fit(record: MeasurementRecord, iterations, correct_efficiency) -> QuantumState:
-    """MLE over the record's settings, with or without qubit-basis labels.
+def mle_reconstruct(
+    record: MeasurementRecord,
+    iterations: int = DEFAULT_ITERATIONS,
+    *,
+    correct_efficiency: bool = True,
+) -> QuantumState:
+    """Iterative maximum-likelihood estimate of the state behind a record.
+
+    A record with qubit-basis labels, which must cover all three bases,
+    gives the joint qubit-mode state, measured by the products of the
+    qubit-basis projectors with the quadrature bins.
 
     With correct_efficiency the detector loss recorded with the data is
     folded into the measurement operators (reconstructing the pre-detector
     state); without it the smeared statistics are attributed to ideal
     quadrature measurements, as in the uncorrected-reconstruction variant.
     """
+    if record.qubit_basis is not None:
+        missing = sorted(set(QUBIT_BASES) - set(record.qubit_basis))
+        if missing:
+            raise ValueError(f"missing qubit basis records: {missing}")
     if record.distinct_phases() < MIN_PHASES:
         raise ValueError(
             f"need at least {MIN_PHASES} distinct phases for a complete set"
@@ -538,7 +528,7 @@ def _fit(record: MeasurementRecord, iterations, correct_efficiency) -> QuantumSt
             f"MLE stopped at the {n_iter}-iteration cap before converging "
             f"(one more R rho R step gains {gain:.3e}, tolerance {LIKELIHOOD_TOL:.0e})",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     if logliks.size > 1:
         gains = np.diff(logliks)
@@ -550,39 +540,6 @@ def _fit(record: MeasurementRecord, iterations, correct_efficiency) -> QuantumSt
                 f"{int(np.argmax(bad)) + 1} by {float(-gains[bad].min()):.3e}"
             )
     return QuantumState(rho, dims)
-
-
-def mle_reconstruct(
-    record: MeasurementRecord,
-    iterations: int = DEFAULT_ITERATIONS,
-    *,
-    correct_efficiency: bool = True,
-) -> QuantumState:
-    """Iterative maximum-likelihood estimate of the single-mode state."""
-    if record.qubit_basis is not None:
-        raise ValueError("composite record passed to the single-mode routine")
-    return _fit(record, iterations, correct_efficiency)
-
-
-def composite_mle(
-    record: MeasurementRecord,
-    iterations: int = DEFAULT_ITERATIONS,
-    *,
-    correct_efficiency: bool = True,
-) -> QuantumState:
-    """Joint qubit-mode maximum-likelihood reconstruction.
-
-    Requires records in all three qubit bases, each resolved on both qubit
-    outcomes across the phase sweep; the measurement operators are the
-    products of qubit-basis projectors with the quadrature bins.
-    """
-    if record.qubit_basis is None:
-        raise ValueError("record carries no qubit-basis labels")
-    present = set(record.qubit_basis)
-    if present != set(QUBIT_BASES):
-        missing = sorted(set(QUBIT_BASES) - present)
-        raise ValueError(f"missing qubit basis records: {missing}")
-    return _fit(record, iterations, correct_efficiency)
 
 
 def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
@@ -711,6 +668,12 @@ def read_record(csv_path, json_path) -> MeasurementRecord:
             raise ValueError(f"setting {sid} bin centers disagree with metadata")
         counts[sid] = vals
     thetas = np.array(meta["thetas"], dtype=float)
+    n_ids = thetas.size * (2 if meta["composite"] else 1)
+    if n_flat != n_ids:
+        raise ValueError(
+            f"record has {n_flat} setting ids but its sidecar's "
+            f"{thetas.size} thetas need {n_ids}"
+        )
     if meta["composite"]:
         counts = counts.reshape(thetas.size, 2, n_bins)
         basis = tuple(meta["qubit_basis"])

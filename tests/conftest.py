@@ -58,12 +58,12 @@ def composite_tomo():
     from qndsim.protocol import ideal_composite
 
     state = ideal_composite(0.165)
-    record = tomography.sample_composite(
+    record = tomography.sample(
         state, tomography.phase_settings(100), 10_000, eta=0.43, seed=21
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a fit cut at the iteration cap fails
-        return state, record, tomography.composite_mle(record)
+        return state, record, tomography.mle_reconstruct(record)
 
 
 @pytest.fixture(scope="session")
@@ -74,4 +74,4 @@ def composite_uncorrected(composite_tomo):
     _, record, _ = composite_tomo
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return tomography.composite_mle(record, correct_efficiency=False)
+        return tomography.mle_reconstruct(record, correct_efficiency=False)

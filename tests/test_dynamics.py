@@ -543,6 +543,9 @@ class TestCaptureOracle:
         inten = np.abs(dynamics._mode_u(MODE.delayed(delay), t_fine)) ** 2
         cum = np.concatenate([[0.0], np.cumsum((inten[1:] + inten[:-1]) / 2 * np.diff(t_fine))])
         g2_fine = inten / (dynamics.CAPTURE_EPS_FLOOR * cum[-1] + cum)
+        # the substep times coeffs_for evaluates the pulse at
+        times, mode_u = [], dynamics._mode_u
+        monkeypatch.setattr(dynamics, "_mode_u", lambda mode, t: times.append(t) or mode_u(mode, t))
         most = 0
         for t0, t1 in ((sched.t_i, sched.t_g), (sched.t_g, sched.t_f)):
             nsteps = dynamics._segment_steps(t1 - t0, dt)
@@ -553,8 +556,13 @@ class TestCaptureOracle:
                 hi = np.searchsorted(t_fine, t0 + (k + 1) * dt_seg + 1e-15)
                 gmax = float(g2_fine[lo:hi].max()) if hi > lo else 0.0
                 want[k] = max(1, int(math.ceil(dt_seg * gmax / 2.0)))
+            times.clear()
             _, steps = coeffs_for(t0, nsteps, dt_seg)
             npt.assert_array_equal(steps, np.repeat(dt_seg / want, want))
+            npt.assert_array_equal(times[0], np.concatenate([
+                t0 + k * dt_seg + np.arange(2 * ns) * (dt_seg / (2 * ns))
+                for k, ns in enumerate(want.tolist())
+            ] + [[t0 + nsteps * dt_seg]]))
             most = max(most, want.max())
         assert most == (41 if stiff else 20)
 

@@ -2,8 +2,10 @@
 
 import csv
 import io
+import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -223,14 +225,14 @@ class TestSharedBinSet:
             drawn.append(tg._setting_rng(seed, j).multinomial(shots, p / p.sum()))
         return np.array(drawn).reshape(record.counts.shape)
 
-    def _check_fits(self, record, fit, monkeypatch):
+    def _check_fits(self, record, monkeypatch):
         counts = iteration_counts(monkeypatch)
         d = 2 * record.n_tomo if record.qubit_basis else record.n_tomo
         freqs = (
             record.counts.reshape(record.n_settings, -1) / record.shots[:, None]
         ).ravel()
         for correct in (False, True):
-            est = fit(record, correct_efficiency=correct)
+            est = tg.mle_reconstruct(record, correct_efficiency=correct)
             fit_iterations = counts[-1]
             eta = record.eta if correct else 1.0
             rho, _, n_iter, _ = tg.mle_iterations(
@@ -253,18 +255,18 @@ class TestSharedBinSet:
         np.testing.assert_array_equal(
             rec.counts, self._dense_counts(rec, COH137.rho, 2_000, 3)
         )
-        self._check_fits(rec, tg.mle_reconstruct, monkeypatch)
+        self._check_fits(rec, monkeypatch)
 
     def test_composite_sampling_and_fits_match_dense_stack(self, monkeypatch):
         state = ideal_composite(0.165)
-        rec = tg.sample_composite(
+        rec = tg.sample(
             state, tg.phase_settings(tg.MIN_PHASES), 500, eta=0.43, seed=4,
             x_grid=self.SHORT_GRID,
         )
         np.testing.assert_array_equal(
             rec.counts, self._dense_counts(rec, state.rho, 500, 4)
         )
-        self._check_fits(rec, tg.composite_mle, monkeypatch)
+        self._check_fits(rec, monkeypatch)
 
 
 class TestSampling:
@@ -297,6 +299,22 @@ class TestSampling:
         m0 = float(rec.counts[0] @ GRID) / 10_000
         m1 = float(rec.counts[1] @ GRID) / 10_000
         assert m0 > 0.4 and m1 < -0.4
+
+    def test_qubit_mode_state_measured_in_every_basis(self):
+        thetas = [0.0, 0.9]
+        rec = tg.sample(ideal_composite(0.165), thetas, 50, seed=2)
+        assert rec.qubit_basis == ("X", "X", "Y", "Y", "Z", "Z")
+        np.testing.assert_array_equal(rec.thetas, np.tile(thetas, 3))
+        assert rec.n_tomo == tg.N_TOMO_COMPOSITE
+        assert rec.counts.shape == (6, 2, tg.DEFAULT_BINS)
+
+    @pytest.mark.parametrize("dims", [(3, 2), (2, 2, 2)])
+    def test_other_dims_rejected(self, dims):
+        # neither a mode (d,) nor a qubit-mode state (2, d)
+        d = math.prod(dims)
+        state = QuantumState(np.eye(d) / d, dims)
+        with pytest.raises(ValueError, match=re.escape(f"(d,) or (2, d), got {dims}")):
+            tg.sample(state, [0.0], 10)
 
     def test_state_larger_than_reconstruction_space_rejected(self):
         big = pure(coherent(7, 0.3))
@@ -427,11 +445,14 @@ class TestMleReconstruct:
             assert loglik(est) >= loglik(truth.rho)
 
     def test_iteration_cap_warns(self):
-        rec = tg.sample(
-            COH137, tg.phase_settings(tg.MIN_PHASES), 10_000, eta=0.43, seed=1
-        )
-        with pytest.warns(RuntimeWarning, match="5-iteration cap"):
-            tg.mle_reconstruct(rec, iterations=5)
+        thetas = tg.phase_settings(tg.MIN_PHASES)
+        rec = tg.sample(COH137, thetas, 10_000, eta=0.43, seed=1)
+        composite = tg.sample(ideal_composite(0.165), thetas, 500, eta=0.43, seed=1)
+        for record in (rec, composite):
+            with pytest.warns(RuntimeWarning, match="5-iteration cap") as caught:
+                tg.mle_reconstruct(record, iterations=5)
+            # the warning points at the line that called the fit
+            assert [w.filename for w in caught] == [__file__]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             tg.mle_reconstruct(rec)
@@ -467,12 +488,6 @@ class TestMleReconstruct:
         )
         with pytest.raises(ValueError, match=r"setting 3 \(phase 0\.471239 rad\) has no shots"):
             tg.mle_reconstruct(empty)
-
-    def test_composite_record_rejected(self):
-        state = ideal_composite(0.165)
-        rec = tg.sample_composite(state, tg.phase_settings(20), 50, seed=1)
-        with pytest.raises(ValueError, match="composite"):
-            tg.mle_reconstruct(rec)
 
 
 class TestRotatedBins:
@@ -589,8 +604,8 @@ class TestCompositeMle:
             np.diag([1.0, 0.0]).astype(complex), ket_density(fock(3, 0))
         )
         state = QuantumState(rho, (2, 3))
-        rec = tg.sample_composite(state, tg.phase_settings(20), 2_000, seed=23)
-        est = tg.composite_mle(rec)
+        rec = tg.sample(state, tg.phase_settings(20), 2_000, seed=23)
+        est = tg.mle_reconstruct(rec)
         assert negativity(est) < 0.01
 
     def test_corrected_negativity_recovers_input(self, composite_tomo):
@@ -650,12 +665,18 @@ class TestCompositeMle:
             qubit_basis=("X",) * n,
         )
         with pytest.raises(ValueError, match="missing qubit basis"):
-            tg.composite_mle(crippled)
+            tg.mle_reconstruct(crippled)
 
-    def test_single_mode_record_rejected(self):
-        rec = tg.sample(VACUUM, tg.phase_settings(20), 50, seed=1)
-        with pytest.raises(ValueError, match="basis"):
-            tg.composite_mle(rec)
+    def test_unknown_basis_label_rejected(self):
+        with pytest.raises(ValueError, match="unknown qubit basis 'W'"):
+            tg.MeasurementRecord(
+                np.arange(4.0),
+                np.zeros((4, 2, 5)),
+                np.linspace(-5, 5, 5),
+                1.0,
+                3,
+                qubit_basis=("X", "W", "V", "Z"),
+            )
 
     def test_composite_counts_shape_validated(self):
         with pytest.raises(ValueError, match="settings, 2, bins"):
@@ -757,13 +778,24 @@ class TestSerialization:
 
     def test_composite_round_trip(self, tmp_path):
         state = ideal_composite(0.165)
-        rec = tg.sample_composite(state, tg.phase_settings(20), 200, seed=8)
+        rec = tg.sample(state, tg.phase_settings(20), 200, seed=8)
         csv_p, json_p = tmp_path / "rec.csv", tmp_path / "rec.json"
         tg.write_record(rec, csv_p, json_p)
         back = tg.read_record(csv_p, json_p)
         np.testing.assert_array_equal(back.counts, rec.counts)
         assert back.qubit_basis == rec.qubit_basis
         assert back.counts.shape == (60, 2, 201)
+
+    def test_sidecar_theta_count_must_match_csv(self, tmp_path):
+        rec = tg.sample(ideal_composite(0.165), tg.phase_settings(20), 20, seed=8)
+        csv_p, json_p = tmp_path / "rec.csv", tmp_path / "rec.json"
+        tg.write_record(rec, csv_p, json_p)
+        meta = json.loads(json_p.read_text())
+        meta["thetas"].pop()
+        json_p.write_text(json.dumps(meta))
+        msg = "record has 120 setting ids but its sidecar's 59 thetas need 118"
+        with pytest.raises(ValueError, match=msg):
+            tg.read_record(csv_p, json_p)
 
     def test_csv_rows_are_setting_center_count(self, tmp_path):
         rec = tg.sample(VACUUM, [0.0], 50, seed=1)
@@ -826,7 +858,7 @@ class TestSerialization:
         )]
         records = {
             "single.csv": tg.sample(COH137, [0.0, 1.0], 50, eta=0.43, seed=3),
-            "composite.csv": tg.sample_composite(
+            "composite.csv": tg.sample(
                 ideal_composite(0.165), [0.0, 1.0], 20, seed=8
             ),
         }
