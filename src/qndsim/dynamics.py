@@ -43,8 +43,6 @@ CAPTURE_MAX_SUBSTEPS = 256
 # its bounded scalar search); one that needs more raises
 DELAY_MAX_EVALS = 500
 
-_QIDX = {"g": 0, "e": 1}
-
 
 @dataclass(frozen=True)
 class PulseSchedule:
@@ -98,10 +96,6 @@ class MomentSet:
     moments: np.ndarray
     phase_ref: float
 
-    def moment(self, pair: str, m: int = 0, n: int = 0) -> complex:
-        p, q = _QIDX[pair[0]], _QIDX[pair[1]]
-        return complex(self.moments[p, q, m, n])
-
     def rotated(self, phi: Optional[float] = None) -> "MomentSet":
         """Re-gauge the mode phase: A -> A e^{-i phi} (phi defaults to phase_ref)."""
         if phi is None:
@@ -110,14 +104,6 @@ class MomentSet:
         return MomentSet(
             self.moments * np.exp(1j * np.subtract.outer(k, k) * phi), self.phase_ref - phi
         )
-
-    @property
-    def qubit_populations(self) -> tuple:
-        return (float(self.moments[0, 0, 0, 0].real), float(self.moments[1, 1, 0, 0].real))
-
-    @property
-    def mean_amplitude(self) -> complex:
-        return complex(self.moments[0, 0, 0, 1] + self.moments[1, 1, 0, 1])
 
     @property
     def mean_photon(self) -> float:

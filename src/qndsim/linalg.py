@@ -60,18 +60,6 @@ def coherent(dim: int, alpha: complex) -> np.ndarray:
     return amp / np.linalg.norm(amp)
 
 
-def thermal(dim: int, nbar: float) -> np.ndarray:
-    """Thermal density matrix with mean occupation nbar, renormalized."""
-    if nbar < 0:
-        raise ValueError("nbar must be >= 0")
-    if nbar == 0:
-        return ket_density(fock(dim, 0))
-    r = nbar / (1.0 + nbar)
-    p = r ** np.arange(dim)
-    p /= p.sum()
-    return np.diag(p).astype(complex)
-
-
 class QuantumState:
     """Density matrix over an ordered tensor product of subsystems.
 
@@ -152,24 +140,6 @@ def clip_and_renormalize(
     return out / tr
 
 
-def partial_trace(state: QuantumState, keep) -> QuantumState:
-    """Reduced state over the subsystems listed in ``keep`` (original order)."""
-    keep = sorted(set(int(k) for k in keep))
-    n = len(state.dims)
-    if not keep:
-        raise ValueError("keep set must be non-empty")
-    if keep[0] < 0 or keep[-1] >= n:
-        raise ValueError(f"keep indices {keep} out of range for {n} subsystems")
-    tensor_rho = state.rho.reshape(state.dims + state.dims)
-    row = list(range(n))
-    col = [i + n if i in keep else i for i in range(n)]
-    out = [i for i in keep] + [i + n for i in keep]
-    reduced = np.einsum(tensor_rho, row + col, out)
-    kept_dims = tuple(state.dims[i] for i in keep)
-    d = int(np.prod(kept_dims))
-    return QuantumState(reduced.reshape(d, d), kept_dims)
-
-
 def partial_transpose(state: QuantumState, subsystem: int) -> np.ndarray:
     """Transpose on one subsystem; returns a plain matrix (may be non-PSD)."""
     n = len(state.dims)
@@ -182,14 +152,10 @@ def partial_transpose(state: QuantumState, subsystem: int) -> np.ndarray:
     return tensor_rho.transpose(axes).reshape(d, d)
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Trace norm of a Hermitian matrix (sum of |eigenvalues|)."""
-    return float(np.sum(np.abs(np.linalg.eigvalsh(a))))
-
-
-def negativity(state: QuantumState, cut: int = 1) -> float:
-    """Entanglement negativity (||rho^PT||_1 - 1)/2 across subsystem ``cut``."""
-    pt = partial_transpose(state, cut)
+def negativity(state: QuantumState) -> float:
+    """Entanglement negativity (||rho^PT||_1 - 1)/2 with subsystem 1
+    transposed; for two subsystems either cut has the same spectrum."""
+    pt = partial_transpose(state, 1)
     evals = np.linalg.eigvalsh(pt)
     return float(np.sum(np.abs(evals[evals < 0])))
 

@@ -3,7 +3,7 @@
 Holds the system parameters with their derived rates, builds the drift
 Hamiltonian and dissipators in the frame rotating at the bare cavity and
 qubit frequencies, constructs normalized pulse envelopes, and evaluates the
-closed-form one-port reflection/calibration expressions.
+closed-form one-port reflection coefficient.
 
 Conventions: all frequencies and rates inside this module are angular
 (rad/s); times are seconds.  The qubit basis ordering is (|g>, |e>) and
@@ -108,11 +108,6 @@ class SystemParams:
     def gamma_phi(self) -> float:
         """Pure dephasing rate from the Ramsey decay time."""
         return 1.0 / self.T2_star - 1.0 / (2.0 * self.T1)
-
-    @property
-    def gamma_phi_tot(self) -> float:
-        """Total qubit coherence decay rate."""
-        return max(self.gamma_phi, 0.0) + (self.gamma_1 + self.gamma_2) / 2.0
 
 
 def default_params() -> SystemParams:
@@ -254,7 +249,8 @@ def build_model(p: SystemParams, n_max: int = 7) -> LindbladModel:
     omega_c + chi with the qubit in |g> and at omega_c - chi in |e>.
     Collapse operators: sqrt(kappa_tot)*a, sqrt(gamma_1)*sigma-,
     sqrt(gamma_2)*sigma+, sqrt(2*gamma_phi)*sigma_ee; the last normalization
-    makes the qubit coherence decay at exactly gamma_phi_tot.
+    makes the qubit coherence decay at exactly
+    max(gamma_phi, 0) + (gamma_1 + gamma_2)/2.
     """
     if n_max < 3:
         raise ValueError("n_max must be >= 3")
@@ -294,7 +290,7 @@ def build_model(p: SystemParams, n_max: int = 7) -> LindbladModel:
 
 
 # ---------------------------------------------------------------------------
-# closed-form spectra and calibration
+# closed-form reflection
 
 
 def reflection_coefficient(p: SystemParams, qubit_state: str, omega) -> np.ndarray:
@@ -312,36 +308,3 @@ def reflection_coefficient(p: SystemParams, qubit_state: str, omega) -> np.ndarr
     num = 1j * delta + (p.kappa_ex - p.kappa_in) / 2.0
     den = -1j * delta + (p.kappa_ex + p.kappa_in) / 2.0
     return num / den
-
-
-def drive_induced_dephasing(p: SystemParams, ndot_d: float, delta_d: float) -> float:
-    """Qubit dephasing rate induced by a weak continuous cavity drive.
-
-    ndot_d is the incident photon flux (photons/s), delta_d the drive
-    detuning from the bare cavity (rad/s).
-    """
-    _require(ndot_d >= 0, "ndot_d must be >= 0")
-    kt = p.kappa_tot
-    n_plus = p.kappa_ex * ndot_d / (kt**2 / 4.0 + (delta_d + p.chi) ** 2)
-    n_minus = p.kappa_ex * ndot_d / (kt**2 / 4.0 + (delta_d - p.chi) ** 2)
-    return kt * p.chi**2 / (kt**2 / 4.0 + p.chi**2 + delta_d**2) * (n_plus + n_minus)
-
-
-def reflected_photon_number(p: SystemParams, mode: TemporalMode, n_in: float) -> float:
-    """Mean photon number surviving reflection off the qubit-g cavity.
-
-    n_out = integral dw |r_g(w)|^2 n_in(w) with n_in(w) the input spectral
-    density n_in * |F(w)|^2 of the pulse envelope (carrier at omega_c).
-    """
-    f = mode.f
-    dt = mode.dt
-    # pad x2 for a denser frequency sampling of the smooth integrand
-    n_pad = len(f)
-    f_pad = np.concatenate([f, np.zeros(n_pad, dtype=complex)])
-    n_fft = len(f_pad)
-    # spectrum F(w) = integral f(t) e^{+iwt} dt  (positive-frequency convention)
-    spectrum = np.fft.ifft(f_pad) * n_fft * dt
-    omega = TWO_PI * np.fft.fftfreq(n_fft, d=dt)
-    weight = np.abs(reflection_coefficient(p, "g", p.omega_c + omega)) ** 2
-    # Parseval: sum |F_k|^2 / (N dt) = sum |f_j|^2 dt = 1
-    return float(n_in * np.sum(weight * np.abs(spectrum) ** 2) / (n_fft * dt))

@@ -284,7 +284,7 @@ def run_protocol(
         rho_uncond=QuantumState(rho_uncond, (dim,)),
         rho_comp=rho_comp,
         comp_assembled=comp_assembled,
-        negativity=negativity(rho_comp, cut=1),
+        negativity=negativity(rho_comp),
         fidelity_vacuum=fidelity(rho_g, vac),
         fidelity_single=fidelity(rho_e, one) if rho_e is not None else math.nan,
         fidelity_ideal=fidelity(rho_comp, ideal_composite(n_in, n_ph)),

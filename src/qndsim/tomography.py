@@ -93,13 +93,7 @@ class QuadraturePOVM:
     """One phase setting: a positive matrix per quadrature bin."""
 
     x_centers: np.ndarray
-    width: float
     elements: np.ndarray  # (n_bins, d, d)
-
-    def probabilities(self, rho: np.ndarray) -> np.ndarray:
-        p = np.real(np.einsum("bij,ji->b", self.elements, rho))
-        p = np.clip(p, 0.0, None)
-        return p / p.sum()
 
 
 def _build_povm_any_dim(
@@ -141,7 +135,7 @@ def _build_povm_any_dim(
         )
     evals, evecs = np.linalg.eigh(s)
     inv_sqrt = (evecs / np.sqrt(evals)) @ evecs.T
-    return QuadraturePOVM(x, width, inv_sqrt @ elements @ inv_sqrt)
+    return QuadraturePOVM(x, inv_sqrt @ elements @ inv_sqrt)
 
 
 def build_povm(
@@ -155,11 +149,9 @@ def build_povm(
     The shared phase-0 bins (see _build_povm_any_dim) rotated to
     D E_b D^dag with D = diag(e^{-i n theta}).
     """
-    if n_tomo < 4:
-        raise ValueError("need at least 4 Fock levels")
     bins = _build_povm_any_dim(eta, n_tomo, x_grid)
     d = np.exp(-1j * theta * np.arange(n_tomo))
-    return QuadraturePOVM(bins.x_centers, bins.width, d[:, None] * bins.elements * d.conj())
+    return QuadraturePOVM(bins.x_centers, d[:, None] * bins.elements * d.conj())
 
 
 def _on_grid(x, lo: float, hi: float) -> bool:
@@ -215,11 +207,6 @@ class MeasurementRecord:
                 "x_centers is not a uniform grid of at least 2 bins: "
                 f"{np.array2string(x, threshold=8)}"
             )
-
-    @property
-    def width(self) -> float:
-        """Step of the uniform bin grid."""
-        return float(self.x_centers[1] - self.x_centers[0])
 
     @property
     def n_settings(self) -> int:

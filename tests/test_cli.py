@@ -17,6 +17,8 @@ from qndsim import cli, dynamics, protocol
 from qndsim.linalg import NumericalError
 from qndsim.model import SystemParams
 
+import oracles
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -113,7 +115,7 @@ class TestConfigLoading:
         )
         cfg = cli.load_config(p)
         assert cfg["params"]["T1"] == math.inf
-        assert cli._build_params(cfg).gamma_phi_tot == 0.0
+        assert oracles.gamma_phi_tot(cli._build_params(cfg)) == 0.0
 
 
 @pytest.fixture(scope="module")

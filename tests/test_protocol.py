@@ -16,7 +16,6 @@ from qndsim.linalg import (
     fock,
     ket_density,
     negativity,
-    partial_trace,
 )
 from qndsim.model import build_model, default_params, gaussian_input_mode, ideal_params
 from qndsim.dynamics import PulseSchedule, evolve, evolve_members
@@ -32,6 +31,8 @@ from qndsim.protocol import (
     run_protocol,
     sweep,
 )
+
+import oracles
 
 SMALL_GRID = (0.0, 0.035, 0.07, 0.1)
 CLI_GRID = DEFAULT_FIT_GRID + (0.3, 0.45, 0.6)
@@ -201,7 +202,7 @@ class TestRunProtocolReference:
         p = default_params()
         m = build_model(p)
         rho_f = evolve(m, default_schedule()).rho
-        rq = partial_trace(QuantumState(rho_f, (2, m.n_max + 1)), keep=(0,)).rho
+        rq = oracles.partial_trace(QuantumState(rho_f, (2, m.n_max + 1)), keep=(0,)).rho
         z = np.diag([1.0, -1.0])
         npt.assert_allclose(red, z @ rq @ z, atol=1e-8)
 
