@@ -102,15 +102,14 @@ def _as_float(value, key: str, *, allow_none: bool = False):
         return None
     if isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got a boolean")
-    if isinstance(value, (int, float)):
-        f = float(value)
-    elif isinstance(value, str):
-        try:
-            f = float(value)
-        except ValueError:
-            raise ConfigError(f"{key} must be a number, got {value!r}") from None
-    else:
+    if not isinstance(value, (int, float, str)):
         raise ConfigError(f"{key} must be a number, got {type(value).__name__}")
+    try:
+        f = float(value)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {value!r}") from None
+    except OverflowError:  # an integer beyond the float range
+        raise ConfigError(f"{key} is out of the floating-point range") from None
     if math.isnan(f) or (math.isinf(f) and key not in _INFINITE_ALLOWED):
         raise ConfigError(f"{key} must be finite, got {value!r}")
     return f
@@ -120,6 +119,8 @@ def _as_int(value, key: str, *, allow_none: bool = False):
     if value is None and allow_none:
         return None
     f = _as_float(value, key)
+    if isinstance(value, int):  # exact, where float would round past 2^53
+        return value
     if f != int(f):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(f)

@@ -28,8 +28,6 @@ GATE_YM90 = np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex) / math.sqrt(2.0)
 TRACE_DRIFT_MAX = 1e-8
 TOP_LEVEL_MAX = 1e-7
 CAPTURE_TOP_MAX = 1e-5
-# name and remedy of a top cavity level's monitor, whose limit is TOP_LEVEL_MAX
-_TOP_LEVEL_TEXT = ("top-level population", "raise the truncation dimension")
 # highest power of A and of Adag in the output-mode moments; the regression
 # ladder holds one node per moment, (MOMENT_ORDER + 1)^2 in all
 MOMENT_ORDER = 2
@@ -196,7 +194,8 @@ def _mode_u(mode: TemporalMode, times: np.ndarray) -> np.ndarray:
 #
 # Matrices are row-major vectors, vec(A X B) = (A kron B^T) vec(X), under
 # generators L(t) = L0 + sum_k f_k(t) L_k whose pieces are short sums of
-# sparse Kronecker products.  Every generator here preserves Hermiticity,
+# Kronecker products of dense operators, assembled straight into CSR
+# (_superop).  Every generator here preserves Hermiticity,
 # L(X^dag) = L(X)^dag, and every state the routes evolve is Hermitian (the
 # ladder's nodes in the sense X_nm = X_mn^dag), so the routes propagate the
 # real coordinates r = T^H x of _real_basis: n^2 reals for an n x n matrix
@@ -209,18 +208,19 @@ def _mode_u(mode: TemporalMode, times: np.ndarray) -> np.ndarray:
 
 def _superop(terms, n: int) -> sparse.csr_matrix:
     """X -> sum_k c_k L_k X R_k on vectorised n x n matrices, built in one
-    COO -> CSR pass.  terms yields (c, L, R) with L and R dense, sparse, or
-    None for the identity.  Each entry sums its contributions c (L_ik R_lj)
-    in the order of terms and exact zeros are dropped, as the chain of
-    sparse Kronecker products and sums that adds the terms in turn does."""
-    eye = sparse.identity(n, format="coo")
+    COO -> CSR pass.  terms yields (c, L, R) with L and R dense n x n
+    arrays, or None for the identity.  Each entry sums its contributions
+    c (L_ik R_lj) in the order of terms and exact zeros are dropped, as the
+    chain of sparse Kronecker products and sums that adds the terms in turn
+    does."""
+    eye = np.eye(n)
     keys, vals = [], []
     for c, left, right in terms:
-        lm, rm = (sparse.coo_matrix(eye if op is None else op) for op in (left, right))
-        li, lk, rl, rj = (v.astype(np.int64) for v in (lm.row, lm.col, rm.row, rm.col))
+        lm, rm = (eye if op is None else op for op in (left, right))
+        (li, lk), (rl, rj) = np.nonzero(lm), np.nonzero(rm)
         # vec(L X R)[i n + j] += L[i, k] R[l, j] vec(X)[k n + l]
         keys.append(((li[:, None] * n + rj) * (n * n) + lk[:, None] * n + rl).ravel())
-        vals.append((c * (lm.data[:, None] * rm.data)).ravel())
+        vals.append((c * (lm[li, lk][:, None] * rm[rl, rj])).ravel())
     key, where = np.unique(np.concatenate(keys), return_inverse=True)
     total = np.zeros(key.size, dtype=complex)
     np.add.at(total, where, np.concatenate(vals))  # in index order, so term by term
@@ -231,13 +231,13 @@ def _superop(terms, n: int) -> sparse.csr_matrix:
 
 
 def _lindblad_superop(h, c_ops) -> sparse.csr_matrix:
-    """X -> -i (K X - X K^dag) + sum_c C X C^dag, K = H - (i/2) sum_c C^dag C."""
-    c_ops = [sparse.csr_matrix(c) for c in c_ops]
-    k_nh = sparse.csr_matrix(h, dtype=complex)
+    """X -> -i (K X - X K^dag) + sum_c C X C^dag, K = H - (i/2) sum_c C^dag C,
+    for dense H and C."""
+    k_nh = np.asarray(h, dtype=complex)
     for c in c_ops:
-        k_nh = k_nh - 0.5j * (c.conj().T @ c)
-    terms = [(-1j, k_nh, None), (1j, None, k_nh.conj().T)]
-    return _superop(terms + [(1, c, c.conj().T) for c in c_ops], k_nh.shape[0])
+        k_nh = k_nh - 0.5j * (dag(c) @ c)
+    terms = [(-1j, k_nh, None), (1j, None, dag(k_nh))]
+    return _superop(terms + [(1, c, dag(c)) for c in c_ops], len(k_nh))
 
 
 def _adjoint_swap(n: int, n_nodes: int = 1) -> np.ndarray:
@@ -397,25 +397,26 @@ def _ladder_blocks(h, c_ops, a, order: int) -> tuple:
     of the drive term -i[i eps a^dag - i conj(eps) a, X].  Node (m, n) is
     sourced by w a X_{m,n-1} and conj(w) X_{m-1,n} a^dag: the piece w and
     its partner in a block-lower-triangular generator.  The ladder is
-    Hermitian in the sense X_{n,m} = X_{m,n}^dag.
+    Hermitian in the sense X_{n,m} = X_{m,n}^dag.  h, c_ops and a are dense.
     """
-    a = sparse.csr_matrix(a, dtype=complex)
-    ad, n = a.conj().T, a.shape[0]
+    ad, n = dag(a), len(a)
+    blocks = (_lindblad_superop(h, c_ops), _superop([(1, ad, None), (-1, None, ad)], n))
+    if not order:
+        return blocks
     nodes = sparse.identity((order + 1) ** 2, dtype=complex, format="csr")
-    blocks = (
-        sparse.kron(nodes, _lindblad_superop(h, c_ops), format="csr"),
-        sparse.kron(nodes, _superop([(1, ad, None), (-1, None, ad)], n), format="csr"),
+    src = sparse.kron(sparse.identity(order + 1), sparse.eye(order + 1, k=-1))  # n - 1 -> n
+    return (
+        *(sparse.kron(nodes, b, format="csr") for b in blocks),
+        sparse.kron(src, _superop([(1, a, None)], n), format="csr"),
     )
-    if order:
-        src = sparse.kron(sparse.identity(order + 1), sparse.eye(order + 1, k=-1))  # n - 1 -> n
-        blocks += (sparse.kron(src, _superop([(1, a, None)], n), format="csr"),)
-    return blocks
 
 
-def _top_level(model: LindbladModel) -> np.ndarray:
-    """Positions of the top cavity level's populations in the model's state."""
-    d, n_c = model.dim, model.n_max + 1
-    return np.array([n_c - 1, 2 * n_c - 1]) * (d + 1)
+def _top_level(levels: np.ndarray) -> tuple:
+    """Monitor of the top cavity level, for _run_schedule: the positions of
+    the populations of the states whose cavity level, in levels (one per
+    state of a d x d matrix), is the highest, and its rule."""
+    at = np.flatnonzero(levels == levels.max()) * (levels.size + 1)
+    return at, (TOP_LEVEL_MAX, "top-level population", "raise the truncation dimension")
 
 
 def _conj_pairs(*samples: np.ndarray) -> np.ndarray:
@@ -443,13 +444,14 @@ def _check_monitors(label: str, max_tr, watched) -> None:
 
 
 def _run_schedule(
+    label: str,
     blocks,
     x: np.ndarray,
     schedule: PulseSchedule,
     dt: float,
     coeffs_for: Callable,
     d: int,
-    watch: tuple,
+    monitors,
 ) -> Propagation:
     """Propagate the Hermitian matrices x, the state at t_i, to t_f.
 
@@ -465,10 +467,11 @@ def _run_schedule(
     live when its coefficient is nonzero in some row, member or segment;
     the run builds its real form once, from the live pieces only, and
     propagates the real coordinates r = T^H x, T = _real_basis of the
-    nodes' _adjoint_swap.  The trace monitor reads node (0, 0); watch
-    holds index arrays into x.  The monitors are maximised per member over
-    both segments.  Only the state at t_f is kept, and it is returned as
-    matrices.
+    nodes' _adjoint_swap.  The trace monitor reads node (0, 0); monitors
+    pairs index arrays into x with the (limit, name, remedy) each sum is
+    held to.  The monitors are maximised per member over both segments and
+    checked under label by _check_monitors, which raises on a breach.
+    Only the state at t_f is kept, and it is returned as matrices.
     """
     segments = []
     for gate, t0, t1 in (
@@ -479,6 +482,7 @@ def _run_schedule(
     live = np.any(
         [np.any(c.reshape(*c.shape[:2], -1) != 0, axis=(0, 2)) for *_, c, _ in segments], axis=0
     )
+    watch = tuple(at for at, _ in monitors)
     t = _real_basis(_adjoint_swap(d, math.isqrt(len(x) // (d * d))))
     trace_idx = np.arange(d) * (d + 1)
     gen = Generator.real_form(blocks, t, live)
@@ -493,6 +497,7 @@ def _run_schedule(
         r = run.state
         max_tr = np.maximum(max_tr, run.max_trace_defect)
         max_watched = tuple(map(np.maximum, max_watched, run.max_watched))
+    _check_monitors(label, max_tr, zip(max_watched, (rule for _, rule in monitors)))
     return Propagation(t @ r, max_tr, max_watched)
 
 
@@ -518,69 +523,49 @@ def _prepared_states(
 def evolve(
     model: LindbladModel,
     schedule: PulseSchedule,
+    alphas=None,
     *,
     initial: Optional[QuantumState] = None,
-    dt: Optional[float] = None,
     drive: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-) -> Trajectory:
-    """Propagate the state at t_i to t_f.
+    dt: Optional[float] = None,
+) -> list:
+    """Propagate from t_i to t_f one member per input amplitude in alphas.
 
-    initial is the state at t_i; it defaults to the prepared state: the
-    qubit in |g> and the cavity in the coherent state that the pulse has
-    built up by t_i (see _prepared_states).  drive, when given, replaces
-    the pulse's drive after t_i.  Qubit rotations fire at t_i and t_g when
-    schedule.ramsey_gates is set.  The trajectory holds the state at t_f.
+    Member j is schedule's pulse at amplitude alphas[j]; alphas defaults
+    to [schedule.alpha_in], and schedule.alpha_in is read only then.  The
+    members are the columns of one RK4 run: each trajectory and its
+    monitors equal those of the member's own run up to round-off, and a
+    monitor breach in any member raises.  initial is every member's state
+    at t_i; it defaults to the prepared state: the qubit in |g> and the
+    cavity in the coherent state that the pulse has built up by t_i (see
+    _prepared_states).  drive, when given, replaces every member's pulse
+    drive after t_i.  Qubit rotations fire at t_i and t_g when
+    schedule.ramsey_gates is set.  Each trajectory holds its state at t_f.
     """
+    alphas = [schedule.alpha_in] if alphas is None else list(alphas)
     if dt is None:
         dt = default_timestep(model.params, schedule.mode)
     if initial is None:
-        x0 = _prepared_states(model, schedule, [schedule.alpha_in], dt)[:, 0]
+        x0 = _prepared_states(model, schedule, alphas, dt)
     else:
         _require(initial.rho.shape[0] == model.dim, "initial state dimension mismatch")
-        x0 = initial.rho.astype(complex).reshape(-1)
-    return _evolve(model, schedule, [schedule.alpha_in], x0, drive, dt)[0]
-
-
-def evolve_members(model: LindbladModel, schedule: PulseSchedule, alphas) -> list:
-    """evolve from the prepared state for each input amplitude in alphas.
-
-    Member j is schedule's pulse at amplitude alphas[j] (schedule.alpha_in
-    is not read); the members are the columns of one RK4 run.  Each
-    trajectory and its monitors equal those of the member's own evolve up
-    to round-off, and a monitor breach in any member raises.
-    """
-    alphas = list(alphas)
-    if not alphas:
-        return []
-    dt = default_timestep(model.params, schedule.mode)
-    x0 = _prepared_states(model, schedule, alphas, dt)
-    return _evolve(model, schedule, alphas, x0, None, dt)
-
-
-def _evolve(model, schedule, alphas, x0, drive, dt) -> list:
-    """Trajectories of the members with input amplitudes alphas, started at
-    t_i from the columns of x0 (from x0 itself when it is one vector);
-    drive, when given, replaces every member's pulse drive."""
+        x0 = np.repeat(initial.rho.astype(complex).reshape(-1, 1), len(alphas), axis=1)
     d = model.dim
 
     def coeffs_for(t0, nsteps, dt_seg):
         tt = _half_grid(t0, nsteps, dt_seg)
         eps = np.stack([np.asarray(drive(tt), dtype=complex) if drive else
                         _pulse_drive(model.params, schedule.mode, a, tt) for a in alphas], axis=-1)
-        return _conj_pairs(eps.reshape(len(tt), *x0.shape[1:])), np.full(nsteps, dt_seg)
+        return _conj_pairs(eps), np.full(nsteps, dt_seg)
 
     run = _run_schedule(
-        _ladder_blocks(model.H, model.collapse, model.a, 0), x0, schedule, dt, coeffs_for, d,
-        (_top_level(model),),
-    )
-    _check_monitors(
-        "evolve", run.max_trace_defect, [(run.max_watched[0], (TOP_LEVEL_MAX, *_TOP_LEVEL_TEXT))]
+        "evolve", _ladder_blocks(model.H, model.collapse, model.a, 0), x0, schedule, dt,
+        coeffs_for, d, [_top_level(np.arange(d) % (model.n_max + 1))],
     )
     rhos = run.state.reshape(d, d, -1)
-    max_tr, max_top = np.ravel(run.max_trace_defect), np.ravel(run.max_watched[0])
     return [
-        Trajectory(np.ascontiguousarray(rhos[..., j]), float(max_tr[j]), float(max_top[j]))
-        for j in range(rhos.shape[-1])
+        Trajectory(np.ascontiguousarray(rhos[..., j]), float(tr), float(top))
+        for j, (tr, top) in enumerate(zip(run.max_trace_defect, run.max_watched[0]))
     ]
 
 
@@ -820,11 +805,9 @@ def output_mode_moments(
         return _conj_pairs(eps, w), np.full(nsteps, dt_seg)
 
     run = _run_schedule(
-        _ladder_blocks(model.H, model.collapse, model.a, MOMENT_ORDER), x, schedule, dt,
-        coeffs_for, d, (_top_level(model),),
+        "output_mode_moments", _ladder_blocks(model.H, model.collapse, model.a, MOMENT_ORDER),
+        x, schedule, dt, coeffs_for, d, [_top_level(np.arange(d) % (model.n_max + 1))],
     )
-    _check_monitors("output_mode_moments", run.max_trace_defect,
-                    [(run.max_watched[0], (TOP_LEVEL_MAX, *_TOP_LEVEL_TEXT))])
     # <sigma_pq Adag^m A^n> = m! n! Tr[sigma_pq X_mn], sigma_pq = |p><q| x 1
     n_c = model.n_max + 1
     fac = np.array([math.factorial(m) for m in range(n_k)], dtype=float)
@@ -879,18 +862,21 @@ def _capture_blocks(model: LindbladModel, db: int):
     keep = _capture_pairs(model.n_max + 1, db)
 
     def extend(op):
-        return sparse.csr_matrix(np.kron(op, np.eye(db))[np.ix_(keep, keep)])
+        return np.kron(op, np.eye(db))[np.ix_(keep, keep)]
 
-    a = extend(model.a)
-    b = sparse.csr_matrix(np.kron(np.eye(model.dim), destroy(db))[np.ix_(keep, keep)])
-    ad, bd = a.conj().T.tocsr(), b.conj().T.tocsr()
-    sqrt_kex, d = math.sqrt(model.params.kappa_ex), keep.size
+    d, sqrt_kex = keep.size, math.sqrt(model.params.kappa_ex)
     yield _lindblad_superop(extend(model.H), [extend(c) for c in model.collapse])
-    yield _superop([(-1j * sqrt_kex, ad, None), (-1j * sqrt_kex, None, -ad)], d)
+    # each dense operator lives from the block that first reads it to the last
+    a = extend(model.a)
+    yield _superop([(-1j * sqrt_kex, dag(a), None), (-1j * sqrt_kex, None, -dag(a))], d)
+    b = np.kron(np.eye(model.dim), destroy(db))[np.ix_(keep, keep)]
     yield _superop([(1, b, None), (-1, None, b)], d)
+    bd = dag(b)
     yield _superop([(1j * sqrt_kex, bd @ a, None), (1j * sqrt_kex, -a, bd)], d)
+    del a
+    bdb = bd @ b
     # 0.5 (b X b^dag - 0.5 (b^dag b X + X b^dag b)): the b^dag b terms are summed first
-    yield _superop([(-0.25, bd @ b, None), (-0.25, None, bd @ b), (0.5, b, bd)], d)
+    yield _superop([(-0.25, bdb, None), (-0.25, None, bdb), (0.5, b, bd)], d)
 
 
 def capture_mode_oracle(
@@ -977,14 +963,15 @@ def capture_mode_oracle(
     diag = np.arange(d) * (d + 1)
     lvl_a, lvl_b = np.divmod(keep % (n_c * db), db)  # cavity and capture level of each state
     shell = max(n_c, db) - 1
-    positions, rules = zip(
-        (diag[lvl_a == n_c - 1], (TOP_LEVEL_MAX, *_TOP_LEVEL_TEXT)),
+    monitors = (
+        _top_level(lvl_a),
         (diag[lvl_a + lvl_b == shell],
          (TOP_LEVEL_MAX, f"n + m = {shell} shell population", "raise n_max or dim_b")),
         (diag[lvl_b == db - 1], (CAPTURE_TOP_MAX, "capture-mode top population", "raise dim_b")),
     )
-    run = _run_schedule(_capture_blocks(model, db), x, schedule, dt, coeffs_for, d, positions)
-    _check_monitors("capture_mode_oracle", run.max_trace_defect, zip(run.max_watched, rules))
+    run = _run_schedule(
+        "capture_mode_oracle", _capture_blocks(model, db), x, schedule, dt, coeffs_for, d, monitors
+    )
 
     # <sigma_pq b^dag^m b^n> from the qubit-capture state (cavity traced out)
     scale = math.sqrt(CAPTURE_EPS_FLOOR * energy + energy)

@@ -17,7 +17,7 @@ from .dynamics import (
     MOMENT_ORDER,
     MomentSet,
     PulseSchedule,
-    evolve_members,
+    evolve,
     optimize_delay,
     output_mode_moments,
 )
@@ -313,7 +313,7 @@ def efficiency_scan(
     extend meaningfully past the fit window.
 
     The grid points differ only in the input amplitude, so they are
-    propagated as the columns of one RK4 run (``evolve_members``), the dark
+    propagated as the columns of one RK4 run (``evolve``), the dark
     run first; every member starts at t_i from its prepared state.
     """
     if schedule_template is None:
@@ -332,7 +332,7 @@ def efficiency_scan(
         return dressed_flip_probability(p_e, params)
 
     driven = [math.sqrt(x) for x in grid if x > 0]
-    dark, *members = map(flip, evolve_members(model, schedule_template, [0.0] + driven))
+    dark, *members = map(flip, evolve(model, schedule_template, [0.0] + driven))
     # the grid is sorted, so its zero points come first
     p_flip = np.array([dark] * (grid.size - len(driven)) + members)
 

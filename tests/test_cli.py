@@ -17,6 +17,7 @@ from qndsim import cli, dynamics, protocol
 from qndsim.linalg import NumericalError
 from qndsim.model import SystemParams
 
+import make_golden
 import oracles
 
 
@@ -88,6 +89,17 @@ class TestConfigLoading:
         with pytest.raises(cli.ConfigError, match="spectrum.points"):
             cli.load_config(p)
         assert run_cli("spectrum", "--config", p, "--out", str(tmp_path / "out")) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_integer_beyond_two_to_the_53_kept_exact(self, tmp_path):
+        p = write_yaml(tmp_path / "c.yaml", "tomography:\n  seed: 9007199254740993\n")
+        assert cli.load_config(p)["tomography"]["seed"] == 2**53 + 1
+
+    def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys):
+        p = write_yaml(tmp_path / "c.yaml", f"protocol:\n  n_ph: {'9' * 400}\n")
+        with pytest.raises(cli.ConfigError, match="protocol.n_ph"):
+            cli.load_config(p)
+        assert run_cli("protocol", "--config", p, "--out", str(tmp_path / "out")) == 2
         assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
@@ -420,6 +432,30 @@ class TestSweep:
         assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 2
         assert "schedule.n_in = 0.05 would be ignored" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
+
+
+class TestGolden:
+    def test_json_scalars_match_record(self, tmp_path, protocol_outputs):
+        # every scalar of the three JSON outputs at defaults against
+        # tests/golden.json (written by tests/make_golden.py): 1e-10
+        # relative with a 1e-14 floor, far inside any physics pin
+        record = json.loads(make_golden.GOLDEN.read_text())
+        assert record.keys() == make_golden.RUNS.keys()
+        for name, argv in make_golden.RUNS.items():
+            if argv == ["protocol"]:
+                out = protocol_outputs
+            else:
+                out = tmp_path / argv[0]
+                assert run_cli(*argv, "--out", str(out)) == 0
+            got = make_golden.scalars(json.loads((out / name).read_text()))
+            assert got.keys() == record[name].keys(), name
+            for key, want in record[name].items():
+                if isinstance(want, str):
+                    assert got[key] == want, f"{name} {key}"
+                else:
+                    np.testing.assert_allclose(
+                        got[key], want, rtol=1e-10, atol=1e-14, err_msg=f"{name} {key}"
+                    )
 
 
 class TestPlumbing:

@@ -105,7 +105,7 @@ class TestEvolve:
         p = ideal_qubit(default_params())
         m = build_model(p)
         sched = PulseSchedule(-200e-9, 0.0, 200e-9, MODE, alpha_in=0.0, ramsey_gates=False)
-        traj = evolve(m, sched)
+        traj = evolve(m, sched)[0]
         start = ket_density(np.kron([1.0, 0.0], fock(m.n_max + 1, 0)))
         npt.assert_allclose(traj.rho, start, atol=1e-12)
 
@@ -117,7 +117,7 @@ class TestEvolve:
         # each time is the end t_f of its own run from t_i = -400 ns
         for t in (-100e-9, 200e-9, 500e-9, 800e-9):
             sched = PulseSchedule(-400e-9, t, t, MODE, alpha_in=ALPHA, ramsey_gates=False)
-            traj = evolve(m, sched)
+            traj = evolve(m, sched)[0]
             s = np.linspace(t0, t, 4001)
             integrand = np.exp(-ktot / 2 * (t - s)) * MODE.amplitude(-s)
             expected = -1j * math.sqrt(kex) * ALPHA * np.trapezoid(integrand, s)
@@ -133,7 +133,7 @@ class TestEvolve:
         m = build_model(p)
         tau = 800e-9
         sched = PulseSchedule(-400e-9, 400e-9, 400e-9, MODE, alpha_in=0.0)
-        traj = evolve(m, sched)
+        traj = evolve(m, sched)[0]
         pe = float(np.real(traj.expect(m.sigma_ee)))
         expected = (1 - math.exp(-tau / p.T2_star)) / 2
         npt.assert_allclose(pe, expected, rtol=1e-7)
@@ -142,7 +142,7 @@ class TestEvolve:
         p = default_params()
         m = build_model(p)
         sched = PulseSchedule(-400e-9, 400e-9, 500e-9, MODE, alpha_in=0.0)
-        traj = evolve(m, sched)
+        traj = evolve(m, sched)[0]
         pe_f = float(np.real(traj.expect(m.sigma_ee)))
         tau = 800e-9
         pe_g = (1 - math.exp(-oracles.gamma_phi_tot(p) * tau)) / 2
@@ -193,7 +193,7 @@ class TestEvolve:
         initial = QuantumState(ket_density(psi), m.dims)
         t_f = 430e-9
         sched = PulseSchedule(0.0, 215e-9, t_f, MODE, alpha_in=0.0, ramsey_gates=False)
-        traj = evolve(m, sched, initial=initial, dt=2.5e-10)
+        traj = evolve(m, sched, initial=initial, dt=2.5e-10)[0]
         val = 2 * traj.expect(m.sigma_ge)
         weights = np.abs(coherent(m.n_max + 1, alpha_c)) ** 2
         expected = np.sum(weights * np.exp(2j * p.chi * np.arange(m.n_max + 1) * t_f))
@@ -533,9 +533,9 @@ class TestCaptureOracle:
         sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=alpha)
         seen = []
 
-        def spy(blocks, x, schedule, dt, coeffs_for, d, watch):
+        def spy(label, blocks, x, schedule, dt, coeffs_for, d, monitors):
             seen.append((dt, coeffs_for))
-            return run_schedule(blocks, x, schedule, dt, coeffs_for, d, watch)
+            return run_schedule(label, blocks, x, schedule, dt, coeffs_for, d, monitors)
 
         run_schedule = dynamics._run_schedule
         monkeypatch.setattr(dynamics, "_run_schedule", spy)
@@ -639,7 +639,7 @@ class TestStepAccuracy:
 
         def figures(step):
             ms = output_mode_moments(m, sched, output_mode=MODE.delayed(tau), dt=step)
-            rho = evolve(m, sched, dt=step).rho
+            rho = evolve(m, sched, dt=step)[0].rho
             p_e = float(np.trace(rho[m.dim // 2:, m.dim // 2:]).real)
             return ms.moments, ms.phase_ref, p_e
 
@@ -668,7 +668,7 @@ class TestMeasurementBackaction:
 
         def log_coherence(t, **kwargs):
             sched = PulseSchedule(0.0, t, t, MODE, alpha_in=0.0, ramsey_gates=False)
-            coh = abs(evolve(m, sched, initial=initial, **kwargs).expect(m.sigma_ge))
+            coh = abs(evolve(m, sched, initial=initial, **kwargs)[0].expect(m.sigma_ge))
             return math.log(max(coh, 1e-300))
 
         # two-point slopes of log|coherence| over [t_a, t_b], driven and not

@@ -350,13 +350,14 @@ class TestGenerators:
             return dynamics._conj_pairs(e, np.zeros_like(e)), np.full(nsteps, dt_seg)
 
         plain = dynamics._run_schedule(
-            dynamics._ladder_blocks(h0, c_list, a_op, 0), rho0.reshape(-1), sched, 0.02,
+            "plain", dynamics._ladder_blocks(h0, c_list, a_op, 0), rho0.reshape(-1), sched, 0.02,
             plain_coeffs, d, (),
         )
         x0 = np.zeros(9 * d * d, dtype=complex)
         x0[: d * d] = rho0.reshape(-1)
         ladder = dynamics._run_schedule(
-            dynamics._ladder_blocks(h0, c_list, a_op, 2), x0, sched, 0.02, ladder_coeffs, d, (),
+            "ladder", dynamics._ladder_blocks(h0, c_list, a_op, 2), x0, sched, 0.02,
+            ladder_coeffs, d, (),
         )
         assert calls == [(2, 2), (2, 4)]
         npt.assert_allclose(ladder.state[: d * d], plain.state, rtol=0, atol=1e-15)
@@ -374,9 +375,9 @@ class TestSuperop:
         eye = np.eye(n)
         for c, lop, rop, want in (
             (1, left, right, np.kron(left, right.T)),
-            (0.5 - 2j, sparse.csr_matrix(left), right, (0.5 - 2j) * np.kron(left, right.T)),
+            (0.5 - 2j, left, right, (0.5 - 2j) * np.kron(left, right.T)),
             (-1j, left, None, -1j * np.kron(left, eye)),
-            (1, None, sparse.csc_matrix(right), np.kron(eye, right.T)),
+            (1, None, right, np.kron(eye, right.T)),
             (3.0, None, None, 3.0 * np.eye(n * n)),
         ):
             got = dynamics._superop([(c, lop, rop)], n)
@@ -744,9 +745,11 @@ class TestRealCoordinates:
             0.0, 1.0, 1.6, gaussian_input_mode(500e-9), alpha_in=0.0, ramsey_gates=True
         )
         dt = 0.01
-        top = dynamics._top_level(model)
+        top, rule = dynamics._top_level(np.arange(d) % (model.n_max + 1))
         diag = np.arange(d) * (d + 1)
         npt.assert_array_equal(top, diag[[model.n_max, 2 * model.n_max + 1]])
+        assert rule[0] == dynamics.TOP_LEVEL_MAX
+        # random states fill the top level: checked against no limit here
 
         def samples(rates, phase):
             def at(t0, nsteps, dt_seg):
@@ -770,7 +773,9 @@ class TestRealCoordinates:
                 values = [f(t0, nsteps, dt_seg) for f in fns]
                 return dynamics._conj_pairs(*values), np.full(nsteps, dt_seg)
 
-            got = dynamics._run_schedule(blocks, x0, sched, dt, real_coeffs, d, (top,))
+            got = dynamics._run_schedule(
+                "route", blocks, x0, sched, dt, real_coeffs, d, [(top, (np.inf, "top", ""))]
+            )
 
             gen = complex_generator(blocks, dynamics._adjoint_swap(d, nodes))
             x = x0

@@ -16,10 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "qndsim"
 HARNESS = ROOT / "qndbench"
 
-# the tests' single-member reference path (initial, dt, drive); the
-# benchmark wraps it by name, but no code calls it
-ALLOWED = {"evolve"}
-
 
 def _definitions(tree):
     """(name, line, is a member) of every function and class in tree."""
@@ -52,7 +48,7 @@ def unreferenced():
         if path.parent != PACKAGE:
             continue
         for name, line, member in _definitions(tree):
-            if (name.startswith("__") and name.endswith("__")) or name in ALLOWED:
+            if name.startswith("__") and name.endswith("__"):
                 continue
             used = name in attributes or (not member and name in names)
             if not used:

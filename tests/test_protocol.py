@@ -18,7 +18,7 @@ from qndsim.linalg import (
     negativity,
 )
 from qndsim.model import build_model, default_params, gaussian_input_mode, ideal_params
-from qndsim.dynamics import PulseSchedule, evolve, evolve_members
+from qndsim.dynamics import PulseSchedule, evolve
 from qndsim.protocol import (
     DEFAULT_FIT_GRID,
     SWEEP_AXES,
@@ -201,7 +201,7 @@ class TestRunProtocolReference:
         red = np.einsum("qaQa->qQ", r.comp_assembled.reshape(2, dim, 2, dim))
         p = default_params()
         m = build_model(p)
-        rho_f = evolve(m, default_schedule()).rho
+        rho_f = evolve(m, default_schedule())[0].rho
         rq = oracles.partial_trace(QuantumState(rho_f, (2, m.n_max + 1)), keep=(0,)).rho
         z = np.diag([1.0, -1.0])
         npt.assert_allclose(red, z @ rq @ z, atol=1e-8)
@@ -256,7 +256,7 @@ class TestEfficiencyScan:
         p = default_params()
         model = build_model(p)
         sched = default_schedule(0.0, gate_interval=800e-9)
-        traj = evolve(model, sched)
+        traj = evolve(model, sched)[0]
         p_e = float(np.real(traj.expect(model.sigma_ee)))
         direct = dressed_flip_probability(p_e, p)
         assert abs(direct - table_efficiency.dark_count) < 1e-6
@@ -314,7 +314,7 @@ class TestEfficiencyScan:
         single = []
         for x in CLI_GRID:
             member = dataclasses.replace(sched, alpha_in=math.sqrt(x))
-            traj = evolve(model, member)
+            traj = evolve(model, member)[0]
             p_e = float(np.real(traj.expect(model.sigma_ee)))
             single.append(dressed_flip_probability(p_e, p))
         npt.assert_allclose(rep.p_flip, single, rtol=1e-15, atol=0)
@@ -331,9 +331,9 @@ class TestEfficiencyScan:
         sched = PulseSchedule(-300e-9, 300e-9, 400e-9, gaussian_input_mode(300e-9),
                               ramsey_gates=False)
         weak = (0.002, 0.005, 0.01)
-        batch = evolve_members(model, sched, [math.sqrt(x) for x in weak])
+        batch = evolve(model, sched, [math.sqrt(x) for x in weak])
         for x, traj in zip(weak, batch, strict=True):
-            alone = evolve(model, dataclasses.replace(sched, alpha_in=math.sqrt(x)))
+            alone = evolve(model, dataclasses.replace(sched, alpha_in=math.sqrt(x)))[0]
             assert alone.max_top_population < 1e-7
             npt.assert_allclose(traj.max_top_population, alone.max_top_population, rtol=1e-12)
             npt.assert_allclose(traj.max_trace_defect, alone.max_trace_defect, rtol=0, atol=1e-15)
