@@ -119,8 +119,11 @@ def _as_int(value, key: str, *, allow_none: bool = False):
     if value is None and allow_none:
         return None
     f = _as_float(value, key)
-    if isinstance(value, int):  # exact, where float would round past 2^53
-        return value
+    if isinstance(value, (int, str)):
+        try:  # exact, where float would round past 2^53; "1e3" goes on
+            return int(value)
+        except ValueError:
+            pass
     if f != int(f):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(f)

@@ -17,6 +17,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse import _sparsetools
 
 from .linalg import QuantumState, coherent, dag, destroy, fock
 from .model import LindbladModel, SystemParams, TemporalMode, _require
@@ -335,10 +336,30 @@ class Generator:
         del m, t_h  # free before the real pieces are stacked
         return cls(l0, pieces)
 
-    def apply(self, x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """L x for weights (1, f_1, ..., f_K); with m columns in x, weights
-        is (K + 1, m), one column per member."""
-        return self.blocks @ (weights[:, None] * x[None]).reshape(-1, *x.shape[1:])
+    def apply(self, stack: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
+        """Write L x into out, for x in stack[0] and weights (f_1, ..., f_K);
+        with m columns in x, weights is (K, m), one column per member.
+        Rows 1 to K of stack receive the weighted copies f_1 x, ..., f_K x.
+        stack and out are C-contiguous and of the dtype of the product."""
+        x = stack[0]
+        for row, w in zip(stack[1:], weights):
+            np.multiply(w, x, out=row)
+        _csr_product(self.blocks, stack.reshape(-1, *x.shape[1:]), out)
+
+
+def _csr_product(a: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
+    """Write a @ x into out through the kernel csr_matrix's own product ends
+    in, bitwise equal to it without its allocation and dispatch.  x is one
+    vector or a C-contiguous (n, m) array, out C-contiguous of the dtype
+    a @ x has; the kernel adds into out, so out is zeroed first.  The kernel
+    checks neither shape nor layout: the caller does."""
+    out.fill(0)
+    if x.ndim == 1 or x.shape[1] == 1:  # csr_matrix's choice: one vector
+        _sparsetools.csr_matvec(*a.shape, a.indptr, a.indices, a.data, x.ravel(), out.ravel())
+    else:
+        _sparsetools.csr_matvecs(
+            *a.shape, x.shape[1], a.indptr, a.indices, a.data, x.ravel(), out.ravel()
+        )
 
 
 class Propagation(NamedTuple):
@@ -369,19 +390,47 @@ def propagate(
     coordinates.  The monitors are maxima per member over the states after
     each step (0 without steps): |trace - 1| of the entries trace_idx of x,
     and the summed real part of x over each index array in watch; a NaN stays.
+
+    x0 is left as it is.  The run allocates its buffers once: the stack of
+    Generator.apply, whose row 0 takes each stage's input, the stage
+    derivative and the step sum.  Each operation is the one the expression
+    x + (h / 6) (k1 + 2 k2 + 2 k3 + k4) performs, in its order and with its
+    operand order (numpy's complex product is not commutative to the bit),
+    so every state is bitwise what that expression gives, with
+    L x = [L0 | L1 | ... | LK] (1 x, f_1 x, ..., f_K x).  (Row 0 holds x, not
+    1 x: for a complex x that may flip the sign of a zero, never a value.)
     """
-    x = np.array(x0)
-    rows = np.concatenate([np.ones((len(coeffs), 1, *coeffs.shape[2:])), coeffs], axis=1)
+    x = np.array(x0, dtype=np.result_type(x0, coeffs, generator.blocks.dtype), order="C")
+    stack = np.empty((1 + coeffs.shape[1], *x.shape), dtype=x.dtype)
+    if generator.blocks.shape != (len(x), len(x) * len(stack)):
+        raise ValueError(
+            f"a state of {len(x)} entries with {coeffs.shape[1]} pieces does not fit "
+            f"a generator of shape {generator.blocks.shape}"
+        )
+    xs, k, acc = stack[0], np.empty_like(x), np.empty_like(x)
     bounds = np.cumsum([0, len(trace_idx), *map(len, watch)])
     gather = np.concatenate([trace_idx, *watch]).astype(np.intp)
     seen = np.empty((len(steps), gather.size, *x.shape[1:]), dtype=x.dtype)
     for i, h in enumerate(np.asarray(steps).tolist()):
         j = 2 * i
-        k1 = generator.apply(x, rows[j])
-        k2 = generator.apply(x + (h / 2) * k1, rows[j + 1])
-        k3 = generator.apply(x + (h / 2) * k2, rows[j + 1])
-        k4 = generator.apply(x + h * k3, rows[j + 2])
-        x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+        np.copyto(xs, x)
+        generator.apply(stack, coeffs[j], acc)  # k1
+        np.multiply(h / 2, acc, out=xs)
+        np.add(x, xs, out=xs)
+        generator.apply(stack, coeffs[j + 1], k)  # k2
+        np.multiply(h / 2, k, out=xs)
+        np.add(x, xs, out=xs)
+        np.multiply(2, k, out=k)
+        acc += k  # k1 + 2 k2
+        generator.apply(stack, coeffs[j + 1], k)  # k3
+        np.multiply(h, k, out=xs)
+        np.add(x, xs, out=xs)
+        np.multiply(2, k, out=k)
+        acc += k  # k1 + 2 k2 + 2 k3
+        generator.apply(stack, coeffs[j + 2], k)  # k4
+        acc += k
+        np.multiply(h / 6, acc, out=acc)
+        x += acc
         np.take(x, gather, axis=0, out=seen[i])
     tr, *sums = [seen[:, lo:hi].sum(axis=1) for lo, hi in zip(bounds, bounds[1:])]
     max_tr = np.max(abs(tr.real - 1.0) + abs(tr.imag), axis=0, initial=0.0)

@@ -95,6 +95,15 @@ class TestConfigLoading:
         p = write_yaml(tmp_path / "c.yaml", "tomography:\n  seed: 9007199254740993\n")
         assert cli.load_config(p)["tomography"]["seed"] == 2**53 + 1
 
+    def test_quoted_integer_kept_exact(self, tmp_path):
+        p = write_yaml(
+            tmp_path / "c.yaml",
+            'tomography:\n  seed: "9007199254740993"\n  shots: "1e3"\n  phases: " 24 "\n',
+        )
+        t = cli.load_config(p)["tomography"]
+        assert (t["seed"], t["shots"], t["phases"]) == (2**53 + 1, 1000, 24)
+        assert all(type(t[k]) is int for k in ("seed", "shots", "phases"))
+
     def test_integer_beyond_float_range_is_config_error(self, tmp_path, capsys):
         p = write_yaml(tmp_path / "c.yaml", f"protocol:\n  n_ph: {'9' * 400}\n")
         with pytest.raises(cli.ConfigError, match="protocol.n_ph"):
@@ -434,28 +443,46 @@ class TestSweep:
         assert not (out / "sweep.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def golden_figures(tmp_path_factory, spectrum_outputs, protocol_outputs):
+    """The figures tests/golden.json records, recomputed from the five
+    subcommands at defaults (spectrum and protocol reuse their fixtures)."""
+    outs = {"spectrum": spectrum_outputs, "protocol": protocol_outputs}
+    got = {}
+    for name, argv in make_golden.RUNS.items():
+        if name not in outs:
+            outs[name] = tmp_path_factory.mktemp(name)
+            assert run_cli(*argv, "--out", str(outs[name])) == 0
+        got.update(make_golden.figures(outs[name]))
+    return got
+
+
 class TestGolden:
-    def test_json_scalars_match_record(self, tmp_path, protocol_outputs):
-        # every scalar of the three JSON outputs at defaults against
-        # tests/golden.json (written by tests/make_golden.py): 1e-10
-        # relative with a 1e-14 floor, far inside any physics pin
+    """The outputs at defaults against tests/golden.json (written by
+    tests/make_golden.py): 1e-10 relative with a 1e-14 floor, far inside
+    any physics pin."""
+
+    def _compare(self, got, files):
         record = json.loads(make_golden.GOLDEN.read_text())
-        assert record.keys() == make_golden.RUNS.keys()
-        for name, argv in make_golden.RUNS.items():
-            if argv == ["protocol"]:
-                out = protocol_outputs
-            else:
-                out = tmp_path / argv[0]
-                assert run_cli(*argv, "--out", str(out)) == 0
-            got = make_golden.scalars(json.loads((out / name).read_text()))
-            assert got.keys() == record[name].keys(), name
+        assert got.keys() == record.keys()
+        for name in files:
+            assert got[name].keys() == record[name].keys(), name
             for key, want in record[name].items():
                 if isinstance(want, str):
-                    assert got[key] == want, f"{name} {key}"
+                    assert got[name][key] == want, f"{name} {key}"
                 else:
                     np.testing.assert_allclose(
-                        got[key], want, rtol=1e-10, atol=1e-14, err_msg=f"{name} {key}"
+                        got[name][key], want, rtol=1e-10, atol=1e-14, err_msg=f"{name} {key}"
                     )
+
+    def test_json_scalars_match_record(self, golden_figures):
+        self._compare(golden_figures, make_golden.JSON_FILES)
+
+    def test_csv_tables_match_record(self, golden_figures):
+        # per column of every table: its norm and its extreme entries
+        tables = [name for name in golden_figures if name.endswith(".csv")]
+        assert len(tables) == 12
+        self._compare(golden_figures, tables)
 
 
 class TestPlumbing:

@@ -15,6 +15,8 @@ for the live pieces it keeps.  The MLE fixed-point iteration is checked
 on exact data.
 """
 
+import itertools
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -186,6 +188,13 @@ def complex_generator(blocks, swap):
     return dynamics.Generator(l0, [q for p in pieces for q in (p, partner(p, swap))])
 
 
+def stage(gen, x, weights):
+    """L x for weights (1, f_1, ..., f_K), written as one public sparse
+    product with the stacked weighted copies (x, f_1 x, ..., f_K x): the
+    reference for Generator.apply and propagate's stages."""
+    return gen.blocks @ (weights[:, None] * x[None]).reshape(-1, *x.shape[1:])
+
+
 def with_partners(*coeffs):
     """Weights (c_1, conj(c_1), c_2, conj(c_2), ...) of complex_generator's
     pieces, along axis 1 of sampled coefficients (axis 0 of scalars)."""
@@ -219,7 +228,7 @@ class TestGenerators:
         gen = complex_generator(
             dynamics._ladder_blocks(h0, c_list, a_op, 0), dynamics._adjoint_swap(d)
         )
-        got = gen.apply(nodes[0].reshape(-1), np.r_[1.0, with_partners(eps)])
+        got = stage(gen, nodes[0].reshape(-1), np.r_[1.0, with_partners(eps)])
         h_nh = driven_h_nh(h0, c_list, a_op, eps)
         expected = lindblad_rhs(h_nh, c_list, nodes[0])
         npt.assert_allclose(got.reshape(d, d), expected, atol=1e-12)
@@ -228,7 +237,7 @@ class TestGenerators:
             dynamics._ladder_blocks(h0, c_list, a_op, 2), dynamics._adjoint_swap(d, 3)
         )
         weights = np.r_[1.0, with_partners(eps, w)]
-        got = ladder.apply(np.concatenate([x.reshape(-1) for x in nodes]), weights)
+        got = stage(ladder, np.concatenate([x.reshape(-1) for x in nodes]), weights)
         got = got.reshape(9, d, d)
         for k in range(9):
             m, n = divmod(k, 3)
@@ -252,7 +261,7 @@ class TestGenerators:
             gen = complex_generator(blocks, swap)
             x = random_matrix(rng, dc)
             g, beta = 0.8 - 0.5j, 0.25 + 0.15j
-            got = gen.apply(x.reshape(-1), np.r_[1.0, with_partners(*capture_coeffs(g, beta))])
+            got = stage(gen, x.reshape(-1), np.r_[1.0, with_partners(*capture_coeffs(g, beta))])
             expected = capture_rhs(model, db, x, g, beta)
             npt.assert_allclose(got.reshape(dc, dc), expected, atol=1e-11, err_msg=f"db {db}")
 
@@ -446,10 +455,10 @@ def stepwise_propagate(gen, x0, coeffs, steps, trace_idx, watch):
     max_watched = [np.zeros(x.shape[1:])] * len(watch)
     for i, h in enumerate(steps):
         j = 2 * i
-        k1 = gen.apply(x, rows[j])
-        k2 = gen.apply(x + (h / 2) * k1, rows[j + 1])
-        k3 = gen.apply(x + (h / 2) * k2, rows[j + 1])
-        k4 = gen.apply(x + h * k3, rows[j + 2])
+        k1 = stage(gen, x, rows[j])
+        k2 = stage(gen, x + (h / 2) * k1, rows[j + 1])
+        k3 = stage(gen, x + (h / 2) * k2, rows[j + 1])
+        k4 = stage(gen, x + h * k3, rows[j + 2])
         x = x + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
         tr = x[trace_idx].sum(axis=0)
         max_tr = np.maximum(max_tr, abs(tr.real - 1.0) + abs(tr.imag))
@@ -458,40 +467,51 @@ def stepwise_propagate(gen, x0, coeffs, steps, trace_idx, watch):
     return x, max_tr, max_watched
 
 
+def small_problem(real=False, n_members=3, nsteps=40):
+    """A driven d = 5 master equation with n_members members: the complex
+    generator with complex states, or with real=True its real form in real
+    coordinates, as _run_schedule runs it.  Returns the arguments of
+    propagate."""
+    rng = np.random.default_rng(23)
+    d = 5
+    blocks = dynamics._ladder_blocks(
+        random_hermitian(rng, d), [random_matrix(rng, d, 0.3)], random_matrix(rng, d, 0.5), 0
+    )
+    tt = np.linspace(0.0, 1.0, 2 * nsteps + 1)
+    eps = np.stack([0.5 * np.exp(1j * (k + 1) * tt) for k in range(n_members)], axis=1)
+    x0 = np.stack([random_density(rng, d).reshape(-1) for _ in range(n_members)], axis=1)
+    diag = np.arange(d) * (d + 1)
+    steps = np.full(nsteps, 1.0 / nsteps)
+    swap = dynamics._adjoint_swap(d)
+    if real:
+        t = dynamics._real_basis(swap)
+        gen = dynamics.Generator.real_form(blocks, t, np.ones(2, dtype=bool))
+        x0, coeffs = np.ascontiguousarray((t.conj().T @ x0).real), dynamics._conj_pairs(eps)
+    else:
+        gen, coeffs = complex_generator(blocks, swap), with_partners(eps)
+    return gen, x0, coeffs, steps, diag, (diag[3:], diag[:1])
+
+
 class TestMonitors:
     """propagate's monitors, taken after the loop, against a step-by-step loop."""
 
-    def _problem(self, n_members=3, nsteps=40):
-        rng = np.random.default_rng(23)
-        d = 5
-        gen = complex_generator(
-            dynamics._ladder_blocks(
-                random_hermitian(rng, d), [random_matrix(rng, d, 0.3)],
-                random_matrix(rng, d, 0.5), 0,
-            ),
-            dynamics._adjoint_swap(d),
-        )
-        tt = np.linspace(0.0, 1.0, 2 * nsteps + 1)
-        eps = np.stack([0.5 * np.exp(1j * (k + 1) * tt) for k in range(n_members)], axis=1)
-        x0 = np.stack([random_density(rng, d).reshape(-1) for _ in range(n_members)], axis=1)
-        diag = np.arange(d) * (d + 1)
-        steps = np.full(nsteps, 1.0 / nsteps)
-        return gen, x0, with_partners(eps), steps, diag, (diag[3:], diag[:1])
-
     def test_matches_stepwise_loop(self):
-        gen, x0, coeffs, steps, diag, watch = self._problem()
-        for x, c in ((x0, coeffs), (x0[:, 1], coeffs[..., 1])):
-            run = dynamics.propagate(gen, x, c, steps, diag, watch)
-            x_ref, max_tr, max_watched = stepwise_propagate(gen, x, c, steps, diag, watch)
-            npt.assert_array_equal(run.state, x_ref)
-            npt.assert_allclose(run.max_trace_defect, max_tr, rtol=0, atol=1e-15)
-            assert np.shape(run.max_trace_defect) == np.shape(max_tr)
-            for got, want in zip(run.max_watched, max_watched, strict=True):
-                assert np.all(want > 0)
-                npt.assert_allclose(got, want, rtol=0, atol=1e-15)
+        # complex and real, one vector and member columns: bitwise
+        for real in (False, True):
+            gen, x0, coeffs, steps, diag, watch = small_problem(real)
+            for x, c in ((x0, coeffs), (x0[:, 1], coeffs[..., 1])):
+                run = dynamics.propagate(gen, x, c, steps, diag, watch)
+                x_ref, max_tr, max_watched = stepwise_propagate(gen, x, c, steps, diag, watch)
+                assert run.state.dtype == x_ref.dtype == x.dtype
+                npt.assert_array_equal(run.state, x_ref)
+                npt.assert_allclose(run.max_trace_defect, max_tr, rtol=0, atol=1e-15)
+                assert np.shape(run.max_trace_defect) == np.shape(max_tr)
+                for got, want in zip(run.max_watched, max_watched, strict=True):
+                    assert np.all(want > 0)
+                    npt.assert_allclose(got, want, rtol=0, atol=1e-15)
 
     def test_nan_stays_in_its_maximum(self):
-        gen, x0, coeffs, steps, diag, watch = self._problem()
+        gen, x0, coeffs, steps, diag, watch = small_problem()
         coeffs = coeffs.copy()
         coeffs[41, :, 1] = np.nan  # member 1, midpoint of step 20 of 40
         run = dynamics.propagate(gen, x0, coeffs, steps, diag, watch)
@@ -510,12 +530,68 @@ class TestMonitors:
             ])
 
     def test_zero_steps_leave_the_state(self):
-        gen, x0, coeffs, _, diag, watch = self._problem()
+        gen, x0, coeffs, _, diag, watch = small_problem()
         for x, c in ((x0, coeffs[:1]), (x0[:, 0], coeffs[:1, :, 0])):
             run = dynamics.propagate(gen, x, c, np.zeros(0), diag, watch)
             npt.assert_array_equal(run.state, x)
             for value in (run.max_trace_defect, *run.max_watched):
                 npt.assert_array_equal(value, np.zeros(x.shape[1:]))
+
+    def test_input_left_untouched(self):
+        # the run updates its own buffers in place: x0 keeps its bytes, and
+        # the state keeps x0's dtype, real with a real generator and
+        # coefficients, with and without steps
+        for real in (False, True):
+            gen, x0, coeffs, steps, diag, watch = small_problem(real)
+            for x, c in ((x0, coeffs), (np.ascontiguousarray(x0[:, 1]), coeffs[..., 1])):
+                before = x.copy()
+                for s in (steps, np.zeros(0)):
+                    run = dynamics.propagate(gen, x, c[: 2 * len(s) + 1], s, diag, watch)
+                    assert x.tobytes() == before.tobytes()
+                    assert run.state.dtype == x.dtype == (float if real else complex)
+                    assert not np.shares_memory(run.state, x)
+
+
+class TestDirectKernel:
+    """The CSR kernel that csr_matrix's product ends in, called directly."""
+
+    def test_csr_product_equals_public_product(self):
+        # bitwise a @ x for one vector, one column and member columns, real
+        # and complex, into an output that starts as garbage
+        rng = np.random.default_rng(31)
+        pattern = sparse.random(40, 60, density=0.2, format="csr", random_state=rng)
+        for a_complex, x_complex in itertools.product((False, True), repeat=2):
+            a = pattern.astype(complex if a_complex else float)
+            if a_complex:
+                a.data += 1j * rng.normal(size=a.nnz)
+            for shape in ((60,), (60, 1), (60, 7)):
+                x = rng.normal(size=shape) + (1j * rng.normal(size=shape) if x_complex else 0)
+                want = a @ x
+                out = np.full_like(want, np.nan)
+                dynamics._csr_product(a, x, out)
+                assert (out.dtype, out.shape) == (want.dtype, want.shape)
+                assert out.tobytes() == want.tobytes()
+
+    def test_state_that_does_not_fit_is_refused(self):
+        # the kernel reads past a short stack: propagate checks the layout
+        gen, x0, coeffs, steps, diag, watch = small_problem(real=True)
+        for x, c in ((x0[:-1], coeffs), (x0, coeffs[:, :1])):
+            with pytest.raises(ValueError, match="does not fit a generator"):
+                dynamics.propagate(gen, x, c, steps, diag, watch)
+
+    def test_apply_equals_reference_stage(self):
+        # Generator.apply with garbage in its buffers against the public
+        # product of the stacked weighted copies
+        for real in (False, True):
+            gen, x0, coeffs, *_ = small_problem(real)
+            for x, w in ((x0, coeffs[5]), (x0[:, 1], coeffs[5, :, 1])):
+                want = stage(gen, x, np.concatenate([np.ones((1, *w.shape[1:])), w]))
+                stack = np.full((1 + len(w), *x.shape), np.nan, dtype=want.dtype)
+                stack[0] = x
+                out = np.full_like(want, np.nan)
+                gen.apply(stack, w, out)
+                npt.assert_array_equal(out, want)
+                npt.assert_array_equal(stack[0], x)
 
 
 class TestLindbladRK4:
@@ -705,8 +781,8 @@ class TestRealCoordinates:
         w_real = np.r_[1.0, [f(c) for c in coeffs for f in (np.real, np.imag)]]
         for _ in range(3):
             r = rng.normal(size=swap.size)
-            want = dag(t.toarray()) @ gen.apply(t @ r, w_complex)
-            got = real.apply(r, w_real)
+            want = dag(t.toarray()) @ stage(gen, t @ r, w_complex)
+            got = stage(real, r, w_real)
             assert got.dtype == np.float64
             scale = np.abs(want).max()
             npt.assert_allclose(got, want.real, rtol=0, atol=1e-14 * scale)
