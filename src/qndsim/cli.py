@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,14 +29,7 @@ from .linalg import (
     ket_density,
     negativity,
 )
-from .model import (
-    HZ_FIELDS,
-    TWO_PI,
-    SystemParams,
-    default_params,
-    ideal_params,
-    reflection_coefficient,
-)
+from .model import TWO_PI, SystemParams, ideal_params, reflection_coefficient
 from .dynamics import PulseSchedule
 from .protocol import (
     SWEEP_AXES,
@@ -62,12 +54,27 @@ class ConfigError(ValueError):
 
 
 def default_config() -> dict:
-    """Fully resolved defaults; frequencies as plain Hz (value/2pi)."""
-    p = default_params()
-    params = {f.name: getattr(p, f.name) for f in fields(SystemParams)}
-    params.update({k: params[k] / TWO_PI for k in HZ_FIELDS})
+    """Every CLI default, stated once.  params is the reference set of the
+    characterization table, as the table lists it: frequencies and rates
+    in plain Hz (model.HZ_FIELDS), times in seconds.  _normalize reads each
+    key by the kind of its default."""
     return {
-        "params": params,
+        "params": {
+            "omega_c": 10.62524e9,
+            "omega_q": 7.8693e9,
+            "chi": 1.50e6,
+            "kappa_ex": 3.32e6,
+            "kappa_in": 0.25e6,
+            "anharmonicity": -0.344e9,
+            "T1": 32e-6,
+            "T2_star": 26e-6,
+            "T2_echo": 33e-6,
+            "p_th": 0.067,
+            "n_th": 0.0005,
+            "eps_rg": 0.0016,
+            "eps_re": 0.022,
+            "eta_meas": 0.43,
+        },
         "schedule": {
             "pulse_fwhm": 500e-9,
             "gate_interval": 1100e-9,
@@ -80,8 +87,8 @@ def default_config() -> dict:
         "tomography": {
             "phases": 100,
             "shots": 10_000,
+            "iterations": tomography.DEFAULT_ITERATIONS,
             "seed": 7,
-            "iterations": 10_000,
         },
         "spectrum": {"span_hz": 16e6, "points": 1601},
         "efficiency": {
@@ -97,9 +104,7 @@ def default_config() -> dict:
     }
 
 
-def _as_float(value, key: str, *, allow_none: bool = False):
-    if value is None and allow_none:
-        return None
+def _as_float(value, key: str):
     if isinstance(value, bool):
         raise ConfigError(f"{key} must be a number, got a boolean")
     if not isinstance(value, (int, float, str)):
@@ -115,9 +120,7 @@ def _as_float(value, key: str, *, allow_none: bool = False):
     return f
 
 
-def _as_int(value, key: str, *, allow_none: bool = False):
-    if value is None and allow_none:
-        return None
+def _as_int(value, key: str):
     f = _as_float(value, key)
     if isinstance(value, (int, str)):
         try:  # exact, where float would round past 2^53; "1e3" goes on
@@ -127,6 +130,29 @@ def _as_int(value, key: str, *, allow_none: bool = False):
     if f != int(f):
         raise ConfigError(f"{key} must be an integer, got {value!r}")
     return int(f)
+
+
+def _read(value, default, key: str):
+    """value read as the kind of its default: true or false, an integer,
+    a number, a list of numbers or a name.  A None default stands for a
+    number or None; None passes there and for tomography.seed."""
+    if value is None and (default is None or key == "tomography.seed"):
+        return None
+    if isinstance(default, bool):
+        if not isinstance(value, bool):
+            raise ConfigError(f"{key} must be true or false")
+        return value
+    if isinstance(default, int):
+        return _as_int(value, key)
+    if isinstance(default, list):
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{key} must be a list")
+        return [_as_float(v, f"{key} entry") for v in value]
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise ConfigError(f"{key} must be a name, got {value!r}")
+        return value
+    return _as_float(value, key)
 
 
 def load_config(path: str | None) -> dict:
@@ -159,51 +185,21 @@ def load_config(path: str | None) -> dict:
 
 
 def _normalize(cfg: dict) -> None:
-    p = cfg["params"]
-    for k, v in p.items():
-        p[k] = _as_float(v, f"params.{k}")
-    s = cfg["schedule"]
-    for k in ("pulse_fwhm", "gate_interval", "readout_delay", "n_in"):
-        s[k] = _as_float(s[k], f"schedule.{k}")
-    if not isinstance(s["alpha_sq_grid"], (list, tuple)):
-        raise ConfigError("schedule.alpha_sq_grid must be a list")
-    s["alpha_sq_grid"] = [
-        _as_float(v, "schedule.alpha_sq_grid entry") for v in s["alpha_sq_grid"]
-    ]
+    defaults = default_config()
+    for section, block in cfg.items():
+        for key, value in block.items():
+            block[key] = _read(value, defaults[section][key], f"{section}.{key}")
     t = cfg["tomography"]
-    for k in ("phases", "shots", "iterations"):
-        t[k] = _as_int(t[k], f"tomography.{k}")
-    if t["phases"] < tomography.MIN_PHASES:
-        raise ConfigError(
-            f"tomography.phases must be at least {tomography.MIN_PHASES}"
-        )
-    if t["shots"] < 1:
-        raise ConfigError("tomography.shots must be at least 1")
-    if t["iterations"] < 1:
-        raise ConfigError("tomography.iterations must be at least 1")
-    t["seed"] = _as_int(t["seed"], "tomography.seed", allow_none=True)
-    sp = cfg["spectrum"]
-    sp["span_hz"] = _as_float(sp["span_hz"], "spectrum.span_hz")
-    sp["points"] = _as_int(sp["points"], "spectrum.points")
-    eff = cfg["efficiency"]
-    if eff["preset"] not in ("table", "ideal"):
+    for key, least in (("phases", tomography.MIN_PHASES), ("shots", 1), ("iterations", 1)):
+        if t[key] < least:
+            raise ConfigError(f"tomography.{key} must be at least {least}")
+    if cfg["efficiency"]["preset"] not in ("table", "ideal"):
         raise ConfigError("efficiency.preset must be 'table' or 'ideal'")
-    eff["gate_interval"] = _as_float(
-        eff["gate_interval"], "efficiency.gate_interval", allow_none=True
-    )
-    eff["fit_window"] = _as_float(eff["fit_window"], "efficiency.fit_window")
-    pr = cfg["protocol"]
-    pr["n_ph"] = _as_int(pr["n_ph"], "protocol.n_ph")
-    if not isinstance(pr["wigner"], bool):
-        raise ConfigError("protocol.wigner must be true or false")
-    sw = cfg["sweep"]
-    if sw["axis"] not in SWEEP_AXES:
-        raise ConfigError(
-            f"unknown sweep axis {sw['axis']!r}; choose from {', '.join(SWEEP_AXES)}"
-        )
-    if not isinstance(sw["values"], (list, tuple)) or not sw["values"]:
+    axis = cfg["sweep"]["axis"]
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep axis {axis!r}; choose from {', '.join(SWEEP_AXES)}")
+    if not cfg["sweep"]["values"]:
         raise ConfigError("sweep.values must be a non-empty list")
-    sw["values"] = [_as_float(v, "sweep.values entry") for v in sw["values"]]
 
 
 def _build_params(cfg: dict) -> SystemParams:
@@ -403,37 +399,24 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
     params = _build_params(cfg)
     eta = params.eta_meas
     thetas = tomography.phase_settings(t["phases"])
-    iters = t["iterations"]
-
     n = tomography.N_TOMO_SINGLE
     cal = QuantumState(ket_density(coherent(n, math.sqrt(CAL_PHOTON_NUMBER))), (n,))
-    record = tomography.sample(
-        cal, thetas, t["shots"], eta=eta, seed=seed
-    )
-    tomography.write_record(
-        record, outdir / "record_coherent.csv", outdir / "record_coherent.json"
-    )
-    est_raw = tomography.mle_reconstruct(
-        record, iterations=iters, correct_efficiency=False
-    )
-    est_cor = tomography.mle_reconstruct(record, iterations=iters)
+    result = run_protocol(params, _build_schedule(cfg))
+    fits = []  # (uncorrected, corrected) per record
+    for k, (name, state) in enumerate((("coherent", cal), ("composite", result.rho_comp))):
+        record = tomography.sample(state, thetas, t["shots"], eta=eta, seed=seed + k)
+        tomography.write_record(
+            record, outdir / f"record_{name}.csv", outdir / f"record_{name}.json"
+        )
+        fits.append([
+            tomography.mle_reconstruct(
+                record, iterations=t["iterations"], correct_efficiency=corrected
+            )
+            for corrected in (False, True)
+        ])
+    (est_raw, est_cor), (comp_raw, comp_cor) = fits
     levels = np.arange(n)
     attenuated = QuantumState(ket_density(coherent(n, math.sqrt(eta * CAL_PHOTON_NUMBER))), (n,))
-
-    schedule = _build_schedule(cfg)
-    result = run_protocol(params, schedule)
-    comp_record = tomography.sample(
-        result.rho_comp, thetas, t["shots"], eta=eta, seed=seed + 1
-    )
-    tomography.write_record(
-        comp_record,
-        outdir / "record_composite.csv",
-        outdir / "record_composite.json",
-    )
-    comp_raw = tomography.mle_reconstruct(
-        comp_record, iterations=iters, correct_efficiency=False
-    )
-    comp_cor = tomography.mle_reconstruct(comp_record, iterations=iters)
 
     tomography.write_json(
         outdir / "selftest.json",
@@ -486,12 +469,12 @@ def cmd_sweep(cfg: dict, outdir: Path, seed) -> None:
     )
 
 
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "efficiency": cmd_efficiency,
-    "protocol": cmd_protocol,
-    "tomo-selftest": cmd_tomo_selftest,
-    "sweep": cmd_sweep,
+_COMMANDS = {  # name: (handler, help)
+    "spectrum": (cmd_spectrum, "cavity reflection spectra for both qubit states"),
+    "efficiency": (cmd_efficiency, "phase-flip probability scan and efficiency fit"),
+    "protocol": (cmd_protocol, "full detection run with conditional states"),
+    "tomo-selftest": (cmd_tomo_selftest, "sampling and reconstruction round-trips"),
+    "sweep": (cmd_sweep, "efficiency figures along one parameter axis"),
 }
 
 
@@ -501,15 +484,8 @@ def _parse_args(argv):
         description="Simulator of dispersive single-photon detection.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    helps = {
-        "spectrum": "cavity reflection spectra for both qubit states",
-        "efficiency": "phase-flip probability scan and efficiency fit",
-        "protocol": "full detection run with conditional states",
-        "tomo-selftest": "sampling and reconstruction round-trips",
-        "sweep": "efficiency figures along one parameter axis",
-    }
-    for name, handler in _COMMANDS.items():
-        sp = sub.add_parser(name, help=helps[name])
+    for name, (handler, help_text) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", help="YAML run configuration")
         sp.add_argument("--out", default=".", help="output directory")
         sp.add_argument("--seed", type=int, help="override the sampling seed")

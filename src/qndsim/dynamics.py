@@ -201,7 +201,7 @@ def _mode_u(mode: TemporalMode, times: np.ndarray) -> np.ndarray:
 # ladder's nodes in the sense X_nm = X_mn^dag), so the routes propagate the
 # real coordinates r = T^H x of _real_basis: n^2 reals for an n x n matrix
 # instead of n^2 complex values.  Each route writes its generator in the
-# complex x, one piece per conjugate pair (see Generator.real_form);
+# complex x, one piece per conjugate pair (see _real_form);
 # _run_schedule carries it over once per run and owns T: states enter and
 # leave it as matrices.  The diagonal entries keep their positions, so trace
 # and population indices read r as they read x.
@@ -280,71 +280,55 @@ def _trimmed(values: np.ndarray, m: sparse.csr_matrix) -> sparse.csr_matrix:
     return sparse.csr_matrix((values[keep], m.indices[keep], kept[m.indptr]), shape=m.shape)
 
 
-class Generator:
-    """L(t) = L0 + sum_k f_k(t) L_k acting on vectorised n x n matrices.
+def _side_by_side(blocks) -> sparse.csr_matrix:
+    """[B0 | B1 | ... | BK]: the CSR blocks of n rows side by side, so one
+    sparse product with the stacked weighted copies (x, f_1 x, ..., f_K x)
+    gives L x = B0 x + sum_k f_k B_k x for the generator
+    L(t) = L0 + sum_k f_k(t) L_k.  x is one vector of length n^2 or an
+    (n^2, m) array whose columns are independent members, each with its
+    own coefficients."""
+    n = blocks[0].shape[0]
+    # each block is moved in turn: sparse.hstack copies all of them first
+    counts = np.array([np.diff(b.indptr) for b in blocks])
+    indptr = np.concatenate([[0], np.cumsum(counts.sum(axis=0))])
+    shift = indptr[:-1] + np.cumsum(counts, axis=0) - counts - [b.indptr[:-1] for b in blocks]
+    data = np.empty(indptr[-1], dtype=np.result_type(*(b.data for b in blocks)))
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    for k, b in enumerate(blocks):
+        at = np.repeat(shift[k], counts[k])
+        at += np.arange(b.nnz)
+        data[at], indices[at] = b.data, b.indices + k * n
+    return sparse.csr_matrix((data, indices, indptr), shape=(n, n * len(blocks)))
 
-    L0 and the pieces L_k sit side by side in one CSR matrix
-    [L0 | L1 | ... | LK] of n^2 rows, so one sparse product with the
-    weighted copies (x, f_1 x, ..., f_K x) stacked yields L x.  x is one
-    vector of length n^2 or an (n^2, m) array whose columns are
-    independent members, each with its own coefficients.
+
+def _real_form(blocks, t, t_h, live) -> sparse.csr_matrix:
+    """The generator in the real coordinates r = T^H x of the unitary
+    t = T of _real_basis (t_h = T^H), with only its live pieces, side by
+    side (_side_by_side).
+
+    blocks yields the complex L0, then one piece P per conjugate pair:
+    the complex generator holds P with coefficient c and its partner
+    J P J, J X = X^dag, with conj(c).  A self-conjugate piece with a
+    real coefficient s enters as half of it, its own partner, with
+    c = s.  T^H L0 T is real, and with M = T^H P T a pair adds
+    Re c (2 Re M) + Im c (-2 Im M), so the real form has two pieces per
+    P, with coefficients (Re c, Im c).  live flags each of these real
+    pieces; only the live ones are converted, and a P with no live half
+    is never conjugated.  Each block is converted as it is drawn and
+    kept without its zeros, so the complex blocks are never stacked.
     """
-
-    def __init__(self, l0: sparse.csr_matrix, pieces) -> None:
-        self.n_pieces = len(pieces)
-        blocks, n = [l0, *pieces], l0.shape[0]
-        # each block is moved in turn: sparse.hstack copies all of them first
-        counts = np.array([np.diff(b.indptr) for b in blocks])
-        indptr = np.concatenate([[0], np.cumsum(counts.sum(axis=0))])
-        shift = indptr[:-1] + np.cumsum(counts, axis=0) - counts - [b.indptr[:-1] for b in blocks]
-        data = np.empty(indptr[-1], dtype=np.result_type(*(b.data for b in blocks)))
-        indices = np.empty(indptr[-1], dtype=np.int32)
-        for k, b in enumerate(blocks):
-            at = np.repeat(shift[k], counts[k])
-            at += np.arange(b.nnz)
-            data[at], indices[at] = b.data, b.indices + k * n
-        self.blocks = sparse.csr_matrix((data, indices, indptr), shape=(n, n * len(blocks)))
-
-    @classmethod
-    def real_form(cls, blocks, t: sparse.csr_matrix, live) -> "Generator":
-        """The generator in the real coordinates r = T^H x of the unitary
-        t = T of _real_basis, with only its live pieces.
-
-        blocks yields the complex L0, then one piece P per conjugate pair:
-        the complex generator holds P with coefficient c and its partner
-        J P J, J X = X^dag, with conj(c).  A self-conjugate piece with a
-        real coefficient s enters as half of it, its own partner, with
-        c = s.  T^H L0 T is real, and with M = T^H P T a pair adds
-        Re c (2 Re M) + Im c (-2 Im M), so the real form has two pieces per
-        P, with coefficients (Re c, Im c).  live flags each of these real
-        pieces; only the live ones are converted, and a P with no live half
-        is never conjugated.  Each block is converted as it is drawn and
-        kept without its zeros, so the complex blocks are never stacked.
-        """
-        t_h = t.conj().T.tocsr()
-        blocks = iter(blocks)
-        m = (t_h @ next(blocks) @ t).tocsr()
-        l0 = _trimmed(m.data.real, m)
-        pieces = []
-        for piece, (re_on, im_on) in zip(blocks, np.reshape(live, (-1, 2)), strict=True):
-            if re_on or im_on:
-                m = (t_h @ piece @ t).tocsr()
-                if re_on:
-                    pieces.append(_trimmed(2 * m.data.real, m))
-                if im_on:
-                    pieces.append(_trimmed(-2 * m.data.imag, m))
-        del m, t_h  # free before the real pieces are stacked
-        return cls(l0, pieces)
-
-    def apply(self, stack: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
-        """Write L x into out, for x in stack[0] and weights (f_1, ..., f_K);
-        with m columns in x, weights is (K, m), one column per member.
-        Rows 1 to K of stack receive the weighted copies f_1 x, ..., f_K x.
-        stack and out are C-contiguous and of the dtype of the product."""
-        x = stack[0]
-        for row, w in zip(stack[1:], weights):
-            np.multiply(w, x, out=row)
-        _csr_product(self.blocks, stack.reshape(-1, *x.shape[1:]), out)
+    blocks = iter(blocks)
+    m = (t_h @ next(blocks) @ t).tocsr()
+    real = [_trimmed(m.data.real, m)]
+    for piece, (re_on, im_on) in zip(blocks, np.reshape(live, (-1, 2)), strict=True):
+        if re_on or im_on:
+            m = (t_h @ piece @ t).tocsr()
+            if re_on:
+                real.append(_trimmed(2 * m.data.real, m))
+            if im_on:
+                real.append(_trimmed(-2 * m.data.imag, m))
+    del m  # free before the real pieces are stacked
+    return _side_by_side(real)
 
 
 def _csr_product(a: sparse.csr_matrix, x: np.ndarray, out: np.ndarray) -> None:
@@ -372,7 +356,7 @@ class Propagation(NamedTuple):
 
 
 def propagate(
-    generator: Generator,
+    generator: sparse.csr_matrix,
     x0: np.ndarray,
     coeffs: np.ndarray,
     steps: np.ndarray,
@@ -381,53 +365,62 @@ def propagate(
 ) -> Propagation:
     """Fixed-step RK4 of x' = L(t) x over len(steps) steps.
 
-    Step i has length steps[i] and reads the coefficient rows 2i, 2i + 1
-    and 2i + 2: its start, midpoint and end, so consecutive steps share
-    their boundary row.  coeffs has one column per piece of the
-    generator; with x0 of shape (n^2, m) it is (rows, K, m), one
-    coefficient set per member column.  x keeps the dtype of x0 when the
+    generator is [L0 | L1 | ... | LK] (_side_by_side).  Step i has length
+    steps[i] and reads the coefficient rows 2i, 2i + 1 and 2i + 2: its
+    start, midpoint and end, so consecutive steps share their boundary row.
+    coeffs has one column per piece of the generator; with x0 of shape
+    (n^2, m) it is (rows, K, m), one coefficient set per member column.  x keeps the dtype of x0 when the
     generator and coeffs are real, as for a real form in real
     coordinates.  The monitors are maxima per member over the states after
     each step (0 without steps): |trace - 1| of the entries trace_idx of x,
     and the summed real part of x over each index array in watch; a NaN stays.
 
-    x0 is left as it is.  The run allocates its buffers once: the stack of
-    Generator.apply, whose row 0 takes each stage's input, the stage
-    derivative and the step sum.  Each operation is the one the expression
+    x0 is left as it is.  The run allocates its buffers once: the stack
+    that each stage's product reads, whose row 0 takes the stage's input
+    and rows 1 to K its weighted copies f_k x, the stage derivative and
+    the step sum.  Each operation is the one the expression
     x + (h / 6) (k1 + 2 k2 + 2 k3 + k4) performs, in its order and with its
     operand order (numpy's complex product is not commutative to the bit),
     so every state is bitwise what that expression gives, with
     L x = [L0 | L1 | ... | LK] (1 x, f_1 x, ..., f_K x).  (Row 0 holds x, not
     1 x: for a complex x that may flip the sign of a zero, never a value.)
     """
-    x = np.array(x0, dtype=np.result_type(x0, coeffs, generator.blocks.dtype), order="C")
+    x = np.array(x0, dtype=np.result_type(x0, coeffs, generator.dtype), order="C")
     stack = np.empty((1 + coeffs.shape[1], *x.shape), dtype=x.dtype)
-    if generator.blocks.shape != (len(x), len(x) * len(stack)):
+    if generator.shape != (len(x), len(x) * len(stack)):
         raise ValueError(
             f"a state of {len(x)} entries with {coeffs.shape[1]} pieces does not fit "
-            f"a generator of shape {generator.blocks.shape}"
+            f"a generator of shape {generator.shape}"
         )
     xs, k, acc = stack[0], np.empty_like(x), np.empty_like(x)
+    copies = stack.reshape(-1, *x.shape[1:])
+
+    def derivative(weights, out):
+        """Write L x into out for x in xs and the coefficients weights."""
+        for row, w in zip(stack[1:], weights):
+            np.multiply(w, xs, out=row)
+        _csr_product(generator, copies, out)
+
     bounds = np.cumsum([0, len(trace_idx), *map(len, watch)])
     gather = np.concatenate([trace_idx, *watch]).astype(np.intp)
     seen = np.empty((len(steps), gather.size, *x.shape[1:]), dtype=x.dtype)
     for i, h in enumerate(np.asarray(steps).tolist()):
         j = 2 * i
         np.copyto(xs, x)
-        generator.apply(stack, coeffs[j], acc)  # k1
+        derivative(coeffs[j], acc)  # k1
         np.multiply(h / 2, acc, out=xs)
         np.add(x, xs, out=xs)
-        generator.apply(stack, coeffs[j + 1], k)  # k2
+        derivative(coeffs[j + 1], k)  # k2
         np.multiply(h / 2, k, out=xs)
         np.add(x, xs, out=xs)
         np.multiply(2, k, out=k)
         acc += k  # k1 + 2 k2
-        generator.apply(stack, coeffs[j + 1], k)  # k3
+        derivative(coeffs[j + 1], k)  # k3
         np.multiply(h, k, out=xs)
         np.add(x, xs, out=xs)
         np.multiply(2, k, out=k)
         acc += k  # k1 + 2 k2 + 2 k3
-        generator.apply(stack, coeffs[j + 2], k)  # k4
+        derivative(coeffs[j + 2], k)  # k4
         acc += k
         np.multiply(h / 6, acc, out=acc)
         x += acc
@@ -470,7 +463,7 @@ def _top_level(levels: np.ndarray) -> tuple:
 
 def _conj_pairs(*samples: np.ndarray) -> np.ndarray:
     """Real-form coefficient rows (Re s_1, Im s_1, Re s_2, Im s_2, ...) of
-    the pieces with coefficients s_k (see Generator.real_form)."""
+    the pieces with coefficients s_k (see _real_form)."""
     return np.stack([f(s) for s in samples for f in (np.real, np.imag)], axis=1)
 
 
@@ -507,7 +500,7 @@ def _run_schedule(
     x is a square grid of nodes of d x d matrices, as the regression ladder
     holds them (one node for a plain state), and may hold one member per
     column (see propagate).  blocks yields the complex L0 and one piece per
-    conjugate pair, as Generator.real_form reads them.  The schedule has
+    conjugate pair, as _real_form reads them.  The schedule has
     two segments, t_i to t_g and t_g to t_f, each opened by a qubit
     rotation of every node (GATE_Y90, then GATE_YM90) when
     schedule.ramsey_gates is set.  Each segment is cut into nsteps equal
@@ -534,8 +527,8 @@ def _run_schedule(
     watch = tuple(at for at, _ in monitors)
     t = _real_basis(_adjoint_swap(d, math.isqrt(len(x) // (d * d))))
     trace_idx = np.arange(d) * (d + 1)
-    gen = Generator.real_form(blocks, t, live)
     t_h = t.conj().T.tocsr()
+    gen = _real_form(blocks, t, t_h, live)
     r = (t_h @ x).real
     max_tr = np.zeros(x.shape[1:])
     max_watched = (max_tr,) * len(watch)
@@ -896,7 +889,7 @@ def _capture_blocks(model: LindbladModel, db: int):
     (K the constant non-Hermitian part) and the output collapse operator is
     -i sqrt(kex) a + g b.  Expanding both gives the pieces beta,
     g conj(beta) and conj(g), each standing for its conjugate pair, and
-    half the self-conjugate |g|^2 piece (see Generator.real_form).  The
+    half the self-conjugate |g|^2 piece (see _real_form).  The
     constant part keeps the model's own collapse operators: the internal
     loss kin D[a] and the output's g-free part kex D[a] sum to its
     kappa_tot D[a].

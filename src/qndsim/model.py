@@ -110,26 +110,6 @@ class SystemParams:
         return 1.0 / self.T2_star - 1.0 / (2.0 * self.T1)
 
 
-def default_params() -> SystemParams:
-    """Reference parameter set used by the tests and as CLI defaults."""
-    return SystemParams.from_hz(
-        omega_c=10.62524e9,
-        omega_q=7.8693e9,
-        chi=1.50e6,
-        kappa_ex=3.32e6,
-        kappa_in=0.25e6,
-        anharmonicity=-0.344e9,
-        T1=32e-6,
-        T2_star=26e-6,
-        T2_echo=33e-6,
-        p_th=0.067,
-        n_th=0.0005,
-        eps_rg=0.0016,
-        eps_re=0.022,
-        eta_meas=0.43,
-    )
-
-
 def ideal_params(kappa_ex_over_2chi: float = 1.0) -> SystemParams:
     """Lossless detector: chi = 1.5 MHz, kappa_ex = ratio*2*chi, no internal
     loss, perfect qubit."""

@@ -9,12 +9,13 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest  # noqa: E402
 
-from qndsim.model import default_params
 from qndsim.protocol import (
     DEFAULT_FIT_GRID,
     efficiency_scan,
     run_protocol,
 )
+
+from oracles import default_params
 
 
 @pytest.fixture(scope="session")

@@ -7,8 +7,15 @@ so pytest puts this directory on the path.
 
 import numpy as np
 
+from qndsim.cli import default_config
 from qndsim.linalg import QuantumState, fock, ket_density
 from qndsim.model import TWO_PI, SystemParams, TemporalMode, reflection_coefficient
+
+
+def default_params() -> SystemParams:
+    """The reference set of the characterization table, from the CLI's
+    defaults (in Hz there)."""
+    return SystemParams.from_hz(**default_config()["params"])
 
 
 def gamma_phi_tot(p: SystemParams) -> float:

@@ -23,7 +23,6 @@ from qndsim.linalg import coherent, fidelity, ket_density, negativity, QuantumSt
 from qndsim.model import (
     SystemParams,
     build_model,
-    default_params,
     gaussian_input_mode,
     ideal_params,
 )
@@ -31,6 +30,7 @@ from qndsim.protocol import default_schedule, efficiency_scan, ideal_composite
 from qndsim import tomography
 
 import oracles
+from oracles import default_params
 
 MODE = gaussian_input_mode(500e-9)
 N_IN = 0.165

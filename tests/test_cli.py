@@ -45,6 +45,27 @@ class TestConfigLoading:
         assert cfg["params"]["chi"] == 1.5e6
         assert cfg["tomography"]["seed"] == 7
 
+    def test_defaults_echo_the_table(self, default_outputs):
+        # the reference set as the characterization table lists it, in Hz,
+        # echoed by every subcommand's manifest
+        params = cli.default_config()["params"]
+        assert (params["omega_q"], params["anharmonicity"]) == (7.8693e9, -0.344e9)
+        for name, out in default_outputs.items():
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["params"] == params, name
+
+    @pytest.mark.parametrize(
+        "section, key", [(s, k) for s, block in cli.default_config().items() for k in block]
+    )
+    def test_value_of_another_kind_is_config_error(self, tmp_path, capsys, section, key):
+        # each key is read by the kind of its default
+        wrong = {bool: "1", int: "2.5", float: "true", type(None): "true", list: "0.1",
+                 str: "[table]"}
+        value = wrong[type(cli.default_config()[section][key])]
+        p = write_yaml(tmp_path / "c.yaml", f"{section}:\n  {key}: {value}\n")
+        assert run_cli("spectrum", "--config", p, "--out", str(tmp_path / "out")) == 2
+        assert f"config error: {section}.{key} " in capsys.readouterr().err
+
     def test_unknown_section_rejected(self, tmp_path):
         p = write_yaml(tmp_path / "c.yaml", "warp:\n  x: 1\n")
         with pytest.raises(cli.ConfigError, match="unknown config section"):
@@ -397,15 +418,25 @@ class TestTomoSelftest:
         assert f"tomography.{key}" in capsys.readouterr().err
         assert not any(out.iterdir())
 
+    def test_bad_schedule_leaves_no_record(self, tmp_path, capsys):
+        # the protocol run comes first, so a schedule it refuses stops the
+        # run before any record is written
+        cfg = write_yaml(tmp_path / "c.yaml", TINY_TOMO_YAML + "schedule:\n  n_in: -0.1\n")
+        out = tmp_path / "o"
+        assert run_cli("tomo-selftest", "--config", cfg, "--out", str(out)) == 2
+        assert "n_in must be non-negative" in capsys.readouterr().err
+        assert not any(out.iterdir())
+
     def test_seed_flag_overrides_config(self, tmp_path):
         cfg = write_yaml(tmp_path / "c.yaml", TINY_TOMO_YAML + "  seed: null\n")
+        assert cli.load_config(cfg)["tomography"]["seed"] is None
         out = tmp_path / "o"
         code = run_cli(
             "tomo-selftest", "--config", cfg, "--out", str(out), "--seed", "11"
         )
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 11
+        assert (manifest["seed"], manifest["config"]["tomography"]["seed"]) == (11, None)
 
 
 class TestSweep:
@@ -444,45 +475,61 @@ class TestSweep:
 
 
 @pytest.fixture(scope="module")
-def golden_figures(tmp_path_factory, spectrum_outputs, protocol_outputs):
-    """The figures tests/golden.json records, recomputed from the five
-    subcommands at defaults (spectrum and protocol reuse their fixtures)."""
+def default_outputs(tmp_path_factory, spectrum_outputs, protocol_outputs):
+    """The output directories of the five subcommands at defaults (spectrum
+    and protocol reuse their fixtures), keyed as make_golden.RUNS."""
     outs = {"spectrum": spectrum_outputs, "protocol": protocol_outputs}
-    got = {}
     for name, argv in make_golden.RUNS.items():
         if name not in outs:
             outs[name] = tmp_path_factory.mktemp(name)
             assert run_cli(*argv, "--out", str(outs[name])) == 0
-        got.update(make_golden.figures(outs[name]))
+    return outs
+
+
+@pytest.fixture(scope="module")
+def golden_figures(default_outputs):
+    """The figures tests/golden.json records, recomputed."""
+    got = {}
+    for out in default_outputs.values():
+        got.update(make_golden.figures(out))
     return got
 
 
 class TestGolden:
     """The outputs at defaults against tests/golden.json (written by
-    tests/make_golden.py): 1e-10 relative with a 1e-14 floor, far inside
-    any physics pin."""
+    tests/make_golden.py): each number and each CSV entry at 1e-10
+    relative with a 1e-14 floor, far inside any physics pin; names and the
+    digests of the tomography records exactly."""
 
     def _compare(self, got, files):
         record = json.loads(make_golden.GOLDEN.read_text())
         assert got.keys() == record.keys()
-        for name in files:
-            assert got[name].keys() == record[name].keys(), name
-            for key, want in record[name].items():
-                if isinstance(want, str):
-                    assert got[name][key] == want, f"{name} {key}"
-                else:
-                    np.testing.assert_allclose(
-                        got[name][key], want, rtol=1e-10, atol=1e-14, err_msg=f"{name} {key}"
-                    )
+        report = make_golden.compare(
+            {name: got[name] for name in files}, {name: record[name] for name in files}
+        )
+        moved = {name: row for name, row in report.items() if row[1]}
+        assert not moved, f"(figures, moved, largest relative move) per file: {moved}"
 
     def test_json_scalars_match_record(self, golden_figures):
         self._compare(golden_figures, make_golden.JSON_FILES)
 
     def test_csv_tables_match_record(self, golden_figures):
-        # per column of every table: its norm and its extreme entries
+        # per column of every table: its norm, its extreme entries and each entry
         tables = [name for name in golden_figures if name.endswith(".csv")]
         assert len(tables) == 12
         self._compare(golden_figures, tables)
+
+    def test_one_entry_moved_is_seen(self, golden_figures):
+        # moves that a column's norm and extremes miss: 1e-8 at an interior
+        # entry, relative and absolute, and at the first, of order 1e-15
+        table = golden_figures["wigner_ground.csv"]
+        w = table["W.entries"]
+        for at, value in ((1900, w[1900] * (1 + 1e-8)), (1900, w[1900] + 1e-8), (0, w[0] + 1e-8)):
+            entries = w.copy()
+            entries[at] = value
+            got = {"wigner_ground.csv": {**table, "W.entries": entries}}
+            report = make_golden.compare(got, {"wigner_ground.csv": table})
+            assert report["wigner_ground.csv"][1] == 1
 
 
 class TestPlumbing:

@@ -24,12 +24,12 @@ from qndsim.dynamics import (
 from qndsim.linalg import QuantumState, coherent, dag, fock, ket_density
 from qndsim.model import (
     build_model,
-    default_params,
     gaussian_input_mode,
     ideal_params,
 )
 
 import oracles
+from oracles import default_params
 
 MODE = gaussian_input_mode(500e-9)
 N_IN = 0.165

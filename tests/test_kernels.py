@@ -4,7 +4,7 @@ Each route writes one piece P per conjugate pair; the complex generator
 is assembled here from a route's blocks plus the partners J P J
 (`complex_generator`).  That generator is checked against the Lindblad
 formula written densely here, which also checks the pair rule that
-Generator.real_form relies on, and `propagate` against dense
+`_real_form` relies on, and `propagate` against dense
 matrix-exponential propagation of the vectorized generator (row-major
 convention: vec(A U B) = (A kron B^T) vec(U)), including the regression
 ladder and the capture mode with unequal steps.  The capture references
@@ -25,8 +25,10 @@ from scipy.linalg import expm
 
 from qndsim import dynamics
 from qndsim.linalg import dag, destroy
-from qndsim.model import SystemParams, build_model, default_params, gaussian_input_mode
+from qndsim.model import SystemParams, build_model, gaussian_input_mode
 from qndsim.tomography import mle_iterations
+
+from oracles import default_params
 
 
 def random_density(rng, d):
@@ -182,17 +184,22 @@ def partner(piece, swap):
 def complex_generator(blocks, swap):
     """The complex generator of a route's blocks: L0, then each piece P
     followed by its partner J P J, weighted as with_partners orders them.
-    L0 must be its own partner, as Generator.real_form assumes."""
+    L0 must be its own partner, as _real_form assumes."""
     l0, *pieces = blocks
     assert abs(partner(l0, swap) - l0).max() <= 1e-15 * abs(l0).max()
-    return dynamics.Generator(l0, [q for p in pieces for q in (p, partner(p, swap))])
+    return dynamics._side_by_side([l0, *(q for p in pieces for q in (p, partner(p, swap)))])
+
+
+def n_pieces(gen):
+    """K of a generator [L0 | L1 | ... | LK]."""
+    return gen.shape[1] // gen.shape[0] - 1
 
 
 def stage(gen, x, weights):
     """L x for weights (1, f_1, ..., f_K), written as one public sparse
     product with the stacked weighted copies (x, f_1 x, ..., f_K x): the
-    reference for Generator.apply and propagate's stages."""
-    return gen.blocks @ (weights[:, None] * x[None]).reshape(-1, *x.shape[1:])
+    reference for propagate's stages."""
+    return gen @ (weights[:, None] * x[None]).reshape(-1, *x.shape[1:])
 
 
 def with_partners(*coeffs):
@@ -203,15 +210,15 @@ def with_partners(*coeffs):
 
 
 def spy_real_form(monkeypatch):
-    """Record (live pieces, real pieces) of every Generator.real_form call."""
+    """Record (live pieces, real pieces) of every _real_form call."""
     calls = []
-    real_form = dynamics.Generator.real_form
+    real_form = dynamics._real_form
 
-    def spy(blocks, t, live):
+    def spy(blocks, t, t_h, live):
         calls.append((int(np.sum(live)), len(live)))
-        return real_form(blocks, t, live)
+        return real_form(blocks, t, t_h, live)
 
-    monkeypatch.setattr(dynamics.Generator, "real_form", spy)
+    monkeypatch.setattr(dynamics, "_real_form", spy)
     return calls
 
 
@@ -287,12 +294,13 @@ class TestGenerators:
         src_wb = sparse.csr_matrix((np.ones(6), (k[3:], k[3:] - 3)), shape=(9, 9))
         lindblad = kron_lindblad(model.H, model.collapse)
         eps = spre(ad) - spost(ad)
-        expected = dynamics.Generator(
+        expected = dynamics._side_by_side([
             sparse.kron(nodes, lindblad, format="csr"),
-            (sparse.kron(nodes, eps, format="csr"), sparse.kron(src_w, spre(a), format="csr")),
-        ).blocks
+            sparse.kron(nodes, eps, format="csr"),
+            sparse.kron(src_w, spre(a), format="csr"),
+        ])
         l0, *pieces = dynamics._ladder_blocks(model.H, model.collapse, model.a, 2)
-        got = dynamics.Generator(l0, pieces).blocks
+        got = dynamics._side_by_side([l0, *pieces])
         assert dynamics.MOMENT_ORDER == 2
         assert_same_csr(got, expected, "order 2")
         got = dynamics._ladder_blocks(model.H, model.collapse, model.a, 0)
@@ -485,7 +493,7 @@ def small_problem(real=False, n_members=3, nsteps=40):
     swap = dynamics._adjoint_swap(d)
     if real:
         t = dynamics._real_basis(swap)
-        gen = dynamics.Generator.real_form(blocks, t, np.ones(2, dtype=bool))
+        gen = dynamics._real_form(blocks, t, t.conj().T.tocsr(), np.ones(2, dtype=bool))
         x0, coeffs = np.ascontiguousarray((t.conj().T @ x0).real), dynamics._conj_pairs(eps)
     else:
         gen, coeffs = complex_generator(blocks, swap), with_partners(eps)
@@ -578,20 +586,6 @@ class TestDirectKernel:
         for x, c in ((x0[:-1], coeffs), (x0, coeffs[:, :1])):
             with pytest.raises(ValueError, match="does not fit a generator"):
                 dynamics.propagate(gen, x, c, steps, diag, watch)
-
-    def test_apply_equals_reference_stage(self):
-        # Generator.apply with garbage in its buffers against the public
-        # product of the stacked weighted copies
-        for real in (False, True):
-            gen, x0, coeffs, *_ = small_problem(real)
-            for x, w in ((x0, coeffs[5]), (x0[:, 1], coeffs[5, :, 1])):
-                want = stage(gen, x, np.concatenate([np.ones((1, *w.shape[1:])), w]))
-                stack = np.full((1 + len(w), *x.shape), np.nan, dtype=want.dtype)
-                stack[0] = x
-                out = np.full_like(want, np.nan)
-                gen.apply(stack, w, out)
-                npt.assert_array_equal(out, want)
-                npt.assert_array_equal(stack[0], x)
 
 
 class TestLindbladRK4:
@@ -766,17 +760,18 @@ class TestRealCoordinates:
     def _check_real_form(self, blocks, swap, coeffs):
         rng = np.random.default_rng(swap.size)
         t = dynamics._real_basis(swap)
+        t_h = t.conj().T.tocsr()
         blocks = list(blocks)
         gen = complex_generator(blocks, swap)
-        real = dynamics.Generator.real_form(blocks, t, np.ones(gen.n_pieces, dtype=bool))
-        assert real.n_pieces == gen.n_pieces
+        real = dynamics._real_form(blocks, t, t_h, np.ones(n_pieces(gen), dtype=bool))
+        assert n_pieces(real) == n_pieces(gen)
         # a piece flagged off is dropped: the other blocks stay as they are
-        live = np.arange(gen.n_pieces) % 2 == 0
-        kept = dynamics.Generator.real_form(blocks, t, live)
+        live = np.arange(n_pieces(gen)) % 2 == 0
+        kept = dynamics._real_form(blocks, t, t_h, live)
         n = swap.size
-        cols = [real.blocks[:, k * n:(k + 1) * n] for k in (0, *(np.flatnonzero(live) + 1))]
-        assert kept.n_pieces == int(live.sum())
-        assert (kept.blocks != sparse.hstack(cols, format="csr")).nnz == 0
+        cols = [real[:, k * n:(k + 1) * n] for k in (0, *(np.flatnonzero(live) + 1))]
+        assert n_pieces(kept) == int(live.sum())
+        assert (kept != sparse.hstack(cols, format="csr")).nnz == 0
         w_complex = np.r_[1.0, with_partners(*coeffs)]
         w_real = np.r_[1.0, [f(c) for c in coeffs for f in (np.real, np.imag)]]
         for _ in range(3):

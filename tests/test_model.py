@@ -8,13 +8,13 @@ from qndsim import model
 from qndsim.model import (
     SystemParams,
     build_model,
-    default_params,
     gaussian_input_mode,
     ideal_params,
     reflection_coefficient,
 )
 
 import oracles
+from oracles import default_params
 
 TWO_PI = 2 * np.pi
 

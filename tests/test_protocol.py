@@ -17,7 +17,7 @@ from qndsim.linalg import (
     ket_density,
     negativity,
 )
-from qndsim.model import build_model, default_params, gaussian_input_mode, ideal_params
+from qndsim.model import build_model, gaussian_input_mode, ideal_params
 from qndsim.dynamics import PulseSchedule, evolve
 from qndsim.protocol import (
     DEFAULT_FIT_GRID,
@@ -33,6 +33,7 @@ from qndsim.protocol import (
 )
 
 import oracles
+from oracles import default_params
 
 SMALL_GRID = (0.0, 0.035, 0.07, 0.1)
 CLI_GRID = DEFAULT_FIT_GRID + (0.3, 0.45, 0.6)
