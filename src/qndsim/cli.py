@@ -29,7 +29,7 @@ from .linalg import (
     ket_density,
     negativity,
 )
-from .model import TWO_PI, SystemParams, ideal_params, reflection_coefficient
+from .model import TWO_PI, SystemParams, reflection_coefficient
 from .dynamics import PulseSchedule
 from .protocol import (
     SWEEP_AXES,
@@ -47,6 +47,14 @@ CAL_PHOTON_NUMBER = 0.137  # reference coherent intensity for the selftest
 
 # the only keys that may be infinite: an infinite decay time means no decay
 _INFINITE_ALLOWED = ("params.T1", "params.T2_star", "params.T2_echo")
+# the efficiency gate interval of each preset where efficiency.gate_interval is null
+_PRESET_WINDOW = {"table": 800e-9, "ideal": 1600e-9}
+# the ideal preset: the configured params with every imperfection off
+# (and kappa_ex = 2 chi)
+_IDEAL = {
+    "kappa_in": 0.0, "T1": math.inf, "T2_star": math.inf, "T2_echo": math.inf,
+    "p_th": 0.0, "n_th": 0.0, "eps_rg": 0.0, "eps_re": 0.0, "eta_meas": 1.0,
+}
 
 
 class ConfigError(ValueError):
@@ -193,7 +201,7 @@ def _normalize(cfg: dict) -> None:
     for key, least in (("phases", tomography.MIN_PHASES), ("shots", 1), ("iterations", 1)):
         if t[key] < least:
             raise ConfigError(f"tomography.{key} must be at least {least}")
-    if cfg["efficiency"]["preset"] not in ("table", "ideal"):
+    if cfg["efficiency"]["preset"] not in _PRESET_WINDOW:
         raise ConfigError("efficiency.preset must be 'table' or 'ideal'")
     axis = cfg["sweep"]["axis"]
     if axis not in SWEEP_AXES:
@@ -202,24 +210,38 @@ def _normalize(cfg: dict) -> None:
         raise ConfigError("sweep.values must be a non-empty list")
 
 
-def _build_params(cfg: dict) -> SystemParams:
+def _build_params(params_hz: dict) -> SystemParams:
     try:
-        return SystemParams.from_hz(**cfg["params"])
+        return SystemParams.from_hz(**params_hz)
     except ValueError as exc:
         raise ConfigError(f"invalid params: {exc}") from None
 
 
-def _build_schedule(cfg: dict) -> PulseSchedule:
-    s = cfg["schedule"]
+def _window(cfg: dict) -> dict:
+    """The keywords of default_schedule, as the schedule section sets them."""
+    keys = ("n_in", "gate_interval", "pulse_fwhm", "readout_delay")
+    return {key: cfg["schedule"][key] for key in keys}
+
+
+def _build_schedule(window: dict) -> PulseSchedule:
     try:
-        return default_schedule(
-            s["n_in"],
-            gate_interval=s["gate_interval"],
-            pulse_fwhm=s["pulse_fwhm"],
-            readout_delay=s["readout_delay"],
-        )
+        return default_schedule(**window)
     except ValueError as exc:
         raise ConfigError(f"invalid schedule: {exc}") from None
+
+
+def _efficiency_point(cfg: dict) -> tuple[SystemParams, dict]:
+    """The operating point of efficiency and sweep: the preset's params and
+    the schedule window, whose gate interval is efficiency.gate_interval
+    or, where that is null, the preset's."""
+    preset = cfg["efficiency"]["preset"]
+    params = cfg["params"]
+    if preset == "ideal":
+        params = {**params, **_IDEAL, "kappa_ex": 2.0 * params["chi"]}
+    gate_interval = cfg["efficiency"]["gate_interval"]
+    if gate_interval is None:
+        gate_interval = _PRESET_WINDOW[preset]
+    return _build_params(params), {**_window(cfg), "gate_interval": gate_interval}
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +267,12 @@ def _write_state(path: Path, state: QuantumState | None) -> None:
     tomography.write_csv(path, ["row", "col", "real", "imag"], rows)
 
 
-# the config sections of a subcommand that reads fewer than all of them;
-# its manifest echoes only these
-_SECTIONS_READ = {"sweep": ("params", "sweep")}
-
-
 def _write_manifest(outdir: Path, command: str, cfg: dict, seed) -> None:
     tomography.write_json(
         outdir / "manifest.json",
         {
             "subcommand": command,
-            "config": {key: cfg[key] for key in _SECTIONS_READ.get(command, cfg)},
+            "config": cfg,
             "seed": seed,
             "version": __version__,
         },
@@ -267,7 +284,7 @@ def _write_manifest(outdir: Path, command: str, cfg: dict, seed) -> None:
 
 
 def cmd_spectrum(cfg: dict, outdir: Path, seed) -> None:
-    params = _build_params(cfg)
+    params = _build_params(cfg["params"])
     span = cfg["spectrum"]["span_hz"]
     points = cfg["spectrum"]["points"]
     if points < 2:
@@ -293,20 +310,8 @@ def cmd_spectrum(cfg: dict, outdir: Path, seed) -> None:
 
 def cmd_efficiency(cfg: dict, outdir: Path, seed) -> None:
     eff = cfg["efficiency"]
-    if eff["preset"] == "ideal":
-        params = ideal_params()
-        default_interval = 1600e-9
-    else:
-        params = _build_params(cfg)
-        default_interval = 800e-9
-    gate_interval = eff["gate_interval"]
-    if gate_interval is None:
-        gate_interval = default_interval
-    template = default_schedule(
-        gate_interval=gate_interval,
-        pulse_fwhm=cfg["schedule"]["pulse_fwhm"],
-        readout_delay=cfg["schedule"]["readout_delay"],
-    )
+    params, window = _efficiency_point(cfg)
+    template = _build_schedule(window)
     try:
         report = efficiency_scan(
             params,
@@ -330,17 +335,17 @@ def cmd_efficiency(cfg: dict, outdir: Path, seed) -> None:
             "residual_rms": _num(report.residual_rms),
             "bending": _num(report.bending),
             "fit_window": _num(report.fit_window),
-            "gate_interval": _num(gate_interval),
+            "gate_interval": _num(window["gate_interval"]),
             "preset": eff["preset"],
         },
     )
 
 
 def cmd_protocol(cfg: dict, outdir: Path, seed) -> None:
-    params = _build_params(cfg)
-    schedule = _build_schedule(cfg)
+    params = _build_params(cfg["params"])
+    schedule = _build_schedule(_window(cfg))
     n_ph = cfg["protocol"]["n_ph"]
-    result = run_protocol(params, schedule, n_ph=n_ph)
+    result = run_protocol(params, schedule, n_ph)
     tomography.write_json(
         outdir / "report.json",
         {
@@ -396,12 +401,12 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
     if seed < 0:
         raise ConfigError(f"tomography.seed (or --seed) must be >= 0, got {seed}")
     t = cfg["tomography"]
-    params = _build_params(cfg)
+    params = _build_params(cfg["params"])
     eta = params.eta_meas
     thetas = tomography.phase_settings(t["phases"])
     n = tomography.N_TOMO_SINGLE
     cal = QuantumState(ket_density(coherent(n, math.sqrt(CAL_PHOTON_NUMBER))), (n,))
-    result = run_protocol(params, _build_schedule(cfg))
+    result = run_protocol(params, _build_schedule(_window(cfg)), cfg["protocol"]["n_ph"])
     fits = []  # (uncorrected, corrected) per record
     for k, (name, state) in enumerate((("coherent", cal), ("composite", result.rho_comp))):
         record = tomography.sample(state, thetas, t["shots"], eta=eta, seed=seed + k)
@@ -446,16 +451,16 @@ def cmd_tomo_selftest(cfg: dict, outdir: Path, seed) -> None:
 
 
 def cmd_sweep(cfg: dict, outdir: Path, seed) -> None:
-    # every sweep point starts from protocol.sweep's own schedule
-    defaults = default_config()["schedule"]
-    for key, value in cfg["schedule"].items():
-        if value != defaults[key]:
-            raise ConfigError(
-                f"sweep reads only the params and sweep sections; "
-                f"schedule.{key} = {value!r} would be ignored"
-            )
-    params = _build_params(cfg)
-    points = sweep(params, cfg["sweep"]["axis"], cfg["sweep"]["values"])
+    params, window = _efficiency_point(cfg)
+    points = sweep(
+        params,
+        cfg["sweep"]["axis"],
+        cfg["sweep"]["values"],
+        window,
+        cfg["schedule"]["alpha_sq_grid"],
+        fit_window=cfg["efficiency"]["fit_window"],
+        n_ph=cfg["protocol"]["n_ph"],
+    )
     tomography.write_csv(
         outdir / "sweep.csv",
         ["value", "eta", "dark_count", "survival", "negativity"],

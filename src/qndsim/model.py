@@ -110,19 +110,6 @@ class SystemParams:
         return 1.0 / self.T2_star - 1.0 / (2.0 * self.T1)
 
 
-def ideal_params(kappa_ex_over_2chi: float = 1.0) -> SystemParams:
-    """Lossless detector: chi = 1.5 MHz, kappa_ex = ratio*2*chi, no internal
-    loss, perfect qubit."""
-    chi_hz = 1.5e6
-    return SystemParams.from_hz(
-        omega_c=10.62524e9,
-        omega_q=7.8693e9,
-        chi=chi_hz,
-        kappa_ex=kappa_ex_over_2chi * 2.0 * chi_hz,
-        kappa_in=0.0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # temporal modes
 
@@ -209,12 +196,6 @@ class LindbladModel:
     collapse: list  # operators already scaled by sqrt(rate)
     a: np.ndarray  # cavity annihilation on the full space
     sigma_ee: np.ndarray
-    sigma_ge: np.ndarray  # |g><e| (x) identity
-    sigma_eg: np.ndarray
-
-    @property
-    def dims(self) -> tuple:
-        return (2, self.n_max + 1)
 
     @property
     def dim(self) -> int:
@@ -264,8 +245,6 @@ def build_model(p: SystemParams, n_max: int = 7) -> LindbladModel:
         collapse=collapse,
         a=a,
         sigma_ee=sigma_ee,
-        sigma_ge=sigma_ge,
-        sigma_eg=sigma_eg,
     )
 
 

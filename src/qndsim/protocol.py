@@ -37,6 +37,7 @@ PROB_FLOOR = 1e-12
 # the repair warns, above CLIP_ERR it raises NumericalError
 CLIP_WARN = 5e-2
 CLIP_ERR = 0.2
+MIN_GRID = 4  # the fewest grid points efficiency_scan takes
 
 SWEEP_AXES = (
     "gate_interval",
@@ -146,11 +147,11 @@ MAX_ENTRY_MARGIN = 400e-9
 
 
 def default_schedule(
-    n_in: float = 0.165,
     *,
-    gate_interval: float = 1100e-9,
-    pulse_fwhm: float = 500e-9,
-    readout_delay: float = 100e-9,
+    n_in: float,
+    gate_interval: float,
+    pulse_fwhm: float,
+    readout_delay: float,
 ) -> PulseSchedule:
     """Standard schedule with the pulse peak arriving at t = 0.
 
@@ -195,8 +196,8 @@ def ideal_composite(n_in: float, n_ph: int = 2) -> QuantumState:
 
 def run_protocol(
     params: SystemParams,
-    schedule: PulseSchedule | None = None,
-    n_ph: int = 2,
+    schedule: PulseSchedule,
+    n_ph: int,
 ) -> ProtocolResult:
     """Run the full detection sequence and assemble every reported state.
 
@@ -213,8 +214,6 @@ def run_protocol(
     few percent before repair; CLIP_WARN and CLIP_ERR bound the warning and
     failure thresholds for that repair.
     """
-    if schedule is None:
-        schedule = default_schedule()
     if not 1 <= n_ph <= MOMENT_ORDER:
         raise ValueError(f"n_ph must be between 1 and {MOMENT_ORDER}")
     n_in = schedule.mean_input_photons
@@ -297,10 +296,10 @@ def run_protocol(
 
 def efficiency_scan(
     params: SystemParams,
-    schedule_template: PulseSchedule | None,
+    schedule_template: PulseSchedule,
     grid,
     *,
-    fit_window: float = 0.10,
+    fit_window: float,
     n_max: int = 7,
 ) -> EfficiencyReport:
     """Phase-flip probability versus mean input photon number.
@@ -316,13 +315,11 @@ def efficiency_scan(
     propagated as the columns of one RK4 run (``evolve``), the dark
     run first; every member starts at t_i from its prepared state.
     """
-    if schedule_template is None:
-        schedule_template = default_schedule(gate_interval=800e-9)
     grid = np.asarray(sorted(float(x) for x in grid))
     if not np.all(np.isfinite(grid)):
         raise ValueError("mean photon numbers must be finite")
-    if grid.size < 4:
-        raise ValueError("need at least 4 grid points for a quadratic fit")
+    if grid.size < MIN_GRID:
+        raise ValueError(f"need at least {MIN_GRID} grid points for a quadratic fit")
     if grid[0] < 0:
         raise ValueError("mean photon numbers must be >= 0")
     model = build_model(params, n_max=n_max)
@@ -365,26 +362,24 @@ def efficiency_scan(
     )
 
 
-DEFAULT_FIT_GRID = (0.0, 0.025, 0.05, 0.075, 0.1, 0.125, 0.15)
-
-
 # ---------------------------------------------------------------------------
 # sweeps
 
 
 def _swept_configuration(
     params: SystemParams,
-    template: PulseSchedule,
+    window: dict,
     axis: str,
     value: float,
 ) -> tuple[SystemParams, PulseSchedule]:
     if axis == "gate_interval":
-        return params, default_schedule(gate_interval=value)
+        return params, default_schedule(**{**window, "gate_interval": value})
+    template = default_schedule(**window)
     if axis == "pulse_length":
-        mode = gaussian_input_mode(value)
         edge = 0.8 * value
         sched = PulseSchedule(
-            -edge, edge, edge + 100e-9, mode, alpha_in=template.alpha_in
+            -edge, edge, edge + window["readout_delay"], gaussian_input_mode(value),
+            alpha_in=template.alpha_in,
         )
         return params, sched
     if axis == "kappa_ex":
@@ -412,27 +407,34 @@ def sweep(
     params: SystemParams,
     axis: str,
     values,
+    window: dict,
+    grid,
     *,
-    grid=DEFAULT_FIT_GRID,
+    fit_window: float,
+    n_ph: int,
 ) -> list[SweepPoint]:
     """Efficiency scan plus protocol figures at each value of one parameter.
 
-    Every value starts from default_schedule(gate_interval=800e-9), whose
-    input of 0.165 photons is also the protocol's; the ``gate_interval``
-    axis takes default_schedule's window at each interval.  Times are in
-    seconds and rates in angular units (rad/s); ``gamma`` and ``gamma_phi``
-    set the qubit relaxation and pure-dephasing rates while holding the
-    complementary decoherence channel fixed.
+    Every value starts from ``default_schedule(**window)``, the efficiency
+    operating point; the ``gate_interval`` axis sets the window's interval,
+    and ``pulse_length`` a pulse of that FWHM with the rotations at
+    -+0.8 of it.  A point reports only eta and the dark count of its scan,
+    so only the grid points inside ``fit_window`` are propagated, topped up
+    to the MIN_GRID points efficiency_scan takes.  Times are
+    in seconds and rates in angular units (rad/s); ``gamma`` and
+    ``gamma_phi`` set the qubit relaxation and pure-dephasing rates while
+    holding the complementary decoherence channel fixed.
     """
     values = [float(v) for v in values]
     if not values or not all(math.isfinite(v) for v in values):
         raise ValueError("sweep values must be a non-empty finite list")
-    template = default_schedule(gate_interval=800e-9)
+    grid = sorted(float(x) for x in grid)  # the fit-window points come first
+    fit_grid = grid[: max(MIN_GRID, sum(x <= fit_window for x in grid))]
     points = []
     for value in values:
-        p_i, sched_i = _swept_configuration(params, template, axis, value)
-        report = efficiency_scan(p_i, sched_i, grid)
-        result = run_protocol(p_i, sched_i)
+        p_i, sched_i = _swept_configuration(params, window, axis, value)
+        report = efficiency_scan(p_i, sched_i, fit_grid, fit_window=fit_window)
+        result = run_protocol(p_i, sched_i, n_ph)
         points.append(
             SweepPoint(
                 value=value,

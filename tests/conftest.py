@@ -9,32 +9,32 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import pytest  # noqa: E402
 
-from qndsim.protocol import (
-    DEFAULT_FIT_GRID,
-    efficiency_scan,
-    run_protocol,
-)
+from qndsim.protocol import efficiency_scan, run_protocol
 
+import oracles
 from oracles import default_params
 
 
 @pytest.fixture(scope="session")
 def table_run_n2():
     """Full protocol at the reference operating point, two-photon truncation."""
-    return run_protocol(default_params())
+    return run_protocol(default_params(), oracles.schedule(), 2)
 
 
 @pytest.fixture(scope="session")
 def table_run_n1():
     """Same run with the single-photon three-element construction."""
-    return run_protocol(default_params(), n_ph=1)
+    return run_protocol(default_params(), oracles.schedule(), 1)
 
 
 @pytest.fixture(scope="session")
 def table_efficiency():
     """Efficiency scan at the reference operating point, grid up to 0.6."""
     return efficiency_scan(
-        default_params(), None, DEFAULT_FIT_GRID + (0.3, 0.45, 0.6)
+        default_params(),
+        oracles.schedule(gate_interval=800e-9),
+        oracles.GRID,
+        fit_window=oracles.FIT_WINDOW,
     )
 
 

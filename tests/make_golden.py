@@ -1,9 +1,11 @@
 """Write tests/golden.json, the record of the figures the five subcommands
 write at the default config: every scalar of `efficiency.json`,
-`report.json` and `selftest.json`, and for every column of every CSV table
-its norm, its extreme entries and its entries one by one.  The columns of
-the tomography records (setting, bin centre, count) are recorded as
-SHA-256 digests of their values instead, and compared exactly.  Run from
+`report.json` and `selftest.json`, for every column of every CSV table
+its norm, its extreme entries and its entries one by one, and the `config`
+and `seed` of each run's `manifest.json` (not its `version`), keyed
+`<run>/manifest.json`.  The columns of the tomography records (setting,
+bin centre, count) are recorded as SHA-256 digests of their values
+instead, and compared exactly.  Run from
 the repository root:
 
     PYTHONPATH=src python tests/make_golden.py          # rewrite the record
@@ -43,6 +45,7 @@ DIGEST_TABLES = ("record_coherent.csv", "record_composite.csv")
 # what is recorded of each CSV column, beside its entries or digest
 COLUMN_FIGURES = {"norm": np.linalg.norm, "min": np.min, "max": np.max}
 RTOL, ATOL = 1e-10, 1e-14  # a number moves when |got - want| > ATOL + RTOL |want|
+ABSENT = object()  # a figure on the other side only; moves even against null
 
 
 def scalars(tree, prefix: str = "") -> dict:
@@ -72,9 +75,11 @@ def column_figures(path: Path) -> dict:
     return out
 
 
-def figures(out: Path) -> dict:
-    """The recorded figures of one output directory, keyed by file name."""
-    record = {}
+def figures(run: str, out: Path) -> dict:
+    """The recorded figures of one run's output directory, keyed by file
+    name; the manifest, which every run writes, under the run's name."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    record = {f"{run}/manifest.json": scalars({k: manifest[k] for k in ("config", "seed")})}
     for path in sorted(out.iterdir()):
         if path.name in JSON_FILES:
             record[path.name] = scalars(json.loads(path.read_text()))
@@ -94,7 +99,7 @@ def compare(got: dict, record: dict) -> dict:
         mine, theirs = got.get(name, {}), record.get(name, {})
         pairs = []
         for key in sorted(mine.keys() | theirs.keys()):
-            g, w = mine.get(key), theirs.get(key)
+            g, w = mine.get(key, ABSENT), theirs.get(key, ABSENT)
             if isinstance(g, list) and isinstance(w, list) and len(g) == len(w):
                 pairs.extend(zip(g, w))
             else:
@@ -127,7 +132,7 @@ def main(argv) -> int:
             if cli.main([*run, "--out", str(out)]) != 0:
                 print(f"{name} failed", file=sys.stderr)
                 return 1
-            got.update(figures(out))
+            got.update(figures(name, out))
     if not args.diff:
         GOLDEN.write_text(json.dumps(got, indent=2, sort_keys=True) + "\n")
         return 0

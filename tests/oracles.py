@@ -5,17 +5,68 @@ No subcommand runs these, so they live beside the tests instead of in
 so pytest puts this directory on the path.
 """
 
+import math
+
 import numpy as np
 
-from qndsim.cli import default_config
+from qndsim.cli import _window, default_config
 from qndsim.linalg import QuantumState, fock, ket_density
-from qndsim.model import TWO_PI, SystemParams, TemporalMode, reflection_coefficient
+from qndsim.model import (
+    SIGMA_MINUS,
+    SIGMA_PLUS,
+    TWO_PI,
+    SystemParams,
+    TemporalMode,
+    reflection_coefficient,
+)
+from qndsim.protocol import default_schedule
+
+# the CLI's photon grid and fit window
+GRID = tuple(default_config()["schedule"]["alpha_sq_grid"])
+FIT_WINDOW = default_config()["efficiency"]["fit_window"]
 
 
 def default_params() -> SystemParams:
     """The reference set of the characterization table, from the CLI's
     defaults (in Hz there)."""
     return SystemParams.from_hz(**default_config()["params"])
+
+
+def ideal_params(kappa_ex_over_2chi: float = 1.0) -> SystemParams:
+    """Lossless detector: the reference set with no internal loss, a perfect
+    qubit and readout, and kappa_ex = ratio * 2 chi."""
+    p = default_params()
+    return p.replace(
+        kappa_ex=kappa_ex_over_2chi * 2.0 * p.chi, kappa_in=0.0,
+        T1=math.inf, T2_star=math.inf, T2_echo=math.inf,
+        p_th=0.0, n_th=0.0, eps_rg=0.0, eps_re=0.0, eta_meas=1.0,
+    )
+
+
+def window(**overrides) -> dict:
+    """The keywords of default_schedule at the CLI's schedule defaults (the
+    protocol's 1100 ns window), with overrides."""
+    return {**_window(default_config()), **overrides}
+
+
+def schedule(**overrides):
+    """default_schedule(**window(**overrides))."""
+    return default_schedule(**window(**overrides))
+
+
+def dims(n_max: int) -> tuple:
+    """The (qubit, cavity) dims of a LindbladModel's space."""
+    return (2, n_max + 1)
+
+
+def sigma_ge(n_max: int) -> np.ndarray:
+    """|g><e| (x) identity on a LindbladModel's space."""
+    return np.kron(SIGMA_MINUS, np.eye(n_max + 1))
+
+
+def sigma_eg(n_max: int) -> np.ndarray:
+    """|e><g| (x) identity on a LindbladModel's space."""
+    return np.kron(SIGMA_PLUS, np.eye(n_max + 1))
 
 
 def gamma_phi_tot(p: SystemParams) -> float:

@@ -20,17 +20,12 @@ from qndsim.dynamics import (
     output_mode_moments,
 )
 from qndsim.linalg import coherent, fidelity, ket_density, negativity, QuantumState
-from qndsim.model import (
-    SystemParams,
-    build_model,
-    gaussian_input_mode,
-    ideal_params,
-)
-from qndsim.protocol import default_schedule, efficiency_scan, ideal_composite
+from qndsim.model import SystemParams, build_model, gaussian_input_mode
+from qndsim.protocol import efficiency_scan, ideal_composite
 from qndsim import tomography
 
 import oracles
-from oracles import default_params
+from oracles import FIT_WINDOW, default_params, ideal_params
 
 MODE = gaussian_input_mode(500e-9)
 N_IN = 0.165
@@ -124,8 +119,9 @@ class TestAcceptance:
         etas_k = [
             efficiency_scan(
                 ideal_params(kappa_ex_over_2chi=r),
-                default_schedule(gate_interval=1600e-9),
+                oracles.schedule(gate_interval=1600e-9),
                 SMALL_GRID,
+                fit_window=FIT_WINDOW,
             ).eta
             for r in ratios
         ]
@@ -134,7 +130,8 @@ class TestAcceptance:
         gates = (500e-9, 700e-9, 800e-9, 900e-9, 1100e-9)
         etas_g = [
             efficiency_scan(
-                default_params(), default_schedule(gate_interval=g), SMALL_GRID
+                default_params(), oracles.schedule(gate_interval=g), SMALL_GRID,
+                fit_window=FIT_WINDOW,
             ).eta
             for g in gates
         ]

@@ -15,7 +15,7 @@ import pytest
 
 from qndsim import cli, dynamics, protocol
 from qndsim.linalg import NumericalError
-from qndsim.model import SystemParams
+from qndsim.model import TWO_PI, SystemParams
 
 import make_golden
 import oracles
@@ -47,12 +47,12 @@ class TestConfigLoading:
 
     def test_defaults_echo_the_table(self, default_outputs):
         # the reference set as the characterization table lists it, in Hz,
-        # echoed by every subcommand's manifest
-        params = cli.default_config()["params"]
-        assert (params["omega_q"], params["anharmonicity"]) == (7.8693e9, -0.344e9)
+        # echoed by every subcommand's manifest with the rest of the resolution
+        cfg = cli.default_config()
+        assert (cfg["params"]["omega_q"], cfg["params"]["anharmonicity"]) == (7.8693e9, -0.344e9)
         for name, out in default_outputs.items():
             manifest = json.loads((out / "manifest.json").read_text())
-            assert manifest["config"]["params"] == params, name
+            assert manifest["config"] == cfg, name
 
     @pytest.mark.parametrize(
         "section, key", [(s, k) for s, block in cli.default_config().items() for k in block]
@@ -157,7 +157,7 @@ class TestConfigLoading:
         )
         cfg = cli.load_config(p)
         assert cfg["params"]["T1"] == math.inf
-        assert oracles.gamma_phi_tot(cli._build_params(cfg)) == 0.0
+        assert oracles.gamma_phi_tot(cli._build_params(cfg["params"])) == 0.0
 
 
 @pytest.fixture(scope="module")
@@ -241,6 +241,51 @@ class TestEfficiency:
         assert report["eta"] >= 0.98
         assert report["dark_count"] < 1e-8
         assert report["gate_interval"] == 1.6e-6
+
+    def test_ideal_preset_derives_from_params(self):
+        # the configured params with every imperfection off and kappa_ex = 2 chi,
+        # in the preset's 1600 ns window unless efficiency.gate_interval is set
+        cfg = cli.default_config()
+        cfg["efficiency"]["preset"] = "ideal"
+        params, window = cli._efficiency_point(cfg)
+        assert params == oracles.ideal_params()
+        assert window == oracles.window(gate_interval=1600e-9)
+        cfg["params"]["chi"] = 2.0e6
+        cfg["efficiency"]["gate_interval"] = 900e-9
+        params, window = cli._efficiency_point(cfg)
+        chi = TWO_PI * 2.0e6
+        assert params == oracles.ideal_params().replace(chi=chi, kappa_ex=2 * chi)
+        assert window["gate_interval"] == 900e-9
+        cfg["efficiency"] = cli.default_config()["efficiency"]
+        assert cli._efficiency_point(cfg) == (
+            cli._build_params(cfg["params"]), oracles.window(gate_interval=800e-9)
+        )
+
+    # four grid points inside the window, and three, which the sweep tops
+    # up to the four efficiency_scan takes
+    @pytest.mark.parametrize("fit_window", [0.075, 0.06])
+    def test_fit_window_reaches_report_fit_and_sweep(self, tmp_path, default_outputs, fit_window):
+        cfg = write_yaml(
+            tmp_path / "c.yaml",
+            f"efficiency:\n  fit_window: {fit_window}\nsweep:\n  values: [800e-9]\n",
+        )
+        for command in ("efficiency", "sweep"):
+            assert run_cli(command, "--config", cfg, "--out", str(tmp_path / command)) == 0
+        report = json.loads((tmp_path / "efficiency" / "efficiency.json").read_text())
+        assert report["fit_window"] == fit_window
+        curve = load_csv(tmp_path / "efficiency" / "efficiency_curve.csv")
+        x, y = curve["mean_input_photons"], curve["flip_probability"]
+        sel = x <= fit_window
+        coef, *_ = np.linalg.lstsq(
+            np.column_stack([x[sel], x[sel] ** 2]), y[sel] - report["dark_count"], rcond=None
+        )
+        np.testing.assert_allclose(report["eta"], coef[0], rtol=1e-12)
+        default = json.loads((default_outputs["efficiency"] / "efficiency.json").read_text())
+        assert abs(report["eta"] - default["eta"]) > 1e-4
+        row = load_csv(tmp_path / "sweep" / "sweep.csv")
+        assert (float(row["eta"]), float(row["dark_count"])) == (
+            report["eta"], report["dark_count"]
+        )
 
     def test_degenerate_grid_is_config_error(self, tmp_path, capsys):
         cfg = write_yaml(
@@ -329,6 +374,20 @@ class TestProtocol:
         assert report["fidelity_excited_single"] < 1e-6
         assert report["negativity"] < 1e-12
         assert (out / "wigner_excited.csv").exists()
+
+    def test_wigner_off_writes_no_wigner_files(self, tmp_path, protocol_outputs):
+        cfg = write_yaml(tmp_path / "c.yaml", "protocol:\n  wigner: false\n")
+        out = tmp_path / "out"
+        assert run_cli("protocol", "--config", cfg, "--out", str(out)) == 0
+        names = sorted(p.name for p in out.iterdir())
+        assert names == sorted(
+            p.name for p in protocol_outputs.iterdir() if not p.name.startswith("wigner_")
+        )
+        for name in names:
+            if name != "manifest.json":
+                assert (out / name).read_bytes() == (protocol_outputs / name).read_bytes(), name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["protocol"] == {"n_ph": 2, "wigner": False}
 
     def test_negative_photon_number_is_config_error(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "c.yaml", "schedule:\n  n_in: -0.1\n")
@@ -451,26 +510,35 @@ class TestSweep:
         np.testing.assert_allclose(table["eta"], 0.821826, atol=2e-3)
         np.testing.assert_allclose(table["dark_count"], 0.0165076, atol=2e-4)
 
-    def test_manifest_echoes_only_the_sections_read(self, tmp_path):
-        cfg = write_yaml(tmp_path / "c.yaml", "sweep:\n  values: [800e-9]\n")
-        out = tmp_path / "out"
-        assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 0
-        config = json.loads((out / "manifest.json").read_text())["config"]
-        assert sorted(config) == ["params", "sweep"]
-        assert config["sweep"] == {"axis": "gate_interval", "values": [8e-7]}
+    @pytest.mark.parametrize("n_ph", [2, 1])
+    def test_one_operating_point(self, tmp_path, n_ph):
+        # a one-value sweep at the configured window reproduces efficiency's
+        # eta and dark count and protocol's survival and negativity exactly
+        cfg = write_yaml(
+            tmp_path / "c.yaml",
+            "schedule:\n  gate_interval: 800e-9\n  n_in: 0.05\n"
+            f"protocol:\n  n_ph: {n_ph}\n  wigner: false\n"
+            "sweep:\n  axis: gate_interval\n  values: [800e-9]\n",
+        )
+        for command in ("efficiency", "protocol", "sweep"):
+            assert run_cli(command, "--config", cfg, "--out", str(tmp_path / command)) == 0
+        eff = json.loads((tmp_path / "efficiency" / "efficiency.json").read_text())
+        report = json.loads((tmp_path / "protocol" / "report.json").read_text())
+        row = load_csv(tmp_path / "sweep" / "sweep.csv")
+        got = [float(row[k]) for k in ("eta", "dark_count", "survival", "negativity")]
+        assert got == [eff["eta"], eff["dark_count"], report["survival"], report["negativity"]]
+        np.testing.assert_allclose(report["input_photons"], 0.05, rtol=1e-15)
 
     def test_unknown_axis_is_config_error(self, tmp_path, capsys):
         cfg = write_yaml(tmp_path / "c.yaml", "sweep:\n  axis: warp\n")
         assert run_cli("sweep", "--config", cfg, "--out", str(tmp_path)) == 2
         assert "axis" in capsys.readouterr().err
 
-    def test_schedule_setting_is_config_error(self, tmp_path, capsys):
-        # every point starts from protocol.sweep's own schedule, so a
-        # schedule value the run would ignore is refused
-        cfg = write_yaml(tmp_path / "c.yaml", "schedule:\n  n_in: 0.05\n")
+    def test_negative_photon_number_is_config_error(self, tmp_path, capsys):
+        cfg = write_yaml(tmp_path / "c.yaml", "schedule:\n  n_in: -0.1\n")
         out = tmp_path / "out"
         assert run_cli("sweep", "--config", cfg, "--out", str(out)) == 2
-        assert "schedule.n_in = 0.05 would be ignored" in capsys.readouterr().err
+        assert "n_in must be non-negative, got -0.1" in capsys.readouterr().err
         assert not (out / "sweep.csv").exists()
 
 
@@ -490,8 +558,8 @@ def default_outputs(tmp_path_factory, spectrum_outputs, protocol_outputs):
 def golden_figures(default_outputs):
     """The figures tests/golden.json records, recomputed."""
     got = {}
-    for out in default_outputs.values():
-        got.update(make_golden.figures(out))
+    for name, out in default_outputs.items():
+        got.update(make_golden.figures(name, out))
     return got
 
 
@@ -518,6 +586,13 @@ class TestGolden:
         tables = [name for name in golden_figures if name.endswith(".csv")]
         assert len(tables) == 12
         self._compare(golden_figures, tables)
+
+    def test_manifests_match_record(self, golden_figures):
+        # each run's config and seed, the version left out
+        manifests = [name for name in golden_figures if name.endswith("/manifest.json")]
+        assert sorted(manifests) == sorted(f"{run}/manifest.json" for run in make_golden.RUNS)
+        assert not any(key == "version" for name in manifests for key in golden_figures[name])
+        self._compare(golden_figures, manifests)
 
     def test_one_entry_moved_is_seen(self, golden_figures):
         # moves that a column's norm and extremes miss: 1e-8 at an interior
@@ -553,9 +628,10 @@ class TestPlumbing:
         assert (out / "spectrum.csv").exists()
 
     def test_manifest_written_only_after_success(self, tmp_path):
-        cfg = write_yaml(tmp_path / "c.yaml", "schedule:\n  n_in: 0.05\n")
+        # refused inside the handler, after the config has loaded
+        cfg = write_yaml(tmp_path / "c.yaml", "spectrum:\n  points: 1\n")
         failed = tmp_path / "failed"
-        assert run_cli("sweep", "--config", cfg, "--out", str(failed)) == 2
+        assert run_cli("spectrum", "--config", cfg, "--out", str(failed)) == 2
         assert not (failed / "manifest.json").exists()
         done = tmp_path / "done"
         assert run_cli("spectrum", "--out", str(done)) == 0

@@ -22,14 +22,10 @@ from qndsim.dynamics import (
     output_mode_moments,
 )
 from qndsim.linalg import QuantumState, coherent, dag, fock, ket_density
-from qndsim.model import (
-    build_model,
-    gaussian_input_mode,
-    ideal_params,
-)
+from qndsim.model import build_model, gaussian_input_mode
 
 import oracles
-from oracles import default_params
+from oracles import default_params, ideal_params
 
 MODE = gaussian_input_mode(500e-9)
 N_IN = 0.165
@@ -122,7 +118,7 @@ class TestEvolve:
             integrand = np.exp(-ktot / 2 * (t - s)) * MODE.amplitude(-s)
             expected = -1j * math.sqrt(kex) * ALPHA * np.trapezoid(integrand, s)
             npt.assert_allclose(traj.expect(m.a), expected, atol=2e-6)
-        cav = oracles.partial_trace(QuantumState(traj.rho, m.dims), keep=(1,))
+        cav = oracles.partial_trace(QuantumState(traj.rho, oracles.dims(m.n_max)), keep=(1,))
         purity = float(np.real(np.trace(cav.rho @ cav.rho)))
         assert purity > 1 - 1e-8
         pe = float(np.real(np.trace(traj.rho[8:, 8:])))
@@ -190,11 +186,11 @@ class TestEvolve:
         m = build_model(p, n_max=10)
         alpha_c = 0.8
         psi = np.kron([1.0, 1.0], coherent(m.n_max + 1, alpha_c)) / math.sqrt(2)
-        initial = QuantumState(ket_density(psi), m.dims)
+        initial = QuantumState(ket_density(psi), oracles.dims(m.n_max))
         t_f = 430e-9
         sched = PulseSchedule(0.0, 215e-9, t_f, MODE, alpha_in=0.0, ramsey_gates=False)
         traj = evolve(m, sched, initial=initial, dt=2.5e-10)[0]
-        val = 2 * traj.expect(m.sigma_ge)
+        val = 2 * traj.expect(oracles.sigma_ge(m.n_max))
         weights = np.abs(coherent(m.n_max + 1, alpha_c)) ** 2
         expected = np.sum(weights * np.exp(2j * p.chi * np.arange(m.n_max + 1) * t_f))
         npt.assert_allclose(val, expected, atol=1e-8)
@@ -663,12 +659,12 @@ class TestMeasurementBackaction:
             return amp * np.exp(-1j * delta_d * tt)
 
         plus = np.kron([1.0, 1.0], fock(m.n_max + 1, 0)) / math.sqrt(2)
-        initial = QuantumState(ket_density(plus), m.dims)
+        initial = QuantumState(ket_density(plus), oracles.dims(m.n_max))
         t_a, t_b = 0.3e-6, 1.3e-6
 
         def log_coherence(t, **kwargs):
             sched = PulseSchedule(0.0, t, t, MODE, alpha_in=0.0, ramsey_gates=False)
-            coh = abs(evolve(m, sched, initial=initial, **kwargs)[0].expect(m.sigma_ge))
+            coh = abs(evolve(m, sched, initial=initial, **kwargs)[0].expect(oracles.sigma_ge(m.n_max)))
             return math.log(max(coh, 1e-300))
 
         # two-point slopes of log|coherence| over [t_a, t_b], driven and not

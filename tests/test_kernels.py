@@ -28,6 +28,7 @@ from qndsim.linalg import dag, destroy
 from qndsim.model import SystemParams, build_model, gaussian_input_mode
 from qndsim.tomography import mle_iterations
 
+import oracles
 from oracles import default_params
 
 
@@ -104,8 +105,8 @@ def capture_operators(model, db):
     p = model.params
     c_list = [np.sqrt(p.kappa_in) * a]
     for op, rate in (
-        (model.sigma_ge, p.gamma_1),
-        (model.sigma_eg, p.gamma_2),
+        (oracles.sigma_ge(model.n_max), p.gamma_1),
+        (oracles.sigma_eg(model.n_max), p.gamma_2),
         (model.sigma_ee, 2 * max(p.gamma_phi, 0.0)),
     ):
         if rate > 0:

@@ -9,12 +9,11 @@ from qndsim.model import (
     SystemParams,
     build_model,
     gaussian_input_mode,
-    ideal_params,
     reflection_coefficient,
 )
 
 import oracles
-from oracles import default_params
+from oracles import default_params, ideal_params
 
 TWO_PI = 2 * np.pi
 

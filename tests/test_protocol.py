@@ -17,13 +17,11 @@ from qndsim.linalg import (
     ket_density,
     negativity,
 )
-from qndsim.model import build_model, gaussian_input_mode, ideal_params
+from qndsim.model import build_model, gaussian_input_mode
 from qndsim.dynamics import PulseSchedule, evolve
 from qndsim.protocol import (
-    DEFAULT_FIT_GRID,
     SWEEP_AXES,
     ConditioningError,
-    default_schedule,
     dressed_flip_probability,
     efficiency_scan,
     field_operator_from_moments,
@@ -33,10 +31,28 @@ from qndsim.protocol import (
 )
 
 import oracles
-from oracles import default_params
+from oracles import FIT_WINDOW, GRID, default_params, ideal_params
 
 SMALL_GRID = (0.0, 0.035, 0.07, 0.1)
-CLI_GRID = DEFAULT_FIT_GRID + (0.3, 0.45, 0.6)
+# the efficiency window of the table preset
+EFFICIENCY_WINDOW = oracles.window(gate_interval=800e-9)
+
+
+def efficiency_schedule(**overrides):
+    return oracles.schedule(**{**EFFICIENCY_WINDOW, **overrides})
+
+
+def scan(params, grid, **overrides):
+    """efficiency_scan in the table preset's window, with overrides."""
+    return efficiency_scan(
+        params, efficiency_schedule(**overrides), grid, fit_window=FIT_WINDOW
+    )
+
+
+def run_sweep(params, axis, values):
+    return sweep(
+        params, axis, values, EFFICIENCY_WINDOW, SMALL_GRID, fit_window=FIT_WINDOW, n_ph=2
+    )
 
 
 def exact_moments(block: np.ndarray, order: int) -> np.ndarray:
@@ -135,7 +151,7 @@ class TestDressedFlip:
 
 class TestRunProtocolTrivial:
     def test_dark_ideal_run(self):
-        r = run_protocol(ideal_params(), default_schedule(0.0))
+        r = run_protocol(ideal_params(), oracles.schedule(n_in=0.0), 2)
         assert r.p_e < 1e-12
         assert r.rho_e is None
         assert math.isnan(r.fidelity_single)
@@ -144,14 +160,14 @@ class TestRunProtocolTrivial:
 
     def test_truncation_validated(self):
         with pytest.raises(ValueError):
-            run_protocol(default_params(), n_ph=0)
+            run_protocol(default_params(), oracles.schedule(), 0)
         with pytest.raises(ValueError):
-            run_protocol(default_params(), n_ph=3)
+            run_protocol(default_params(), oracles.schedule(), 3)
 
     def test_degenerate_ground_branch(self):
         p = default_params().replace(eps_rg=1.0, eps_re=0.0)
         with pytest.raises(ConditioningError):
-            run_protocol(p)
+            run_protocol(p, oracles.schedule(), 2)
 
 
 class TestRunProtocolReference:
@@ -202,7 +218,7 @@ class TestRunProtocolReference:
         red = np.einsum("qaQa->qQ", r.comp_assembled.reshape(2, dim, 2, dim))
         p = default_params()
         m = build_model(p)
-        rho_f = evolve(m, default_schedule())[0].rho
+        rho_f = evolve(m, oracles.schedule())[0].rho
         rq = oracles.partial_trace(QuantumState(rho_f, (2, m.n_max + 1)), keep=(0,)).rho
         z = np.diag([1.0, -1.0])
         npt.assert_allclose(red, z @ rq @ z, atol=1e-8)
@@ -219,14 +235,14 @@ class TestRunProtocolReference:
         fids = []
         for kin_mhz in (0.05, 0.25, 0.6, 1.2, 2.4):
             r = run_protocol(
-                p.replace(kappa_in=2 * math.pi * kin_mhz * 1e6), n_ph=1
+                p.replace(kappa_in=2 * math.pi * kin_mhz * 1e6), oracles.schedule(), 1
             )
             fids.append(r.fidelity_single)
         assert all(a > b for a, b in zip(fids, fids[1:]))
 
     def test_fully_dephased_is_separable(self):
         p = default_params().replace(T2_star=50e-9, T2_echo=50e-9)
-        r = run_protocol(p)
+        r = run_protocol(p, oracles.schedule(), 2)
         assert r.negativity < 1e-3
 
 
@@ -256,7 +272,7 @@ class TestEfficiencyScan:
     def test_dark_count_matches_direct_run(self, table_efficiency):
         p = default_params()
         model = build_model(p)
-        sched = default_schedule(0.0, gate_interval=800e-9)
+        sched = efficiency_schedule(n_in=0.0)
         traj = evolve(model, sched)[0]
         p_e = float(np.real(traj.expect(model.sigma_ee)))
         direct = dressed_flip_probability(p_e, p)
@@ -267,11 +283,7 @@ class TestEfficiencyScan:
         npt.assert_allclose(table_efficiency.bending, 0.3777, atol=0.03)
 
     def test_ideal_system_ceiling(self):
-        rep = efficiency_scan(
-            ideal_params(),
-            default_schedule(gate_interval=1600e-9),
-            DEFAULT_FIT_GRID,
-        )
+        rep = scan(ideal_params(), GRID, gate_interval=1600e-9)
         assert rep.eta >= 0.98
         assert rep.dark_count < 1e-4
         assert rep.residual_rms < 1e-4
@@ -281,7 +293,7 @@ class TestEfficiencyScan:
             T1=math.inf, T2_star=math.inf, T2_echo=math.inf,
             p_th=0.0, eps_rg=0.0, eps_re=0.0,
         )
-        rep = efficiency_scan(p, None, SMALL_GRID)
+        rep = scan(p, SMALL_GRID)
         assert rep.dark_count < 1e-6
 
     def test_efficiency_bounded_on_random_parameters(self):
@@ -300,7 +312,7 @@ class TestEfficiencyScan:
                 T1=t1, T2_star=t2, T2_echo=t2, p_th=p_th,
                 eps_rg=rng.uniform(0.0, 0.01), eps_re=rng.uniform(0.0, 0.05),
             )
-            rep = efficiency_scan(p, None, SMALL_GRID)
+            rep = scan(p, SMALL_GRID)
             assert -1e-6 <= rep.eta <= 1.0 + 1e-6
 
     @pytest.mark.parametrize("preset", ["reference", "ideal"])
@@ -309,18 +321,18 @@ class TestEfficiencyScan:
             "reference": (default_params(), 800e-9),
             "ideal": (ideal_params(), 1600e-9),
         }[preset]
-        sched = default_schedule(gate_interval=interval)
-        rep = efficiency_scan(p, sched, CLI_GRID)
+        sched = efficiency_schedule(gate_interval=interval)
+        rep = efficiency_scan(p, sched, GRID, fit_window=FIT_WINDOW)
         model = build_model(p)
         single = []
-        for x in CLI_GRID:
+        for x in GRID:
             member = dataclasses.replace(sched, alpha_in=math.sqrt(x))
             traj = evolve(model, member)[0]
             p_e = float(np.real(traj.expect(model.sigma_ee)))
             single.append(dressed_flip_probability(p_e, p))
         npt.assert_allclose(rep.p_flip, single, rtol=1e-15, atol=0)
         # without a zero point the dark run is still the batch's first member
-        no_zero = efficiency_scan(p, sched, CLI_GRID[1:])
+        no_zero = efficiency_scan(p, sched, GRID[1:], fit_window=FIT_WINDOW)
         npt.assert_allclose(no_zero.dark_count, single[0], rtol=1e-15, atol=0)
 
     def test_members_monitored_separately(self):
@@ -341,31 +353,28 @@ class TestEfficiencyScan:
         with pytest.raises(RuntimeError, match="top-level population"):
             evolve(model, dataclasses.replace(sched, alpha_in=math.sqrt(2.0)))
         with pytest.raises(RuntimeError, match="top-level population"):
-            efficiency_scan(p, sched, (0.0,) + weak + (2.0,), n_max=3)
+            efficiency_scan(p, sched, (0.0,) + weak + (2.0,), fit_window=FIT_WINDOW, n_max=3)
 
     def test_grid_validation(self):
         p = default_params()
         with pytest.raises(ValueError):
-            efficiency_scan(p, None, (0.0, 0.05, 0.1))
+            scan(p, (0.0, 0.05, 0.1))
         with pytest.raises(ValueError):
-            efficiency_scan(p, None, (-0.01, 0.05, 0.1, 0.15))
+            scan(p, (-0.01, 0.05, 0.1, 0.15))
         with pytest.raises(ValueError):
-            efficiency_scan(p, None, (0.0, 0.2, 0.4, 0.6))
+            scan(p, (0.0, 0.2, 0.4, 0.6))
         # a NaN point would drop out of the driven members yet count as a
         # zero point, shifting p_flip against the grid
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match="finite"):
-                efficiency_scan(p, None, (0.0, 0.025, 0.05, bad, 0.1, 0.6))
+                scan(p, (0.0, 0.025, 0.05, bad, 0.1, 0.6))
 
 
 class TestSweep:
     @pytest.fixture(scope="class")
     def interval_points(self):
-        return sweep(
-            default_params(),
-            "gate_interval",
-            [v * 1e-9 for v in (500, 700, 800, 900, 1100)],
-            grid=SMALL_GRID,
+        return run_sweep(
+            default_params(), "gate_interval", [v * 1e-9 for v in (500, 700, 800, 900, 1100)]
         )
 
     def test_gate_interval_peak(self, interval_points):
@@ -388,7 +397,7 @@ class TestSweep:
             p_th=0.0, eps_rg=0.0, eps_re=0.0, kappa_in=0.0,
         )
         values = [f * p.chi for f in (1.0, 1.4, 1.7, 2.0, 2.3, 2.8, 3.4)]
-        pts = sweep(p, "kappa_ex", values, grid=SMALL_GRID)
+        pts = run_sweep(p, "kappa_ex", values)
         best = pts[int(np.argmax([pt.eta for pt in pts]))].value
         assert abs(best - 2 * p.chi) <= 0.15 * 2 * p.chi
 
@@ -398,26 +407,66 @@ class TestSweep:
             T2_star=26e-6, T2_echo=26e-6,
         )
         taus = [400e-9, 800e-9, 1200e-9, 1600e-9]
-        pts = sweep(p, "gate_interval", taus, grid=SMALL_GRID)
+        pts = run_sweep(p, "gate_interval", taus)
         ys = [-math.log(1 - 2 * pt.dark_count) for pt in pts]
         slope = sum(t * y for t, y in zip(taus, ys)) / sum(t * t for t in taus)
         npt.assert_allclose(slope, 1.0 / 26e-6, rtol=0.2)
 
+    @staticmethod
+    def timing(sched):
+        return (sched.t_i, sched.t_g, sched.t_f, sched.alpha_in)
+
     @pytest.mark.parametrize("value", [500e-9, 800e-9, 900e-9, 1100e-9])
     def test_gate_interval_axis_uses_default_schedule(self, value):
         _, sched = protocol._swept_configuration(
-            default_params(), default_schedule(gate_interval=800e-9),
-            "gate_interval", value,
+            default_params(), EFFICIENCY_WINDOW, "gate_interval", value
         )
-        ref = default_schedule(gate_interval=value)
-        assert (sched.t_i, sched.t_g, sched.t_f, sched.alpha_in) == (
-            ref.t_i, ref.t_g, ref.t_f, ref.alpha_in
+        ref = efficiency_schedule(gate_interval=value)
+        assert self.timing(sched) == self.timing(ref)
+
+    @pytest.mark.parametrize("axis", ["kappa_ex", "kappa_in", "gamma", "gamma_phi"])
+    def test_parameter_axis_at_base_value_gives_back_the_base(self, axis):
+        # each rate axis at the base params' own rate, in the efficiency window
+        p = default_params()
+        got, sched = protocol._swept_configuration(
+            p, EFFICIENCY_WINDOW, axis, getattr(p, axis)
         )
+        assert self.timing(sched) == self.timing(efficiency_schedule())
+        if axis.startswith("kappa"):
+            assert got == p
+        else:
+            npt.assert_allclose([got.T1, got.T2_star], [p.T1, p.T2_star], rtol=1e-12, atol=0)
+            assert got.replace(T1=p.T1, T2_star=p.T2_star) == p
+
+    def test_pulse_length_axis_at_reference_pulse_is_the_efficiency_window(self):
+        # rotations at -+0.8 of the 500 ns pulse: 0.8 * 500e-9 == 800e-9 / 2 exactly
+        p = default_params()
+        got, sched = protocol._swept_configuration(
+            p, EFFICIENCY_WINDOW, "pulse_length", 500e-9
+        )
+        assert got == p
+        assert self.timing(sched) == self.timing(efficiency_schedule())
+
+    def test_only_fit_window_points_propagated(self, monkeypatch):
+        seen = []
+
+        def scan_spy(params, sched, grid, **kwargs):
+            seen.append(list(grid))
+            return efficiency_scan(params, sched, grid, **kwargs)
+
+        monkeypatch.setattr(protocol, "efficiency_scan", scan_spy)
+        point, = sweep(
+            default_params(), "kappa_in", [default_params().kappa_in],
+            EFFICIENCY_WINDOW, GRID, fit_window=FIT_WINDOW, n_ph=2,
+        )
+        assert seen == [[x for x in GRID if x <= FIT_WINDOW]]
+        full = scan(default_params(), GRID)
+        assert (point.eta, point.dark_count) == (full.eta, full.dark_count)
 
     def test_axis_validation(self):
         p = default_params()
         with pytest.raises(ValueError):
-            sweep(p, "detuning", [1.0, 2.0])
+            run_sweep(p, "detuning", [1.0, 2.0])
         with pytest.raises(ValueError):
-            sweep(p, "kappa_ex", [])
+            run_sweep(p, "kappa_ex", [])
         assert "kappa_ex" in SWEEP_AXES
