@@ -19,7 +19,7 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse import _sparsetools
 
-from .linalg import QuantumState, coherent, dag, destroy, fock
+from .linalg import coherent, dag, destroy, fock
 from .model import LindbladModel, SystemParams, TemporalMode, _require
 
 # qubit basis ordering (|g>, |e>)
@@ -49,8 +49,7 @@ class PulseSchedule:
 
     The input envelope arrives as f(-t), peaked near t = 0.  The first
     rotation (+90 deg about y) fires at t_i, the second (-90 deg) at t_g,
-    and observables are evaluated at t_f.  Setting ramsey_gates False
-    disables both rotations while keeping the timing window.
+    and observables are evaluated at t_f.
     """
 
     t_i: float
@@ -58,7 +57,6 @@ class PulseSchedule:
     t_f: float
     mode: TemporalMode
     alpha_in: complex = 0.0
-    ramsey_gates: bool = True
 
     def __post_init__(self) -> None:
         _require(self.t_i < self.t_g, "t_i must precede t_g")
@@ -95,13 +93,11 @@ class MomentSet:
     moments: np.ndarray
     phase_ref: float
 
-    def rotated(self, phi: Optional[float] = None) -> "MomentSet":
-        """Re-gauge the mode phase: A -> A e^{-i phi} (phi defaults to phase_ref)."""
-        if phi is None:
-            phi = self.phase_ref
+    def rotated(self) -> "MomentSet":
+        """Re-gauge the mode phase to zero: A -> A e^{-i phase_ref}."""
         k = np.arange(self.moments.shape[-1])
         return MomentSet(
-            self.moments * np.exp(1j * np.subtract.outer(k, k) * phi), self.phase_ref - phi
+            self.moments * np.exp(1j * np.subtract.outer(k, k) * self.phase_ref), 0.0
         )
 
     @property
@@ -500,11 +496,10 @@ def _run_schedule(
     x is a square grid of nodes of d x d matrices, as the regression ladder
     holds them (one node for a plain state), and may hold one member per
     column (see propagate).  blocks yields the complex L0 and one piece per
-    conjugate pair, as _real_form reads them.  The schedule has
-    two segments, t_i to t_g and t_g to t_f, each opened by a qubit
-    rotation of every node (GATE_Y90, then GATE_YM90) when
-    schedule.ramsey_gates is set.  Each segment is cut into nsteps equal
-    steps no longer than dt; coeffs_for(t0, nsteps, dt_seg) returns its
+    conjugate pair, as _real_form reads them.  The schedule has two
+    segments, t_i to t_g and t_g to t_f, each opened by a qubit rotation of
+    every node (GATE_Y90, then GATE_YM90).  Each segment is cut into nsteps
+    equal steps no longer than dt; coeffs_for(t0, nsteps, dt_seg) returns its
     real-form coefficient rows and step lengths for propagate.  A piece is
     live when its coefficient is nonzero in some row, member or segment;
     the run builds its real form once, from the live pieces only, and
@@ -533,8 +528,7 @@ def _run_schedule(
     max_tr = np.zeros(x.shape[1:])
     max_watched = (max_tr,) * len(watch)
     for gate, coeffs, steps in segments:
-        if schedule.ramsey_gates:
-            r = (t_h @ _rotate_qubit(t @ r, gate, d)).real
+        r = (t_h @ _rotate_qubit(t @ r, gate, d)).real
         run = propagate(gen, r, coeffs[:, live], steps, trace_idx, watch)
         r = run.state
         max_tr = np.maximum(max_tr, run.max_trace_defect)
@@ -562,42 +556,26 @@ def _prepared_states(
     return np.stack([np.outer(k, np.conjugate(k)).ravel() for k in kets], axis=1)
 
 
-def evolve(
-    model: LindbladModel,
-    schedule: PulseSchedule,
-    alphas=None,
-    *,
-    initial: Optional[QuantumState] = None,
-    drive: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-    dt: Optional[float] = None,
-) -> list:
+def evolve(model: LindbladModel, schedule: PulseSchedule, alphas=None) -> list:
     """Propagate from t_i to t_f one member per input amplitude in alphas.
 
     Member j is schedule's pulse at amplitude alphas[j]; alphas defaults
     to [schedule.alpha_in], and schedule.alpha_in is read only then.  The
     members are the columns of one RK4 run: each trajectory and its
     monitors equal those of the member's own run up to round-off, and a
-    monitor breach in any member raises.  initial is every member's state
-    at t_i; it defaults to the prepared state: the qubit in |g> and the
-    cavity in the coherent state that the pulse has built up by t_i (see
-    _prepared_states).  drive, when given, replaces every member's pulse
-    drive after t_i.  Qubit rotations fire at t_i and t_g when
-    schedule.ramsey_gates is set.  Each trajectory holds its state at t_f.
+    monitor breach in any member raises.  Every member starts at t_i from
+    its prepared state: the qubit in |g> and the cavity in the coherent
+    state that the pulse has built up by t_i (see _prepared_states).  Qubit
+    rotations fire at t_i and t_g.  Each trajectory holds its state at t_f.
     """
     alphas = [schedule.alpha_in] if alphas is None else list(alphas)
-    if dt is None:
-        dt = default_timestep(model.params, schedule.mode)
-    if initial is None:
-        x0 = _prepared_states(model, schedule, alphas, dt)
-    else:
-        _require(initial.rho.shape[0] == model.dim, "initial state dimension mismatch")
-        x0 = np.repeat(initial.rho.astype(complex).reshape(-1, 1), len(alphas), axis=1)
+    dt = default_timestep(model.params, schedule.mode)
+    x0 = _prepared_states(model, schedule, alphas, dt)
     d = model.dim
 
     def coeffs_for(t0, nsteps, dt_seg):
         tt = _half_grid(t0, nsteps, dt_seg)
-        eps = np.stack([np.asarray(drive(tt), dtype=complex) if drive else
-                        _pulse_drive(model.params, schedule.mode, a, tt) for a in alphas], axis=-1)
+        eps = np.stack([_pulse_drive(model.params, schedule.mode, a, tt) for a in alphas], axis=-1)
         return _conj_pairs(eps), np.full(nsteps, dt_seg)
 
     run = _run_schedule(
@@ -783,20 +761,6 @@ def optimize_delay(params: SystemParams, mode: TemporalMode) -> float:
 # output-mode moments: regression ladder
 
 
-def _resolve_output_mode(
-    params: SystemParams,
-    schedule: PulseSchedule,
-    output_mode: Optional[TemporalMode],
-    delay: Optional[float],
-) -> TemporalMode:
-    """The projection mode: output_mode if given, else the input mode
-    delayed by delay (by optimize_delay's choice when delay is None)."""
-    if output_mode is not None:
-        return output_mode
-    tau = delay if delay is not None else optimize_delay(params, schedule.mode)
-    return schedule.mode.delayed(tau)
-
-
 def _classical_shift(moments: np.ndarray, c: complex) -> np.ndarray:
     """Normally ordered moments of A + c from those of A: P̄ M Pᵀ over the
     last two axes, with P[n, k] = C(n, k) c^(n - k)."""
@@ -818,9 +782,8 @@ def output_mode_moments(
     model: LindbladModel,
     schedule: PulseSchedule,
     *,
+    delay: float,
     output_mode: Optional[TemporalMode] = None,
-    delay: Optional[float] = None,
-    dt: Optional[float] = None,
 ) -> MomentSet:
     """Qubit-resolved moments of the reflected temporal mode at t_f.
 
@@ -829,11 +792,13 @@ def output_mode_moments(
     (0, 0) started at t_i from the prepared state (see evolve), then
     shifts by the classical amplitude c = alpha_in o_f, where o_f is the
     overlap of the projection mode with the input envelope over [t_i, t_f].
+    The projection mode is output_mode if given, else the input mode
+    delayed by delay.
     """
     p = model.params
-    if dt is None:
-        dt = default_timestep(p, schedule.mode)
-    output_mode = _resolve_output_mode(p, schedule, output_mode, delay)
+    dt = default_timestep(p, schedule.mode)
+    if output_mode is None:
+        output_mode = schedule.mode.delayed(delay)
     d = model.dim
     n_k = MOMENT_ORDER + 1  # nodes per ladder axis
     x = np.zeros(n_k * n_k * d * d, dtype=complex)
@@ -925,8 +890,8 @@ def capture_mode_oracle(
     model: LindbladModel,
     schedule: PulseSchedule,
     *,
+    delay: float,
     output_mode: Optional[TemporalMode] = None,
-    delay: Optional[float] = None,
     dim_b: int = 7,
 ) -> MomentSet:
     """Independent route to the output-mode moments via an absorbing mode.
@@ -945,13 +910,15 @@ def capture_mode_oracle(
     guard the truncation: the top cavity level and the n + m = N shell
     against TOP_LEVEL_MAX, the top capture level against CAPTURE_TOP_MAX.
     At t_f the state is embedded back into the full product for the
-    read-out.
+    read-out.  The projection mode is output_mode if given, else the input
+    mode delayed by delay.
     """
     _require(dim_b >= 4, "capture mode needs at least 4 levels")
     p = model.params
     _require(p.kappa_ex > 0, "capture oracle needs an external port")
     dt = default_timestep(p, schedule.mode)
-    output_mode = _resolve_output_mode(p, schedule, output_mode, delay)
+    if output_mode is None:
+        output_mode = schedule.mode.delayed(delay)
     n_c = model.n_max + 1
     db = dim_b
     keep = _capture_pairs(n_c, db)

@@ -108,8 +108,8 @@ class QuantumState:
 def clip_and_renormalize(
     rho: np.ndarray,
     *,
-    warn_above: float = 1e-9,
-    error_above: float = 5e-3,
+    warn_above: float,
+    error_above: float,
 ) -> np.ndarray:
     """Project a nearly physical Hermitian matrix onto the PSD unit-trace set.
 

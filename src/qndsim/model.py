@@ -59,8 +59,10 @@ class SystemParams:
     eta_meas: float = 1.0  # quadrature measurement efficiency
 
     def __post_init__(self) -> None:
-        for name in ("chi", "kappa_ex", "kappa_in", "T1", "T2_star", "T2_echo"):
+        for name in ("chi", "kappa_ex", "kappa_in", "T2_echo"):
             _require(getattr(self, name) >= 0, f"{name} must be >= 0")
+        for name in ("T1", "T2_star"):  # the rates divide by them
+            _require(getattr(self, name) > 0, f"{name} must be > 0")
         for name in ("p_th", "n_th", "eps_rg", "eps_re", "eta_meas"):
             v = getattr(self, name)
             _require(0.0 <= v <= 1.0, f"{name} must lie in [0, 1]")

@@ -103,12 +103,10 @@ def dressed_flip_probability(p_e: float, params: SystemParams) -> float:
 @dataclass
 class ProtocolResult:
     n_in: float
-    n_ph: int
     delay: float
     phase_ref: float
     p_e_raw: float
     p_e: float
-    p_g: float
     survival: float
     moments: MomentSet
     rho_g: QuantumState
@@ -270,12 +268,10 @@ def run_protocol(
 
     return ProtocolResult(
         n_in=n_in,
-        n_ph=n_ph,
         delay=delay,
         phase_ref=ms.phase_ref,
         p_e_raw=p_e_raw,
         p_e=p_e,
-        p_g=p_g,
         survival=ms.mean_photon / n_in if n_in > 0 else math.nan,
         moments=ms,
         rho_g=rho_g,

@@ -318,15 +318,14 @@ def sample(
     *,
     eta: float = 1.0,
     seed: int = 0,
-    n_tomo: int | None = None,
-    x_grid: np.ndarray | None = None,
 ) -> MeasurementRecord:
     """Draw binned quadrature outcomes for each phase setting.
 
     A qubit-mode state, dims (2, d), is measured in all three qubit bases at
-    every phase, each setting resolved on the two qubit outcomes. n_tomo
-    (N_TOMO_SINGLE, or N_TOMO_COMPOSITE for a qubit-mode state) need only
-    contain the mode. Each setting draws from its own RNG stream of the
+    every phase, each setting resolved on the two qubit outcomes. The record
+    is binned on default_grid() in a space of N_TOMO_SINGLE levels, or
+    N_TOMO_COMPOSITE for a qubit-mode state, which need only contain the
+    mode. Each setting draws from its own RNG stream of the
     master seed, so the record is reproducible and order-independent.
     """
     thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
@@ -337,10 +336,9 @@ def sample(
         thetas = np.tile(thetas, len(QUBIT_BASES))
     else:
         raise ValueError(f"sampling expects dims (d,) or (2, d), got {state.dims}")
-    if n_tomo is None:
-        n_tomo = N_TOMO_SINGLE if basis is None else N_TOMO_COMPOSITE
+    n_tomo = N_TOMO_SINGLE if basis is None else N_TOMO_COMPOSITE
     rho = _embedded(state, n_tomo)
-    bins = _build_povm_any_dim(eta, n_tomo, x_grid)
+    bins = _build_povm_any_dim(eta, n_tomo, default_grid())
     probs = _RotatedBins(bins.elements, thetas, basis).probabilities(rho)
     return MeasurementRecord(
         thetas,
@@ -548,7 +546,7 @@ def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
     return math.comb(n + alpha, n) * p
 
 
-def wigner(state: QuantumState, grid: np.ndarray | None = None) -> np.ndarray:
+def wigner(state: QuantumState, grid: np.ndarray) -> np.ndarray:
     """Wigner function on a square phase-space grid.
 
     Returns W[i, j] = W(x=grid[i], p=grid[j]) from the displaced-parity
@@ -556,8 +554,6 @@ def wigner(state: QuantumState, grid: np.ndarray | None = None) -> np.ndarray:
     D(alpha) P D(alpha)^dag = D(2 alpha) P reduces it to exact closed-form
     displacement matrix elements, so no Fock-space padding is needed.
     """
-    if grid is None:
-        grid = np.linspace(-3.0, 3.0, 61)
     grid = np.asarray(grid, dtype=float)
     rho = state.rho
     d = rho.shape[0]

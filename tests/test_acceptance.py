@@ -43,19 +43,17 @@ def relative_gap(a, b):
 
 
 class TestAcceptance:
-    def test_criterion_1_reflected_photon_number(self):
+    def test_criterion_1_reflected_photon_number(self, gates_off):
         start = time.monotonic()
         params = default_params()
         n_freq = oracles.reflected_photon_number(params, MODE, N_IN)
         model = build_model(params)
         delay = optimize_delay(params, MODE)
-        sched = PulseSchedule(
-            -400e-9, 700e-9, 800e-9, MODE,
-            alpha_in=math.sqrt(N_IN), ramsey_gates=False,
-        )
-        ms = output_mode_moments(
-            model, sched, output_mode=MODE.delayed(delay), delay=delay
-        )
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=math.sqrt(N_IN))
+        with gates_off():
+            ms = output_mode_moments(
+                model, sched, output_mode=MODE.delayed(delay), delay=delay
+            )
         elapsed = time.monotonic() - start
         ok = (
             abs(n_freq - 0.137) <= 0.003
@@ -169,7 +167,7 @@ class TestAcceptance:
         )
         assert ok, line
 
-    def test_criterion_7_oracle_equivalence(self):
+    def test_criterion_7_oracle_equivalence(self, timestep):
         def moment_gap(params, alpha):
             model = build_model(params)
             tau = optimize_delay(params, MODE)
@@ -203,10 +201,10 @@ class TestAcceptance:
             -400e-9, 700e-9, 800e-9, MODE, alpha_in=math.sqrt(N_IN)
         )
         dt = default_timestep(params, MODE)
-        ms1 = output_mode_moments(model, sched, output_mode=out, delay=tau, dt=dt)
-        ms2 = output_mode_moments(
-            model, sched, output_mode=out, delay=tau, dt=dt / 2
-        )
+        with timestep(dt):
+            ms1 = output_mode_moments(model, sched, output_mode=out, delay=tau)
+        with timestep(dt / 2):
+            ms2 = output_mode_moments(model, sched, output_mode=out, delay=tau)
         step_gap = float(relative_gap(ms1.moments, ms2.moments).max())
 
         ok = max(gaps) < 1e-3 and step_gap < 1e-4

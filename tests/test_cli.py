@@ -159,6 +159,14 @@ class TestConfigLoading:
         assert cfg["params"]["T1"] == math.inf
         assert oracles.gamma_phi_tot(cli._build_params(cfg["params"])) == 0.0
 
+    @pytest.mark.parametrize("key", ["T1", "T2_star"])
+    @pytest.mark.parametrize("command", list(cli._COMMANDS))
+    def test_zero_decay_time_is_config_error(self, tmp_path, capsys, command, key):
+        # the decay rates divide by these times
+        p = write_yaml(tmp_path / "c.yaml", f"params:\n  {key}: 0\n")
+        assert run_cli(command, "--config", p, "--out", str(tmp_path / "out")) == 2
+        assert f"config error: invalid params: {key} must be > 0" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def spectrum_outputs(tmp_path_factory):

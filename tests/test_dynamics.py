@@ -42,12 +42,13 @@ def table_delay():
 
 
 @pytest.fixture(scope="module")
-def table_moments(table_delay):
+def table_moments(table_delay, gates_off):
     p = default_params()
     m = build_model(p)
-    sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA, ramsey_gates=False)
+    sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
     out_mode = MODE.delayed(table_delay)
-    return output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay)
+    with gates_off():
+        return output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay)
 
 
 class TestPulseSchedule:
@@ -97,23 +98,25 @@ class TestApplyGate:
 
 
 class TestEvolve:
-    def test_dark_ideal_is_stationary(self):
+    def test_dark_ideal_is_stationary(self, gates_off):
         p = ideal_qubit(default_params())
         m = build_model(p)
-        sched = PulseSchedule(-200e-9, 0.0, 200e-9, MODE, alpha_in=0.0, ramsey_gates=False)
-        traj = evolve(m, sched)[0]
+        sched = PulseSchedule(-200e-9, 0.0, 200e-9, MODE, alpha_in=0.0)
+        with gates_off():
+            traj = evolve(m, sched)[0]
         start = ket_density(np.kron([1.0, 0.0], fock(m.n_max + 1, 0)))
         npt.assert_allclose(traj.rho, start, atol=1e-12)
 
-    def test_linear_cavity_matches_closed_form(self):
+    def test_linear_cavity_matches_closed_form(self, gates_off):
         p = ideal_qubit(default_params()).replace(chi=0.0)
         m = build_model(p)
         t0 = -MODE.t[-1]  # the cavity is empty before the pulse starts
         kex, ktot = p.kappa_ex, p.kappa_tot
         # each time is the end t_f of its own run from t_i = -400 ns
         for t in (-100e-9, 200e-9, 500e-9, 800e-9):
-            sched = PulseSchedule(-400e-9, t, t, MODE, alpha_in=ALPHA, ramsey_gates=False)
-            traj = evolve(m, sched)[0]
+            sched = PulseSchedule(-400e-9, t, t, MODE, alpha_in=ALPHA)
+            with gates_off():
+                traj = evolve(m, sched)[0]
             s = np.linspace(t0, t, 4001)
             integrand = np.exp(-ktot / 2 * (t - s)) * MODE.amplitude(-s)
             expected = -1j * math.sqrt(kex) * ALPHA * np.trapezoid(integrand, s)
@@ -148,20 +151,21 @@ class TestEvolve:
         npt.assert_allclose(pe_f, expected, rtol=1e-5)
         assert traj.max_trace_defect < 1e-8
 
-    def test_truncation_monitor_trips(self):
+    def test_truncation_monitor_trips(self, gates_off):
         p = ideal_qubit(default_params())
         m = build_model(p, n_max=3)
         short = gaussian_input_mode(300e-9)
-        sched = PulseSchedule(-300e-9, 300e-9, 400e-9, short, alpha_in=math.sqrt(2.0),
-                              ramsey_gates=False)
-        with pytest.raises(RuntimeError):
+        sched = PulseSchedule(-300e-9, 300e-9, 400e-9, short, alpha_in=math.sqrt(2.0))
+        with gates_off(), pytest.raises(RuntimeError):
             evolve(m, sched)
 
-    def test_nan_drive_trips_the_monitors(self):
+    def test_nan_drive_trips_the_monitors(self, pulse_drive):
         # a NaN at one half-step sample turns the state into NaN from that
-        # step on; the running maxima keep the NaN and the check refuses it
+        # step on; the running maxima keep the NaN and the check refuses it.
+        # No input amplitude: the prepared state is the vacuum, so the drive
+        # is first read after t_i
         m = build_model(default_params())
-        sched = PulseSchedule(-400e-9, 400e-9, 500e-9, MODE, alpha_in=ALPHA)
+        sched = PulseSchedule(-400e-9, 400e-9, 500e-9, MODE, alpha_in=0.0)
         calls = []
 
         def drive(tt):
@@ -171,8 +175,8 @@ class TestEvolve:
             calls.append(tt)
             return eps
 
-        with pytest.raises(RuntimeError, match="evolve: trace drifted by nan"):
-            evolve(m, sched, drive=drive)
+        with pulse_drive(drive), pytest.raises(RuntimeError, match="evolve: trace drifted by nan"):
+            evolve(m, sched)
         # the same holds per member and for the top-level check alone
         with pytest.raises(RuntimeError, match="top-level population nan"):
             _check_monitors("members", np.zeros(3), [(
@@ -180,7 +184,7 @@ class TestEvolve:
                 (1e-7, "top-level population", "raise the truncation dimension"),
             )])
 
-    def test_qubit_coherence_with_coherent_cavity(self):
+    def test_qubit_coherence_with_coherent_cavity(self, gates_off, initial_state, timestep):
         # n_max = 7 leaves 4.6e-6 of |0.8> on the top level, above the monitor
         p = ideal_qubit(default_params()).replace(kappa_ex=0.0, kappa_in=0.0)
         m = build_model(p, n_max=10)
@@ -188,8 +192,9 @@ class TestEvolve:
         psi = np.kron([1.0, 1.0], coherent(m.n_max + 1, alpha_c)) / math.sqrt(2)
         initial = QuantumState(ket_density(psi), oracles.dims(m.n_max))
         t_f = 430e-9
-        sched = PulseSchedule(0.0, 215e-9, t_f, MODE, alpha_in=0.0, ramsey_gates=False)
-        traj = evolve(m, sched, initial=initial, dt=2.5e-10)[0]
+        sched = PulseSchedule(0.0, 215e-9, t_f, MODE, alpha_in=0.0)
+        with gates_off(), initial_state(initial), timestep(2.5e-10):
+            traj = evolve(m, sched)[0]
         val = 2 * traj.expect(oracles.sigma_ge(m.n_max))
         weights = np.abs(coherent(m.n_max + 1, alpha_c)) ** 2
         expected = np.sum(weights * np.exp(2j * p.chi * np.arange(m.n_max + 1) * t_f))
@@ -357,21 +362,23 @@ class TestBoundedBrent:
 
 
 class TestOutputMoments:
-    def test_vacuum_input(self):
+    def test_vacuum_input(self, gates_off):
         p = ideal_qubit(default_params())
         m = build_model(p)
-        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=0.0, ramsey_gates=False)
-        ms = output_mode_moments(m, sched, delay=108e-9)
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=0.0)
+        with gates_off():
+            ms = output_mode_moments(m, sched, delay=108e-9)
         npt.assert_allclose(ms.moments[0, 0, 0, 0].real, 1.0, atol=1e-10)
         assert abs(ms.mean_photon) < 1e-10
         assert abs(ms.moments[0, 0, 0, 1] + ms.moments[1, 1, 0, 1]) < 1e-10
 
-    def test_lossless_linear_projection_is_coherent(self):
+    def test_lossless_linear_projection_is_coherent(self, gates_off):
         p = ideal_qubit(default_params()).replace(chi=0.0, kappa_in=0.0)
         m = build_model(p)
-        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA, ramsey_gates=False)
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
         tau = optimize_delay(p, MODE)
-        ms = output_mode_moments(m, sched, delay=tau)
+        with gates_off():
+            ms = output_mode_moments(m, sched, delay=tau)
         n_proj = ms.mean_photon
         assert 0.99 * N_IN < n_proj <= N_IN * (1 + 1e-6)
         mean = ms.moments[0, 0, 0, 1] + ms.moments[1, 1, 0, 1]
@@ -380,12 +387,13 @@ class TestOutputMoments:
         npt.assert_allclose(m22.real, abs(mean) ** 4, rtol=1e-4)
         npt.assert_allclose(ms.moments[0, 0, 0, 2], mean**2, rtol=1e-5)
 
-    def test_ground_pinned_matches_linear_reference(self, table_delay):
+    def test_ground_pinned_matches_linear_reference(self, table_delay, gates_off):
         p = ideal_qubit(default_params())
         m = build_model(p)
-        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA, ramsey_gates=False)
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
         out_mode = MODE.delayed(table_delay)
-        ms = output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay)
+        with gates_off():
+            ms = output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay)
         a_ref = linear_reference(p, sched, out_mode)
         npt.assert_allclose(ms.moments[0, 0, 0, 1], a_ref, rtol=2e-5)
         npt.assert_allclose(ms.moments[0, 0, 1, 1], abs(a_ref) ** 2, rtol=2e-5)
@@ -396,18 +404,16 @@ class TestOutputMoments:
         assert abs(table_moments.mean_photon - n_freq) < 2e-3
         npt.assert_allclose(table_moments.mean_photon, 0.13818, atol=2e-4)
 
-    def test_input_phase_gauge(self, table_delay):
+    def test_input_phase_gauge(self, table_delay, gates_off):
         p = default_params()
         m = build_model(p)
         out_mode = MODE.delayed(table_delay)
         theta = 0.77
-        base = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA, ramsey_gates=False)
-        rot = PulseSchedule(
-            -400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA * np.exp(1j * theta),
-            ramsey_gates=False,
-        )
-        ms0 = output_mode_moments(m, base, output_mode=out_mode, delay=table_delay)
-        ms1 = output_mode_moments(m, rot, output_mode=out_mode, delay=table_delay)
+        base = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
+        rot = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA * np.exp(1j * theta))
+        with gates_off():
+            ms0 = output_mode_moments(m, base, output_mode=out_mode, delay=table_delay)
+            ms1 = output_mode_moments(m, rot, output_mode=out_mode, delay=table_delay)
         mean0 = ms0.moments[0, 0, 0, 1] + ms0.moments[1, 1, 0, 1]
         mean1 = ms1.moments[0, 0, 0, 1] + ms1.moments[1, 1, 0, 1]
         npt.assert_allclose(mean1, mean0 * np.exp(1j * theta), rtol=1e-9)
@@ -418,29 +424,28 @@ class TestOutputMoments:
             rtol=1e-9,
         )
 
-    def test_weak_power_linearity(self, table_delay):
+    def test_weak_power_linearity(self, table_delay, gates_off):
         p = default_params()
         m = build_model(p)
         out_mode = MODE.delayed(table_delay)
         ratios = []
         for n_in in (0.005, 0.01, 0.02):
-            sched = PulseSchedule(
-                -400e-9, 700e-9, 800e-9, MODE, alpha_in=math.sqrt(n_in), ramsey_gates=False
-            )
-            ms = output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay)
+            sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=math.sqrt(n_in))
+            with gates_off():
+                ms = output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay)
             ratios.append(ms.mean_photon / n_in)
         assert max(ratios) / min(ratios) < 1.01
 
-    def test_grid_refinement(self, table_delay):
+    def test_grid_refinement(self, table_delay, timestep):
         p = default_params()
         m = build_model(p)
         out_mode = MODE.delayed(table_delay)
         sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
         dt = default_timestep(p, MODE)
-        ms1 = output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay, dt=dt)
-        ms2 = output_mode_moments(
-            m, sched, output_mode=out_mode, delay=table_delay, dt=dt / 2
-        )
+        with timestep(dt):
+            ms1 = output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay)
+        with timestep(dt / 2):
+            ms2 = output_mode_moments(m, sched, output_mode=out_mode, delay=table_delay)
         err = np.abs(ms1.moments - ms2.moments) / (
             np.maximum(np.abs(ms1.moments), np.abs(ms2.moments)) + 1e-8
         )
@@ -451,7 +456,7 @@ class TestOutputMoments:
         mean = rot.moments[0, 0, 0, 1] + rot.moments[1, 1, 0, 1]
         npt.assert_allclose(np.angle(mean), 0.0, atol=2e-2)
         npt.assert_allclose(rot.mean_photon, table_moments.mean_photon, rtol=1e-12)
-        back = rot.rotated(-table_moments.phase_ref)
+        back = MomentSet(rot.moments, -table_moments.phase_ref).rotated()
         npt.assert_allclose(back.moments, table_moments.moments, atol=1e-12)
 
 
@@ -489,29 +494,31 @@ class TestClassicalShift:
 
 
 class TestCaptureOracle:
-    def test_vacuum_capture_stays_empty(self):
+    def test_vacuum_capture_stays_empty(self, gates_off):
         p = ideal_qubit(default_params())
         m = build_model(p)
-        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=0.0, ramsey_gates=False)
-        ms = capture_mode_oracle(m, sched, delay=108e-9, dim_b=4)
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=0.0)
+        with gates_off():
+            ms = capture_mode_oracle(m, sched, delay=108e-9, dim_b=4)
         assert abs(ms.mean_photon) < 1e-6
 
-    def test_lossless_linear_capture(self):
+    def test_lossless_linear_capture(self, gates_off):
         p = ideal_qubit(default_params()).replace(chi=0.0, kappa_in=0.0)
         m = build_model(p)
-        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA, ramsey_gates=False)
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
         tau = optimize_delay(p, MODE)
-        ms = capture_mode_oracle(m, sched, delay=tau)
+        with gates_off():
+            ms = capture_mode_oracle(m, sched, delay=tau)
         assert ms.mean_photon > 0.99 * N_IN
 
-    def test_substep_cap_raises(self, monkeypatch):
+    def test_substep_cap_raises(self, monkeypatch, gates_off):
         # the first in-window step of this window needs 20 substeps; a cap
         # below that must refuse the run, not clamp the count
         p = ideal_qubit(default_params())
         m = build_model(p)
-        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=0.0, ramsey_gates=False)
+        sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=0.0)
         monkeypatch.setattr(dynamics, "CAPTURE_MAX_SUBSTEPS", 19)
-        with pytest.raises(
+        with gates_off(), pytest.raises(
             RuntimeError, match=r"step 0 from t = -4\.000000e-07 s needs 20 substeps \(cap 19\)"
         ):
             capture_mode_oracle(m, sched, delay=108e-9, dim_b=4)
@@ -627,15 +634,16 @@ class TestStepAccuracy:
     @pytest.mark.parametrize(
         "params", [default_params(), ideal_params()], ids=["reference", "ideal"]
     )
-    def test_default_step_meets_target(self, params):
+    def test_default_step_meets_target(self, params, timestep):
         m = build_model(params)
         tau = optimize_delay(params, MODE)
         sched = PulseSchedule(-400e-9, 700e-9, 800e-9, MODE, alpha_in=ALPHA)
         dt = default_timestep(params, MODE)
 
         def figures(step):
-            ms = output_mode_moments(m, sched, output_mode=MODE.delayed(tau), dt=step)
-            rho = evolve(m, sched, dt=step)[0].rho
+            with timestep(step):
+                ms = output_mode_moments(m, sched, output_mode=MODE.delayed(tau), delay=tau)
+                rho = evolve(m, sched)[0].rho
             p_e = float(np.trace(rho[m.dim // 2:, m.dim // 2:]).real)
             return ms.moments, ms.phase_ref, p_e
 
@@ -647,7 +655,7 @@ class TestStepAccuracy:
 
 
 class TestMeasurementBackaction:
-    def test_coherence_decay_matches_rate_formula(self):
+    def test_coherence_decay_matches_rate_formula(self, gates_off, initial_state, pulse_drive):
         p = ideal_qubit(default_params())
         m = build_model(p)
         ndot = 1.0e6
@@ -662,13 +670,15 @@ class TestMeasurementBackaction:
         initial = QuantumState(ket_density(plus), oracles.dims(m.n_max))
         t_a, t_b = 0.3e-6, 1.3e-6
 
-        def log_coherence(t, **kwargs):
-            sched = PulseSchedule(0.0, t, t, MODE, alpha_in=0.0, ramsey_gates=False)
-            coh = abs(evolve(m, sched, initial=initial, **kwargs)[0].expect(oracles.sigma_ge(m.n_max)))
+        def log_coherence(t):
+            sched = PulseSchedule(0.0, t, t, MODE, alpha_in=0.0)
+            with gates_off(), initial_state(initial):
+                coh = abs(evolve(m, sched)[0].expect(oracles.sigma_ge(m.n_max)))
             return math.log(max(coh, 1e-300))
 
         # two-point slopes of log|coherence| over [t_a, t_b], driven and not
-        slope = (log_coherence(t_b, drive=drive) - log_coherence(t_a, drive=drive)) / (t_b - t_a)
+        with pulse_drive(drive):
+            slope = (log_coherence(t_b) - log_coherence(t_a)) / (t_b - t_a)
         slope0 = (log_coherence(t_b) - log_coherence(t_a)) / (t_b - t_a)
         measured = -(slope - slope0)
         npt.assert_allclose(measured, rate, rtol=0.05)

@@ -343,7 +343,7 @@ class TestGenerators:
         for k, (block, want) in enumerate(zip(got, expected)):
             assert_same_csr(block, want, f"piece {k}")
 
-    def test_pieces_switched_off_are_dropped_exactly(self, monkeypatch):
+    def test_pieces_switched_off_are_dropped_exactly(self, monkeypatch, gates_off):
         # a ladder whose w pieces stay zero evolves node 0 like the plain
         # generator and leaves the other nodes empty
         calls = spy_real_form(monkeypatch)
@@ -353,9 +353,7 @@ class TestGenerators:
         a_op = random_matrix(rng, d, 0.5)
         c_list = [random_matrix(rng, d, 0.3)]
         rho0 = random_density(rng, d)
-        sched = dynamics.PulseSchedule(
-            0.0, 0.6, 1.0, gaussian_input_mode(500e-9), alpha_in=0.0, ramsey_gates=False
-        )
+        sched = dynamics.PulseSchedule(0.0, 0.6, 1.0, gaussian_input_mode(500e-9), alpha_in=0.0)
 
         def eps(t0, nsteps, dt_seg):
             return 0.3 * np.exp(1j * dynamics._half_grid(t0, nsteps, dt_seg))
@@ -367,16 +365,17 @@ class TestGenerators:
             e = eps(t0, nsteps, dt_seg)
             return dynamics._conj_pairs(e, np.zeros_like(e)), np.full(nsteps, dt_seg)
 
-        plain = dynamics._run_schedule(
-            "plain", dynamics._ladder_blocks(h0, c_list, a_op, 0), rho0.reshape(-1), sched, 0.02,
-            plain_coeffs, d, (),
-        )
         x0 = np.zeros(9 * d * d, dtype=complex)
         x0[: d * d] = rho0.reshape(-1)
-        ladder = dynamics._run_schedule(
-            "ladder", dynamics._ladder_blocks(h0, c_list, a_op, 2), x0, sched, 0.02,
-            ladder_coeffs, d, (),
-        )
+        with gates_off():
+            plain = dynamics._run_schedule(
+                "plain", dynamics._ladder_blocks(h0, c_list, a_op, 0), rho0.reshape(-1), sched,
+                0.02, plain_coeffs, d, (),
+            )
+            ladder = dynamics._run_schedule(
+                "ladder", dynamics._ladder_blocks(h0, c_list, a_op, 2), x0, sched, 0.02,
+                ladder_coeffs, d, (),
+            )
         assert calls == [(2, 2), (2, 4)]
         npt.assert_allclose(ladder.state[: d * d], plain.state, rtol=0, atol=1e-15)
         assert not np.any(ladder.state[d * d:])
@@ -813,9 +812,7 @@ class TestRealCoordinates:
         rng = np.random.default_rng(17)
         model = capture_model()
         d = model.dim
-        sched = dynamics.PulseSchedule(
-            0.0, 1.0, 1.6, gaussian_input_mode(500e-9), alpha_in=0.0, ramsey_gates=True
-        )
+        sched = dynamics.PulseSchedule(0.0, 1.0, 1.6, gaussian_input_mode(500e-9), alpha_in=0.0)
         dt = 0.01
         top, rule = dynamics._top_level(np.arange(d) % (model.n_max + 1))
         diag = np.arange(d) * (d + 1)

@@ -60,11 +60,13 @@ class TestQuantumState:
     def test_clip_and_renormalize_windows(self):
         rho = np.diag([1.0 + 2e-4, -2e-4]).astype(complex)
         with pytest.warns(RuntimeWarning):
-            out = clip_and_renormalize(rho)
+            out = clip_and_renormalize(rho, warn_above=1e-9, error_above=5e-3)
         assert np.linalg.eigvalsh(out).min() >= 0
         assert abs(np.trace(out) - 1) < 1e-14
         with pytest.raises(NumericalError):
-            clip_and_renormalize(np.diag([1.0, -1e-2]).astype(complex))
+            clip_and_renormalize(
+                np.diag([1.0, -1e-2]).astype(complex), warn_above=1e-9, error_above=5e-3
+            )
 
 
 class TestPartialTrace:

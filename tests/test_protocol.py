@@ -181,7 +181,6 @@ class TestRunProtocolReference:
             r.p_e, dressed_flip_probability(r.p_e_raw, p), rtol=1e-12
         )
         npt.assert_allclose(r.p_e, 0.14031382, rtol=2e-4)
-        npt.assert_allclose(r.p_g + r.p_e, 1.0, rtol=1e-12)
 
     def test_survival(self, table_run_n2):
         assert 0.82 < table_run_n2.survival < 0.86
@@ -209,12 +208,12 @@ class TestRunProtocolReference:
 
     def test_decomposition_identity(self, table_run_n1, table_run_n2):
         for r, tol in ((table_run_n1, 1e-8), (table_run_n2, 5e-3)):
-            lhs = r.p_g * r.rho_g.rho + r.p_e * r.rho_e.rho
+            lhs = (1.0 - r.p_e) * r.rho_g.rho + r.p_e * r.rho_e.rho
             assert np.max(np.abs(lhs - r.rho_uncond.rho)) < tol
 
     def test_reduced_qubit_matches_propagation(self, table_run_n2):
         r = table_run_n2
-        dim = r.n_ph + 1
+        dim = r.rho_g.dim
         red = np.einsum("qaQa->qQ", r.comp_assembled.reshape(2, dim, 2, dim))
         p = default_params()
         m = build_model(p)
@@ -335,25 +334,29 @@ class TestEfficiencyScan:
         no_zero = efficiency_scan(p, sched, GRID[1:], fit_window=FIT_WINDOW)
         npt.assert_allclose(no_zero.dark_count, single[0], rtol=1e-15, atol=0)
 
-    def test_members_monitored_separately(self):
+    def test_members_monitored_separately(self, gates_off):
         # the setup of test_truncation_monitor_trips: at n_max = 3 two input
         # photons overfill the top cavity level, while the weak members stay
         # far below the limit
         p = default_params().replace(T1=math.inf, T2_star=math.inf, T2_echo=math.inf, p_th=0.0)
         model = build_model(p, n_max=3)
-        sched = PulseSchedule(-300e-9, 300e-9, 400e-9, gaussian_input_mode(300e-9),
-                              ramsey_gates=False)
+        sched = PulseSchedule(-300e-9, 300e-9, 400e-9, gaussian_input_mode(300e-9))
         weak = (0.002, 0.005, 0.01)
-        batch = evolve(model, sched, [math.sqrt(x) for x in weak])
-        for x, traj in zip(weak, batch, strict=True):
-            alone = evolve(model, dataclasses.replace(sched, alpha_in=math.sqrt(x)))[0]
-            assert alone.max_top_population < 1e-7
-            npt.assert_allclose(traj.max_top_population, alone.max_top_population, rtol=1e-12)
-            npt.assert_allclose(traj.max_trace_defect, alone.max_trace_defect, rtol=0, atol=1e-15)
-        with pytest.raises(RuntimeError, match="top-level population"):
-            evolve(model, dataclasses.replace(sched, alpha_in=math.sqrt(2.0)))
-        with pytest.raises(RuntimeError, match="top-level population"):
-            efficiency_scan(p, sched, (0.0,) + weak + (2.0,), fit_window=FIT_WINDOW, n_max=3)
+        with gates_off():
+            batch = evolve(model, sched, [math.sqrt(x) for x in weak])
+            for x, traj in zip(weak, batch, strict=True):
+                alone = evolve(model, dataclasses.replace(sched, alpha_in=math.sqrt(x)))[0]
+                assert alone.max_top_population < 1e-7
+                npt.assert_allclose(
+                    traj.max_top_population, alone.max_top_population, rtol=1e-12
+                )
+                npt.assert_allclose(
+                    traj.max_trace_defect, alone.max_trace_defect, rtol=0, atol=1e-15
+                )
+            with pytest.raises(RuntimeError, match="top-level population"):
+                evolve(model, dataclasses.replace(sched, alpha_in=math.sqrt(2.0)))
+            with pytest.raises(RuntimeError, match="top-level population"):
+                efficiency_scan(p, sched, (0.0,) + weak + (2.0,), fit_window=FIT_WINDOW, n_max=3)
 
     def test_grid_validation(self):
         p = default_params()
@@ -397,7 +400,11 @@ class TestSweep:
             p_th=0.0, eps_rg=0.0, eps_re=0.0, kappa_in=0.0,
         )
         values = [f * p.chi for f in (1.0, 1.4, 1.7, 2.0, 2.3, 2.8, 3.4)]
-        pts = run_sweep(p, "kappa_ex", values)
+        # four points repair eigenvalue defects of 7.2e-2 to 9.7e-2 in the
+        # moment inversion's states (ROADMAP item 16)
+        with pytest.warns(RuntimeWarning, match="projecting out eigenvalue defect") as seen:
+            pts = run_sweep(p, "kappa_ex", values)
+        assert len(seen) == 4
         best = pts[int(np.argmax([pt.eta for pt in pts]))].value
         assert abs(best - 2 * p.chi) <= 0.15 * 2 * p.chi
 

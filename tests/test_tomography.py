@@ -64,6 +64,7 @@ def smear_mode(state: QuantumState, eta: float) -> QuantumState:
 VACUUM = pure(fock(5, 0))
 ONE = pure(fock(5, 1))
 COH137 = pure(coherent(5, math.sqrt(0.137)))
+WIGNER_GRID = np.linspace(-3.0, 3.0, 61)  # the grid protocol writes the Wigner functions on
 
 
 # session fixtures coherent_loss_record / composite_tomo provide the heavy
@@ -251,22 +252,19 @@ class TestSharedBinSet:
             assert fit_iterations == n_iter
             assert np.max(np.abs(est.rho - rho)) <= 1e-12
 
-    def test_single_mode_sampling_and_fits_match_dense_stack(self, monkeypatch):
+    def test_single_mode_sampling_and_fits_match_dense_stack(self, monkeypatch, quadrature_grid):
         thetas = tg.phase_settings(tg.MIN_PHASES)
-        rec = tg.sample(
-            COH137, thetas, 2_000, eta=0.43, seed=3, x_grid=self.SHORT_GRID
-        )
+        with quadrature_grid(self.SHORT_GRID):
+            rec = tg.sample(COH137, thetas, 2_000, eta=0.43, seed=3)
         np.testing.assert_array_equal(
             rec.counts, self._dense_counts(rec, COH137.rho, 2_000, 3)
         )
         self._check_fits(rec, monkeypatch)
 
-    def test_composite_sampling_and_fits_match_dense_stack(self, monkeypatch):
+    def test_composite_sampling_and_fits_match_dense_stack(self, monkeypatch, quadrature_grid):
         state = ideal_composite(0.165)
-        rec = tg.sample(
-            state, tg.phase_settings(tg.MIN_PHASES), 500, eta=0.43, seed=4,
-            x_grid=self.SHORT_GRID,
-        )
+        with quadrature_grid(self.SHORT_GRID):
+            rec = tg.sample(state, tg.phase_settings(tg.MIN_PHASES), 500, eta=0.43, seed=4)
         np.testing.assert_array_equal(
             rec.counts, self._dense_counts(rec, state.rho, 500, 4)
         )
@@ -325,9 +323,10 @@ class TestSampling:
         with pytest.raises(ValueError, match="exceeds"):
             tg.sample(big, [0.0], 100)
 
-    def test_three_level_sampling_space(self):
+    def test_three_level_sampling_space(self, tomo_levels):
         mode = pure(coherent(3, 0.3))
-        rec = tg.sample(mode, tg.phase_settings(21), 2_000, seed=4, n_tomo=3)
+        with tomo_levels(3):
+            rec = tg.sample(mode, tg.phase_settings(21), 2_000, seed=4)
         assert rec.n_tomo == 3
         est = tg.mle_reconstruct(rec)
         assert est.dim == 3
@@ -627,16 +626,14 @@ class TestCompositeMle:
         assert abs(n_est - 0.159) < 0.03
 
     def test_reduced_mode_state_consistent_with_direct_reconstruction(
-        self, composite_tomo
+        self, composite_tomo, tomo_levels
     ):
         # The single-system reconstruction lives in the same three-level
         # space as the composite run's mode sector.
         state, _, est = composite_tomo
         mode_only = oracles.partial_trace(state, [1])
-        rec = tg.sample(
-            mode_only, tg.phase_settings(100), 10_000, eta=0.43, seed=27,
-            n_tomo=3,
-        )
+        with tomo_levels(3):
+            rec = tg.sample(mode_only, tg.phase_settings(100), 10_000, eta=0.43, seed=27)
         direct = tg.mle_reconstruct(rec)
         delta = oracles.partial_trace(est, [1]).rho - direct.rho
         td = 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(delta))))
@@ -696,13 +693,13 @@ class TestCompositeMle:
 
 class TestWigner:
     def test_vacuum_central_value_and_norm(self):
-        w = tg.wigner(VACUUM)
+        w = tg.wigner(VACUUM, WIGNER_GRID)
         np.testing.assert_allclose(w[30, 30], 2 / math.pi, rtol=1e-12)
         dx = 0.1
         assert abs(w.sum() * dx * dx - 1.0) < 1e-3
 
     def test_single_photon_negative_at_origin(self):
-        w = tg.wigner(ONE)
+        w = tg.wigner(ONE, WIGNER_GRID)
         np.testing.assert_allclose(w[30, 30], -2 / math.pi, rtol=1e-12)
         dx = 0.1
         assert abs(w.sum() * dx * dx - 1.0) < 1e-3
@@ -722,7 +719,7 @@ class TestWigner:
 
     def test_superposition_field_is_real_and_normalized(self):
         state = pure(fock(5, 0) + fock(5, 1))
-        w = tg.wigner(state)
+        w = tg.wigner(state, WIGNER_GRID)
         assert w.dtype == np.float64
         assert abs(w.sum() * 0.01 - 1.0) < 1e-3
 
